@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "util/scan.hpp"
@@ -12,6 +13,9 @@ namespace hpcfail::loggen {
 namespace {
 constexpr int kNidWidth = 5;
 constexpr int kHostWidth = 4;
+/// NodeId is 32-bit: a larger id is malformed, never silently truncated
+/// (nid4294967301 must not become nid 5).
+constexpr std::uint64_t kMaxNid = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
 std::string compress_node_list(std::vector<platform::NodeId> nodes,
@@ -72,13 +76,13 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
     const std::size_t dash = piece.find('-');
     if (dash == std::string_view::npos) {
       const auto v = util::parse_u64(piece);
-      if (!v) return false;
+      if (!v || *v > kMaxNid) return false;
       lo = hi = *v;
       return true;
     }
     const auto l = util::parse_u64(piece.substr(0, dash));
     const auto h = util::parse_u64(piece.substr(dash + 1));
-    if (!l || !h || *h < *l || *h - *l > 1'000'000) return false;
+    if (!l || !h || *h > kMaxNid || *h < *l || *h - *l > 1'000'000) return false;
     lo = *l;
     hi = *h;
     return true;
@@ -127,7 +131,7 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
         std::size_t comma = util::scan::find_byte(inner, ',', start);
         if (comma == util::scan::npos) comma = inner.size();
         const auto v = util::parse_u64(inner.substr(start, comma - start));
-        if (!v) return std::nullopt;
+        if (!v || *v > kMaxNid) return std::nullopt;
         out.push_back(platform::NodeId{static_cast<std::uint32_t>(*v)});
         if (comma == inner.size()) break;
         start = comma + 1;

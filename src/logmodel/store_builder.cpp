@@ -83,7 +83,7 @@ void StoreBuilder::append_batch(std::vector<LogRecord> batch) {
   if (current_.size() >= shard_records_) seal_current();
 }
 
-LogStore StoreBuilder::build(util::ThreadPool* pool) {
+LogStore StoreBuilder::build() {
   seal_current();
   std::vector<std::vector<LogRecord>> shards = std::move(shards_);
   shards_ = {};
@@ -92,8 +92,6 @@ LogStore StoreBuilder::build(util::ThreadPool* pool) {
   symbols_ = SymbolTable{};
 
   if (shards.empty()) return LogStore::from_sorted({}, std::move(symbols));
-  (void)pool;  // run merging below is cheaper single-threaded than the old
-               // per-shard parallel sorts it replaced
 
   // Flatten the append sequence.  Each source file is ingested in order and
   // is itself time-sorted, so the sequence is a handful of long ascending

@@ -1,16 +1,14 @@
 // Sharded LogStore construction for the streaming ingestion pipeline.
 //
-// The bulk-build path used to be "concatenate every record, then one global
-// stable_sort" — fine in RAM, hostile at production scale.  StoreBuilder
-// instead accumulates records into bounded shards, stably sorts each shard
-// by time (in parallel when a pool is supplied), and k-way-merges the
-// sorted shards into the final record vector.
+// Every parsed corpus store is built here.  StoreBuilder accumulates
+// records into bounded shards, and build() flattens them and stably
+// merges the natural time-ordered runs (one per source, give or take
+// chunk seams) into the final record vector.
 //
-// Ordering contract: append() calls must arrive in the same global sequence
-// the in-memory path would have used (per-source line order, sources in
-// parse order).  Each shard then covers a contiguous run of that sequence,
-// so merging with ties broken by shard index reproduces the global
-// stable_sort byte for byte — the ingestion equivalence suite pins this.
+// Ordering contract: append() calls must arrive in the canonical global
+// sequence (per-source line order, sources in parse order).  The merge
+// then breaks time ties by append order, which reproduces a global
+// stable_sort of that sequence byte for byte — logmodel_test pins this.
 //
 // Detail strings: parse workers intern into chunk-local SymbolTables;
 // append_batch absorbs each chunk table into the builder's table (chunks
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "logmodel/log_store.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcfail::logmodel {
 
@@ -55,9 +52,9 @@ class StoreBuilder {
   /// Shards sealed so far (the open shard is not counted).
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  /// Sorts every shard (on `pool` when non-null), merges, and returns the
-  /// finalized store.  The builder is left empty and reusable.
-  [[nodiscard]] LogStore build(util::ThreadPool* pool = nullptr);
+  /// Merges every shard into time order and returns the finalized store.
+  /// The builder is left empty and reusable.
+  [[nodiscard]] LogStore build();
 
  private:
   void seal_current();

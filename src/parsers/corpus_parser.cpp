@@ -1,113 +1,35 @@
 #include "parsers/corpus_parser.hpp"
 
-#include <atomic>
+#include <array>
+#include <new>
+#include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "parsers/source_parsers.hpp"
-#include "util/strings.hpp"
-#include "util/time.hpp"
+#include "parsers/ingest.hpp"
+#include "util/chunked_reader.hpp"
 
 namespace hpcfail::parsers {
 
-using logmodel::LogRecord;
-using logmodel::LogSource;
-
-using util::split_lines;
-
 ParsedCorpus parse_corpus(const loggen::Corpus& corpus, util::ThreadPool* pool) {
-  ParsedCorpus out{corpus.system, platform::Topology{corpus.system.topology},
-                   {}, {}, corpus.begin, corpus.days, 0, 0, 0};
-  util::ThreadPool& workers = pool != nullptr ? *pool : util::default_pool();
-
-  const auto begin_civil = util::civil_time(corpus.begin);
-  ParseContext ctx;
-  ctx.topo = &out.topology;
-  ctx.base_year = begin_civil.year;
-  ctx.base_month = begin_civil.month;
-
-  struct SourceJob {
-    LogSource source;
-    std::optional<LogRecord> (*parse)(std::string_view, const ParseContext&);
-  };
-  const SourceJob source_jobs[] = {
-      {LogSource::Console, &parse_console_line},
-      {LogSource::Consumer, &parse_console_line},
-      {LogSource::Messages, &parse_messages_line},
-      {LogSource::Controller, &parse_controller_line},
-      {LogSource::Erd, &parse_erd_line},
-  };
-
-  std::vector<LogRecord> records;
-  logmodel::SymbolTable symbols;
-  std::atomic<std::size_t> skipped{0};
-
-  for (const auto& job : source_jobs) {
-    const std::string& text = corpus.of(job.source);
-    if (text.empty()) continue;
-    // hpcfail-lint: allow(hot-path-scan) -- in-memory path shards by line index, which needs the random-access vector; the streaming hot path is ingest.cpp
-    const auto lines = split_lines(text);
-    out.total_lines += lines.size();
-
-    // Shard the line range; each shard fills its own vector (with its own
-    // symbol table — workers never share one), merged in order afterwards
-    // (the store re-sorts by time anyway; Symbols are remapped into the
-    // final table as each shard is absorbed in deterministic shard order).
-    const std::size_t shards = std::max<std::size_t>(1, workers.size() * 2);
-    const std::size_t chunk = std::max<std::size_t>(1, (lines.size() + shards - 1) / shards);
-    std::vector<std::vector<LogRecord>> shard_records((lines.size() + chunk - 1) / chunk);
-    std::vector<logmodel::SymbolTable> shard_symbols(shard_records.size());
-    workers.parallel_for_ranges(
-        shard_records.size(),
-        // hpcfail-lint: allow(capture-lifetime) -- parallel_for_ranges joins every shard before returning
-        [&](std::size_t begin_shard, std::size_t end_shard) {
-          for (std::size_t s = begin_shard; s < end_shard; ++s) {
-            const std::size_t lo = s * chunk;
-            const std::size_t hi = std::min(lines.size(), lo + chunk);
-            std::size_t local_skipped = 0;
-            ParseContext local = ctx;
-            local.symbols = &shard_symbols[s];
-            auto& sink = shard_records[s];
-            sink.reserve(hi - lo);
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (auto record = job.parse(lines[i], local)) {
-                sink.push_back(*record);
-              } else {
-                ++local_skipped;
-              }
-            }
-            skipped.fetch_add(local_skipped, std::memory_order_relaxed);
-          }
-        });
-    for (std::size_t s = 0; s < shard_records.size(); ++s) {
-      const std::vector<logmodel::Symbol> remap = symbols.absorb(shard_symbols[s]);
-      for (LogRecord& r : shard_records[s]) r.detail = remap[r.detail.id];
-      records.insert(records.end(), shard_records[s].begin(), shard_records[s].end());
-    }
+  std::array<std::optional<util::MemoryStream>, logmodel::kLogSourceCount> streams;
+  std::vector<SourceStream> sources;
+  for (std::size_t i = 0; i < corpus.text.size(); ++i) {
+    if (corpus.text[i].empty()) continue;
+    streams[i].emplace(corpus.text[i]);
+    sources.push_back({static_cast<logmodel::LogSource>(i), &*streams[i]});
   }
-
-  // Scheduler log: sequential, stateful.
-  {
-    const std::string& text = corpus.of(LogSource::Scheduler);
-    // hpcfail-lint: allow(hot-path-scan) -- sequential stateful parse over the in-memory corpus, reuses the sibling shard path's line count accounting
-    const auto lines = split_lines(text);
-    out.total_lines += lines.size();
-    ParseContext sched_ctx = ctx;
-    sched_ctx.symbols = &symbols;
-    SchedulerLogParser sched(sched_ctx, out.jobs);
-    for (const auto line : lines) {
-      if (auto record = sched.parse_line(line)) {
-        records.push_back(*record);
-      } else {
-        skipped.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    out.jobs.finalize();
+  IngestOptions options;
+  options.pool = pool;
+  IngestResult result = ingest_stream(corpus, sources, options);
+  // In-memory text has no I/O to fail, but an allocation can: never hand a
+  // caller a silently partial corpus.
+  if (result.error) {
+    if (result.error->kind == IngestErrorKind::Resource) throw std::bad_alloc{};
+    throw std::runtime_error(result.error->to_string());
   }
-
-  out.skipped_lines = skipped.load();
-  out.parsed_records = records.size();
-  out.store = logmodel::LogStore{std::move(records), std::move(symbols)};
-  return out;
+  return std::move(static_cast<ParsedCorpus&>(result));
 }
 
 }  // namespace hpcfail::parsers

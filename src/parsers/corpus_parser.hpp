@@ -1,8 +1,9 @@
-// Whole-corpus ingestion: raw text of all sources -> finalized LogStore +
-// JobTable.  Non-scheduler sources are parsed in parallel on the shared
-// thread pool (each shard parses a contiguous line range); the scheduler
-// log is parsed sequentially because its lines mutate the JobTable in
-// order.  Malformed or irrelevant lines are counted, never fatal.
+// Whole-corpus ingestion of in-memory text: raw text of all sources ->
+// finalized LogStore + JobTable.  parse_corpus is a thin adapter that feeds
+// each source text to parsers::ingest_stream (parsers/ingest.hpp) as a
+// zero-copy in-memory stream, so a corpus in RAM and the same corpus on
+// disk take one parse path and yield identical results.  Malformed or
+// irrelevant lines are counted, never fatal.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +30,9 @@ struct ParsedCorpus {
 
 /// Parses every source of the corpus. When `pool` is null the shared
 /// default pool is used; pass a 1-thread pool for fully serial parsing.
+/// Throws std::bad_alloc when the ingest runs out of memory (and
+/// std::runtime_error for any other ingest error) instead of returning a
+/// partial corpus.
 [[nodiscard]] ParsedCorpus parse_corpus(const loggen::Corpus& corpus,
                                         util::ThreadPool* pool = nullptr);
 

@@ -110,8 +110,8 @@ struct IngestInstruments {
   [[nodiscard]] bool on() const noexcept { return bytes_read != nullptr; }
 };
 
-/// Parallel sources must retire in the same global sequence parse_corpus
-/// appends them, or time-tied records merge in a different order.
+/// Parallel sources retire in this fixed order whatever order the caller
+/// lists them in, so time-tied records always merge in the same order.
 constexpr LogSource kParallelOrder[] = {
     LogSource::Console, LogSource::Consumer, LogSource::Messages,
     LogSource::Controller, LogSource::Erd,
@@ -301,7 +301,7 @@ IngestResult ingest_stream(const loggen::Corpus& header,
     return nullptr;
   };
 
-  logmodel::StoreBuilder builder(options.shard_records);
+  logmodel::StoreBuilder builder;
   std::size_t skipped = 0;
 
   for (const LogSource source : kParallelOrder) {
@@ -332,7 +332,7 @@ IngestResult ingest_stream(const loggen::Corpus& header,
   // (total_lines = parsed + skipped) covers exactly what was seen.
   out.skipped_lines = skipped;
   out.parsed_records = builder.record_count();
-  out.store = builder.build(&pool);
+  out.store = builder.build();
   return out;
 }
 

@@ -27,9 +27,11 @@
 // not a damaged one.  The `ingest.*` fault sites (util/fault.hpp) let the
 // sweep in tests/faultinject_test.cpp provoke every degraded ending.
 //
-// Equivalence guarantee, pinned by tests/ingest_test.cpp: for the same
-// corpus bytes, ingest_files() and the in-memory parse_corpus() produce
-// identical ParsedCorpus contents (record order, indexes, line counts).
+// This is the only parse path: parse_corpus() (parsers/corpus_parser.hpp)
+// is ingest_stream() over in-memory streams.  tests/ingest_test.cpp pins
+// that file-backed and in-memory streams of the same corpus bytes produce
+// identical ParsedCorpus contents (record order, indexes, line counts) for
+// any chunk geometry and source order.
 
 #include <cstddef>
 #include <iosfwd>
@@ -60,9 +62,7 @@ struct IngestOptions {
   std::size_t chunk_bytes = std::size_t{1} << 18;
   /// Chunks parsed concurrently per source; 0 means 2 x pool size.
   std::size_t max_inflight_chunks = 0;
-  /// Records per StoreBuilder shard (bounds the per-shard sort).
-  std::size_t shard_records = std::size_t{1} << 16;
-  /// Pool for chunk parsing and shard sorting; null = shared default pool.
+  /// Pool for chunk parsing; null = shared default pool.
   util::ThreadPool* pool = nullptr;
   /// Absent source files: skip-with-metric (default) or structured error.
   MissingFilePolicy missing_file_policy = MissingFilePolicy::Skip;

@@ -365,7 +365,13 @@ std::optional<LogRecord> SchedulerLogParser::register_allocation(std::string_vie
     info.mem_per_node_gb = util::parse_double(m).value_or(0.0);
   }
   auto nodes = loggen::expand_node_list(node_list);
-  if (!nodes) return std::nullopt;
+  if (!nodes || ctx_.topo == nullptr) return std::nullopt;
+  // JobTable::finalize sizes its per-node index by the largest nid, so one
+  // corrupted nid outside the machine would ask for gigabytes.
+  const std::size_t node_count = ctx_.topo->node_count();
+  for (const platform::NodeId node : *nodes) {
+    if (node.value >= node_count) return std::nullopt;
+  }
   info.nodes = std::move(*nodes);
   r.type = EventType::JobStart;
   r.job_id = info.job_id;

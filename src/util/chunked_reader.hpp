@@ -10,8 +10,8 @@
 // Boundary behaviour:
 //   - a line longer than chunk_bytes is returned whole (the chunk grows);
 //   - a final line without a trailing '\n' is returned as-is;
-//   - CRLF line endings pass through untouched (util::split_lines strips
-//     the '\r' when the chunk is split into line views).
+//   - CRLF line endings pass through untouched (scan::LineCursor strips
+//     the '\r' when the chunk is walked line by line).
 //
 // Error behaviour: end-of-file is NOT the only way a stream stops.  A read
 // that leaves the stream bad() — or fail() without eof() — is a stream I/O
@@ -19,14 +19,44 @@
 // quietly treating the error as EOF (which would silently truncate the
 // corpus and mis-diagnose the analysis input).  The `ingest.read.*` fault
 // sites (util/fault.hpp) let tests provoke each degraded ending on demand.
+//
+// In-memory text enters the same reader through MemoryStream, so text
+// already in RAM and text on disk take one parse path.
 #pragma once
 
 #include <cstddef>
 #include <istream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <string_view>
 
 namespace hpcfail::util {
+
+/// Read-only std::istream over bytes the caller owns.  The get area points
+/// straight at `text`, so nothing is copied up front (std::istringstream
+/// would duplicate the whole text).  `text` must outlive the stream, which
+/// is pinned in place because the istream base points at the member buffer.
+class MemoryStream : public std::istream {
+ public:
+  explicit MemoryStream(std::string_view text) : std::istream(nullptr), buffer_(text) {
+    rdbuf(&buffer_);
+  }
+  MemoryStream(const MemoryStream&) = delete;
+  MemoryStream& operator=(const MemoryStream&) = delete;
+
+ private:
+  class Buffer : public std::streambuf {
+   public:
+    explicit Buffer(std::string_view text) {
+      // setg() wants char*, but nothing writes through it: there is no put
+      // area, and the default pbackfail() refuses a mismatched putback.
+      char* begin = const_cast<char*>(text.data());
+      setg(begin, begin, begin + text.size());
+    }
+  };
+  Buffer buffer_;
+};
 
 /// A stream I/O failure that is not end-of-file, thrown with the stream
 /// offset (bytes consumed before the error) so the operator can locate the

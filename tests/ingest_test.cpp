@@ -1,8 +1,9 @@
-// Streaming-ingestion equivalence suite: the file-backed chunked path
-// (ingest_files / ingest_stream) must produce byte-identical results to
-// the in-memory parse_corpus path — same records in the same order, same
-// job table, same line accounting — for every system preset and for any
-// chunk/shard geometry, including pathological one-byte chunks.
+// Streaming-ingestion suite.  There is one parse path, ingest_stream; the
+// reference is that path over in-memory streams (parse_corpus), and the
+// file-backed streams of ingest_files must match it byte for byte — same
+// records in the same order, same job table, same line accounting — for
+// every system preset, any chunk geometry (down to one-byte chunks), any
+// source order, and truncated or unterminated files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 
@@ -19,6 +21,7 @@
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
+#include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -43,8 +46,7 @@ void expect_records_equal(const logmodel::LogStore& want,
     ASSERT_EQ(a.cabinet, b.cabinet) << "record " << i;
     ASSERT_EQ(a.job_id, b.job_id) << "record " << i;
     ASSERT_EQ(a.value, b.value) << "record " << i;
-    // The two paths absorb worker tables in different orders, so Symbol
-    // ids may differ; the resolved text must not.
+    // Symbol ids are an interning detail; the resolved text is the contract.
     ASSERT_EQ(want.detail(i), got.detail(i)) << "record " << i;
   }
 }
@@ -96,7 +98,7 @@ struct IngestCase {
   const char* tag;
 };
 
-class IngestEquivalence : public ::testing::TestWithParam<IngestCase> {
+class FileVsMemoryStream : public ::testing::TestWithParam<IngestCase> {
  protected:
   void SetUp() override {
     const auto sim =
@@ -115,25 +117,24 @@ class IngestEquivalence : public ::testing::TestWithParam<IngestCase> {
   std::string dir_;
 };
 
-TEST_P(IngestEquivalence, FilesMatchInMemoryParse) {
+TEST_P(FileVsMemoryStream, FilesMatchInMemoryParse) {
   dir_ = write_to_temp(corpus_, GetParam().tag);
   const auto streamed = parsers::ingest_files(dir_);
   ASSERT_GT(streamed.parsed_records, 0u);
   expect_equivalent(*reference_, streamed);
 }
 
-TEST_P(IngestEquivalence, TinyChunksAndShardsMatch) {
-  // Pathological geometry: 57-byte chunks (every line spans chunks) and
-  // 64-record shards force maximal splitting and merging.
+TEST_P(FileVsMemoryStream, TinyChunksMatch) {
+  // Pathological geometry: 57-byte chunks make most lines span chunks and
+  // force maximal splitting and merging.
   dir_ = write_to_temp(corpus_, GetParam().tag);
   parsers::IngestOptions options;
   options.chunk_bytes = 57;
   options.max_inflight_chunks = 3;
-  options.shard_records = 64;
   expect_equivalent(*reference_, parsers::ingest_files(dir_, options));
 }
 
-TEST_P(IngestEquivalence, StreamEntryMatchesWithShuffledSourceOrder) {
+TEST_P(FileVsMemoryStream, StreamEntryMatchesWithShuffledSourceOrder) {
   // ingest_stream must parse in canonical source order no matter how the
   // caller ordered the vector.
   std::array<std::istringstream, logmodel::kLogSourceCount> streams;
@@ -146,7 +147,7 @@ TEST_P(IngestEquivalence, StreamEntryMatchesWithShuffledSourceOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Presets, IngestEquivalence,
+    Presets, FileVsMemoryStream,
     ::testing::Values(IngestCase{platform::SystemName::S1, 7001, "s1"},
                       IngestCase{platform::SystemName::S2, 7002, "s2"},
                       IngestCase{platform::SystemName::S5, 7005, "s5"}),
@@ -270,6 +271,18 @@ TEST(IngestObservability, RandomChunkSizeSweepPreservesRecordsAndCounters) {
               std::uint64_t{1} + (corpus_bytes - 1) / (options.chunk_bytes + 4096));
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(IngestEdgeTest, ParseCorpusThrowsOnAllocationFailure) {
+  // parse_corpus has no error field, so an ingest error must throw rather
+  // than hand back a silently partial corpus.
+  const loggen::Corpus corpus = small_corpus();
+  util::FaultInjector injector;
+  injector.arm("ingest.parse.bad_alloc");
+  util::install_fault_injector(&injector);
+  EXPECT_THROW((void)parsers::parse_corpus(corpus), std::bad_alloc);
+  util::install_fault_injector(nullptr);
+  EXPECT_EQ(injector.fires("ingest.parse.bad_alloc"), 1u);
 }
 
 TEST(IngestEdgeTest, SerialPoolMatchesSharedPool) {

@@ -5,23 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baseline.hpp"
 #include "lint.hpp"
 #include "sarif.hpp"
 #include "support/json.hpp"
 
 namespace {
 
-using hpcfail::lint::apply_baseline;
-using hpcfail::lint::BaselineEntry;
-using hpcfail::lint::load_baseline;
-using hpcfail::lint::render_baseline;
 using hpcfail::lint::Report;
 using hpcfail::lint::run_checks;
 using hpcfail::lint::to_sarif;
@@ -401,51 +395,6 @@ TEST(LintSarif, ReportRendersAsWellFormedSarif210) {
     EXPECT_EQ(phys->find("region")->find("startLine")->number,
               static_cast<double>(d.line));
   }
-}
-
-TEST(LintBaseline, BaselinedFindingsAreSuppressedAndStaleEntriesSurface) {
-  Report report = run_checks(fixture("rawsync_drift"), {"raw-sync"});
-  const std::size_t total = report.diagnostics.size();
-  ASSERT_GE(total, 2u);
-
-  // Baseline the first finding (by its line-free key) plus a stale entry.
-  std::vector<BaselineEntry> baseline;
-  baseline.push_back({report.diagnostics[0].file, report.diagnostics[0].check,
-                      report.diagnostics[0].message});
-  baseline.push_back({"src/gone.cpp", "raw-sync", "finding that no longer exists"});
-
-  const auto result = apply_baseline(report, baseline);
-  EXPECT_EQ(result.suppressed, 1u);
-  EXPECT_EQ(report.diagnostics.size(), total - 1);
-  ASSERT_EQ(result.stale_keys.size(), 1u);
-  EXPECT_EQ(result.stale_keys[0],
-            "src/gone.cpp|raw-sync|finding that no longer exists");
-}
-
-TEST(LintBaseline, RoundTripsThroughRenderAndLoad) {
-  Report report = run_checks(fixture("capture_drift"), {"capture-lifetime"});
-  ASSERT_FALSE(report.diagnostics.empty());
-
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / "hpcfail_lint_baseline.txt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good());
-    out << render_baseline(report);
-  }
-
-  const auto entries = load_baseline(path);
-  EXPECT_FALSE(entries.empty());
-  const auto result = apply_baseline(report, entries);
-  EXPECT_TRUE(report.diagnostics.empty());  // everything baselined away
-  EXPECT_TRUE(result.stale_keys.empty());
-  EXPECT_TRUE(report.ok());
-  std::filesystem::remove(path);
-}
-
-TEST(LintBaseline, MissingBaselineFileIsAnEmptyBaseline) {
-  const auto entries = load_baseline("/nonexistent/hpcfail/baseline.txt");
-  EXPECT_TRUE(entries.empty());
 }
 
 TEST(LintClean, ConsistentFixtureTreePasses) {

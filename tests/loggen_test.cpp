@@ -45,7 +45,8 @@ TEST(NidRangeTest, ExpandKnownForms) {
 
 TEST(NidRangeTest, ExpandRejectsMalformed) {
   for (const char* bad : {"", "xid[001]", "nid[", "nid[1-", "nid[3-1]", "nid[1,,2]",
-                          "nid[1-2", "nid[a-b]", "nid[00001-99999999]"}) {
+                          "nid[1-2", "nid[a-b]", "nid[00001-99999999]", "nid4294967296",
+                          "nid[1,4294967296]", "nid[4294967295-4294967296]"}) {
     EXPECT_FALSE(expand_node_list(bad).has_value()) << bad;
   }
 }

@@ -8,7 +8,6 @@
 
 #include "logmodel/store_builder.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcfail::logmodel {
 namespace {
@@ -275,16 +274,15 @@ TEST(StoreBuilderTest, MatchesGlobalStableSort) {
   expect_same_order(reference, builder.build());
 }
 
-TEST(StoreBuilderTest, ParallelShardSortMatchesSerial) {
+TEST(StoreBuilderTest, RemappedBatchMatchesGlobalStableSort) {
   SymbolTable symbols;
   const auto sequence = tied_sequence(500, 77, symbols);
   const LogStore reference{std::vector<LogRecord>(sequence), symbols};
-  util::ThreadPool pool(4);
   StoreBuilder builder(32);
   // The two-arg overload remaps through absorb(); ids differ but the
   // resolved text must not.
   builder.append_batch(std::vector<LogRecord>(sequence), symbols);
-  expect_same_order(reference, builder.build(&pool));
+  expect_same_order(reference, builder.build());
 }
 
 TEST(StoreBuilderTest, OversizedBatchKeepsContiguity) {

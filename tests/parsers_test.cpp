@@ -341,6 +341,46 @@ TEST(SchedulerParserTest, TorqueMalformedRejected) {
           .has_value());
 }
 
+std::string allocate_line(const std::string& node_list) {
+  return "2015-03-02T08:00:00.000000 slurmctld: sched: Allocate JobId=100001 Apid=1000017 "
+         "User=alice App=vasp NodeList=" +
+         node_list + " NodeCnt=2 MemPerNode=28.0G";
+}
+
+TEST(SchedulerParserTest, NidAboveUint32IsRejectedNotTruncated) {
+  // A 32-bit cast used to turn nid4294967301 into nid 5, a valid node.
+  const auto topo = s1_topology();
+  logmodel::SymbolTable symbols;
+  const ParseContext ctx{&topo, &symbols, 2015};
+  jobs::JobTable table;
+  SchedulerLogParser parser(ctx, table);
+  for (const char* nodes :
+       {"nid4294967301", "nid[00001,4294967301]", "nid[4294967295-4294967301]"}) {
+    EXPECT_FALSE(parser.parse_line(allocate_line(nodes)).has_value()) << nodes;
+  }
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(SchedulerParserTest, AllocationOutsideTopologyIsSkipped) {
+  // JobTable::finalize sizes its per-node index by the largest nid, so a
+  // corrupted nid must never reach the table.
+  const auto topo = s1_topology();
+  logmodel::SymbolTable symbols;
+  jobs::JobTable table;
+  SchedulerLogParser parser(ParseContext{&topo, &symbols, 2015}, table);
+  const std::string last = std::to_string(topo.node_count() - 1);
+  const std::string past = std::to_string(topo.node_count());
+  EXPECT_FALSE(parser.parse_line(allocate_line("nid[00001," + past + "]")).has_value());
+  EXPECT_FALSE(parser.parse_line(allocate_line("nid4000000000")).has_value());
+  // Without a topology no nid can be checked, so nothing registers.
+  SchedulerLogParser blind(ParseContext{nullptr, &symbols, 2015}, table);
+  EXPECT_FALSE(blind.parse_line(allocate_line("nid[00001-00003]")).has_value());
+  EXPECT_EQ(table.size(), 0u);
+
+  EXPECT_TRUE(parser.parse_line(allocate_line("nid[00001," + last + "]")).has_value());
+  EXPECT_EQ(table.size(), 1u);
+}
+
 // -------------------------------------------------------------- totality ----
 
 /// Property: mutated log lines never crash any parser (they may parse or

@@ -184,6 +184,25 @@ TEST(CorruptionMatrixTest, MidLineEof) {
   expect_accounting_matches(damaged);
 }
 
+TEST(CorruptionMatrixTest, InflatedSchedulerNids) {
+  loggen::Corpus damaged = baseline().corpus;
+  std::string& text = damaged.of(logmodel::LogSource::Scheduler);
+  // Prepend digits to the first nid of every third allocation, so ids land
+  // past the topology and past 32 bits.  One such id used to size the job
+  // table's per-node index at gigabytes; now each line is a counted skip.
+  const std::string key = "NodeList=nid";
+  std::size_t allocations = 0;
+  for (std::size_t pos = text.find(key); pos != std::string::npos;
+       pos = text.find(key, pos + 1)) {
+    if (allocations++ % 3 != 0) continue;
+    std::size_t digits = pos + key.size();
+    if (text[digits] == '[') ++digits;
+    text.insert(digits, "999999999999");
+  }
+  ASSERT_GT(allocations, 0u);
+  EXPECT_NO_THROW(expect_accounting_matches(damaged));
+}
+
 TEST(RobustnessTest, DegradeIsDeterministic) {
   loggen::DegradeConfig cfg;
   cfg.drop_line_fraction = 0.2;

@@ -44,7 +44,6 @@ void usage(std::FILE* to) {
       "  --seed N           simulation seed for --preset (default 42)\n"
       "  --threads N        pool threads (default: hardware concurrency)\n"
       "  --chunk-bytes N    chunk size in bytes (default 256 KiB)\n"
-      "  --shard-records N  records per store shard (default 65536)\n"
       "  --keep             keep the --preset temp directory\n"
       "  --snapshot-out F   after a clean ingest, save the parsed corpus as\n"
       "                     an hpcfail.store.v1 snapshot (see hpcfail-store)\n"
@@ -131,8 +130,6 @@ int main(int argc, char** argv) {
       threads = static_cast<std::size_t>(std::atoll(value()));
     } else if (arg == "--chunk-bytes") {
       options.chunk_bytes = static_cast<std::size_t>(std::atoll(value()));
-    } else if (arg == "--shard-records") {
-      options.shard_records = static_cast<std::size_t>(std::atoll(value()));
     } else if (arg == "--keep") {
       keep = true;
     } else if (arg == "--snapshot-out") {

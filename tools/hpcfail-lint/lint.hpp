@@ -19,8 +19,8 @@
 //      bypass the instrumented util::ThreadPool and ownership rules.
 //
 // Every check emits gcc-style file:line diagnostics (clickable, CI-parsed);
-// run_checks() can also be rendered as SARIF 2.1.0 (sarif.hpp) and gated
-// against a committed baseline (baseline.hpp) so only regressions fail.
+// run_checks() can also be rendered as SARIF 2.1.0 (sarif.hpp).  The only
+// way to accept a finding is an inline reasoned allow.
 //
 // The checks are exposed individually (the fixture tests run them against
 // deliberately drifted mini-trees) and collectively via run_checks().
@@ -170,9 +170,7 @@ void check_raw_sync(SourceTree& tree, Report& report);
 /// or a split_lines() call there silently reintroduces the byte-at-a-time
 /// scanning and per-chunk line-vector allocation the SWAR/SIMD scan layer
 /// removed.  Honors `// hpcfail-lint: allow(hot-path-scan) -- <reason>` for
-/// the cold paths that legitimately keep the simpler idiom (e.g. the
-/// in-memory corpus parser, which needs random access to line indices for
-/// sharding).
+/// cold paths that legitimately keep the simpler idiom.
 void check_hot_path_scan(SourceTree& tree, Report& report);
 
 /// The daemon's wire verbs (kVerbs in src/serve/protocol.cpp) and the

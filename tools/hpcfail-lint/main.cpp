@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "baseline.hpp"
 #include "cxx_model.hpp"
 #include "lint.hpp"
 #include "sarif.hpp"
@@ -19,7 +18,6 @@ namespace {
 void usage(std::FILE* to) {
   std::fputs(
       "usage: hpcfail-lint [--repo-root DIR] [--check NAME]... [--list-checks]\n"
-      "                    [--baseline FILE] [--write-baseline FILE]\n"
       "                    [--sarif-out FILE] [--stats]\n"
       "\n"
       "Statically cross-checks the emitter templates, parser tables and\n"
@@ -28,13 +26,8 @@ void usage(std::FILE* to) {
       "dangling-view, finalize-protocol, raw-sync).  Prints gcc-style\n"
       "file:line diagnostics and exits non-zero when the tree has drifted.\n"
       "\n"
-      "  --baseline FILE        drop findings listed in FILE (file|check|message\n"
-      "                         lines); only regressions fail the run.  Stale\n"
-      "                         entries are reported on stderr.\n"
-      "  --write-baseline FILE  write the current findings as a baseline and\n"
-      "                         exit 0 (accept-current-state workflow).\n"
-      "  --sarif-out FILE       also write the (pre-baseline) report as\n"
-      "                         SARIF 2.1.0 for code-scanning upload.\n"
+      "  --sarif-out FILE       also write the report as SARIF 2.1.0 for\n"
+      "                         code-scanning upload.\n"
       "  --stats                print files/bytes loaded and wall time to\n"
       "                         stderr (the shared SourceTree cache means the\n"
       "                         tree is read once regardless of check count).\n",
@@ -46,8 +39,6 @@ void usage(std::FILE* to) {
 int main(int argc, char** argv) {
   std::filesystem::path root = ".";
   std::vector<std::string> checks;
-  std::filesystem::path baseline_path;
-  std::filesystem::path write_baseline_path;
   std::filesystem::path sarif_path;
   bool stats = false;
 
@@ -79,16 +70,6 @@ int main(int argc, char** argv) {
     if (arg == "--check") {
       if (!need_value(i, "--check")) return 2;
       checks.emplace_back(argv[++i]);
-      continue;
-    }
-    if (arg == "--baseline") {
-      if (!need_value(i, "--baseline")) return 2;
-      baseline_path = argv[++i];
-      continue;
-    }
-    if (arg == "--write-baseline") {
-      if (!need_value(i, "--write-baseline")) return 2;
-      write_baseline_path = argv[++i];
       continue;
     }
     if (arg == "--sarif-out") {
@@ -124,7 +105,7 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   hpcfail::lint::SourceTree tree(root);
-  hpcfail::lint::Report report = hpcfail::lint::run_checks(tree, checks);
+  const hpcfail::lint::Report report = hpcfail::lint::run_checks(tree, checks);
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -136,9 +117,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(wall_ms));
   }
 
-  // SARIF reflects the full (pre-baseline) report: code scanning tracks
-  // known findings itself; hiding baselined ones would resurface them as
-  // "new" the day the baseline changes.
   if (!sarif_path.empty()) {
     std::ofstream out(sarif_path, std::ios::binary);
     if (!out) {
@@ -147,31 +125,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     out << hpcfail::lint::to_sarif(report);
-  }
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "hpcfail-lint: cannot write baseline to '%s'\n",
-                   write_baseline_path.string().c_str());
-      return 2;
-    }
-    out << hpcfail::lint::render_baseline(report);
-    std::fprintf(stderr, "hpcfail-lint: wrote %zu finding(s) to baseline '%s'\n",
-                 report.diagnostics.size(), write_baseline_path.string().c_str());
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    const auto baseline = hpcfail::lint::load_baseline(baseline_path);
-    const auto applied = hpcfail::lint::apply_baseline(report, baseline);
-    if (applied.suppressed > 0) {
-      std::fprintf(stderr, "hpcfail-lint: %zu baselined finding(s) suppressed\n",
-                   applied.suppressed);
-    }
-    for (const auto& key : applied.stale_keys) {
-      std::fprintf(stderr, "hpcfail-lint: stale baseline entry: %s\n", key.c_str());
-    }
   }
 
   for (const auto& d : report.diagnostics) {
