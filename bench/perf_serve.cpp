@@ -7,14 +7,24 @@
 // query path — the regime a resident daemon exists for; the one-time cost
 // of filling that cache is reported separately as analysis_cold_ms.
 //
+// A second phase sweeps tail-poll cost against store size: daemons booted
+// over S2 7, 28 and 56 days each take kTailPolls polls, every one after
+// appending a single console line newer than all history (a live tail),
+// and the poll_tail() wall time is reported as p50/p99 per size.
+//
 // `--json[=PATH]` writes the committed BENCH_serve.json trajectory (best
-// of kRepeats hammer rounds); without it the summary goes to stderr only.
+// of kRepeats hammer rounds, plus the "tail_poll" rows); without it the
+// summary goes to stderr only.
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +41,8 @@ using namespace hpcfail;
 constexpr int kClients = 4;
 constexpr int kRequestsPerClient = 500;
 constexpr int kRepeats = 3;
+constexpr int kTailPolls = 50;
+constexpr int kTailSweepDays[] = {7, 28, 56};
 
 double percentile(std::vector<double>& sorted_us, double p) {
   if (sorted_us.empty()) return 0.0;
@@ -78,6 +90,77 @@ Round hammer(serve::Server& server, util::ThreadPool& clients,
       round.seconds > 0.0 ? static_cast<double>(round.latencies_us.size()) / round.seconds
                           : 0.0;
   return round;
+}
+
+/// Tail-poll cost at one store size.
+struct TailPollRow {
+  int days = 0;
+  std::size_t records = 0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
+/// The first console line of `corpus` that parses into a record.
+std::string console_record_line(const loggen::Corpus& corpus,
+                                const platform::Topology& topology) {
+  const parsers::LineParseFn parse = parsers::line_parser_for(logmodel::LogSource::Console);
+  logmodel::SymbolTable scratch;
+  parsers::ParseContext ctx;
+  ctx.topo = &topology;
+  ctx.symbols = &scratch;
+  const util::CivilTime civil = util::civil_time(corpus.begin);
+  ctx.base_year = civil.year;
+  ctx.base_month = civil.month;
+  std::istringstream in(corpus.of(logmodel::LogSource::Console));
+  for (std::string line; std::getline(in, line);) {
+    if (parse(line, ctx).has_value()) return line;
+  }
+  return {};
+}
+
+/// Boots a daemon over S2 `days` (seed 42) with a console tail attached,
+/// then times kTailPolls polls, each after appending one console line
+/// retimed past the store's last record.  Returns false if a poll fails or
+/// does not yield exactly its one record.
+bool tail_poll_row(int days, util::ThreadPool& pool, TailPollRow& row) {
+  const auto sim =
+      faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, days, 42)).run();
+  const loggen::Corpus corpus = loggen::build_corpus(sim);
+  auto parsed = parsers::parse_corpus(corpus, &pool);
+  const std::string line = console_record_line(corpus, parsed.topology);
+  if (line.empty()) return false;
+  const util::TimePoint last = parsed.store.last_time();
+  row.days = days;
+  row.records = parsed.store.size();
+
+  const std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                     ("perf_serve_tail." + std::to_string(::getpid()) + ".log");
+  std::filesystem::remove(path);
+  serve::ServerConfig config;
+  config.pool = &pool;
+  serve::Server server(std::move(parsed), config);
+  server.attach_tail(path.string(), logmodel::LogSource::Console);
+
+  std::vector<double> ms;
+  ms.reserve(kTailPolls);
+  bool ok = true;
+  for (int i = 1; i <= kTailPolls && ok; ++i) {
+    {
+      std::ofstream out(path, std::ios::app | std::ios::binary);
+      out << util::format_iso(last + util::Duration::seconds(i))
+          << line.substr(line.find(' ')) << '\n';
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const serve::Server::TailPoll poll = server.poll_tail();
+    ms.push_back(std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                     .count());
+    ok = poll.ok() && poll.records == 1;
+  }
+  std::filesystem::remove(path);
+  std::sort(ms.begin(), ms.end());
+  row.p50_ms = percentile(ms, 0.50);
+  row.p99_ms = percentile(ms, 0.99);
+  return ok;
 }
 
 }  // namespace
@@ -162,6 +245,20 @@ int main(int argc, char** argv) {
                "(analysis cold %.1fms, %zu records)\n",
                kRepeats, best.queries_per_s, p50, p99, analysis_cold_ms, records);
 
+  std::vector<TailPollRow> tail_rows;
+  for (const int days : kTailSweepDays) {
+    std::fprintf(stderr, "perf_serve: tail-poll sweep, S2 %d days...\n", days);
+    TailPollRow row;
+    if (!tail_poll_row(days, pool, row)) {
+      std::fprintf(stderr, "perf_serve: a tail poll failed or missed its record (S2 %d d)\n",
+                   days);
+      return 1;
+    }
+    std::fprintf(stderr, "  %zu records: %d polls, p50 %.2fms, p99 %.2fms\n", row.records,
+                 kTailPolls, row.p50_ms, row.p99_ms);
+    tail_rows.push_back(row);
+  }
+
   if (write_json) {
     std::ofstream out(json_path);
     if (!out) {
@@ -180,11 +277,21 @@ int main(int argc, char** argv) {
                   "  \"analysis_cold_ms\": %.1f,\n"
                   "  \"p50_us\": %.1f,\n"
                   "  \"p99_us\": %.1f,\n"
-                  "  \"queries_per_s\": %.0f\n"
-                  "}\n",
+                  "  \"queries_per_s\": %.0f,\n"
+                  "  \"tail_poll\": [",
                   records, kClients, best.latencies_us.size(), kRepeats,
                   analysis_cold_ms, p50, p99, best.queries_per_s);
     out << buf;
+    for (std::size_t i = 0; i < tail_rows.size(); ++i) {
+      const TailPollRow& row = tail_rows[i];
+      std::snprintf(buf, sizeof(buf),
+                    "%s\n    {\"system\": \"S2\", \"days\": %d, \"records\": %zu, "
+                    "\"polls\": %d, \"p50_ms\": %.2f, \"p99_ms\": %.2f}",
+                    i == 0 ? "" : ",", row.days, row.records, kTailPolls, row.p50_ms,
+                    row.p99_ms);
+      out << buf;
+    }
+    out << "\n  ]\n}\n";
     std::fprintf(stderr, "perf_serve: wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -1,6 +1,7 @@
 #include "core/markdown_report.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/advisor.hpp"
 #include "core/engine.hpp"
@@ -12,6 +13,16 @@
 namespace hpcfail::core {
 
 std::string markdown_report(const ReportInputs& inputs) {
+  const AnalysisEngine engine;
+  return markdown_report(inputs, engine.analyze(*inputs.store, inputs.jobs, inputs.begin,
+                                                inputs.end));
+}
+
+std::string markdown_report(const ReportInputs& inputs, const AnalysisResult& analysis) {
+  if (analysis.begin != inputs.begin || analysis.end != inputs.end) {
+    throw std::invalid_argument(
+        "markdown_report: the analysis window differs from the report window");
+  }
   std::ostringstream out;
   const auto& store = *inputs.store;
   const auto window_days = (inputs.end - inputs.begin).usec / util::Duration::days(1).usec;
@@ -24,9 +35,6 @@ std::string markdown_report(const ReportInputs& inputs) {
   out << ".\n\n";
 
   // --- one engine run produces every section's numbers ---
-  const AnalysisEngine engine;
-  const AnalysisResult analysis = engine.analyze(store, inputs.jobs, inputs.begin,
-                                                 inputs.end);
   const auto& failures = analysis.failures;
   const auto& breakdown = analysis.breakdown;
   out << "## Failures and root causes\n\n";

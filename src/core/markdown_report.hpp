@@ -14,6 +14,8 @@
 
 namespace hpcfail::core {
 
+struct AnalysisResult;
+
 struct ReportInputs {
   const logmodel::LogStore* store = nullptr;
   const jobs::JobTable* jobs = nullptr;         ///< may be null
@@ -23,7 +25,18 @@ struct ReportInputs {
   util::TimePoint end;
 };
 
-/// Runs the full analysis over the inputs and renders the report.
+/// Runs the full analysis (a default-configured AnalysisEngine over
+/// inputs.store, inputs.jobs and [inputs.begin, inputs.end)) and renders
+/// the report.
 [[nodiscard]] std::string markdown_report(const ReportInputs& inputs);
+
+/// Renders the report from a finished analysis instead of running the
+/// engine again — for callers that already hold one (the query daemon's
+/// per-epoch cache).  Precondition: `analysis` was computed over the same
+/// store, jobs and window as `inputs`; the window is checked and a
+/// mismatch throws std::invalid_argument.  Given the engine run the
+/// one-argument form makes, the output is byte-identical to it.
+[[nodiscard]] std::string markdown_report(const ReportInputs& inputs,
+                                          const AnalysisResult& analysis);
 
 }  // namespace hpcfail::core

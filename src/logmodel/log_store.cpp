@@ -1,13 +1,62 @@
 #include "logmodel/log_store.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+
+#include "util/trace.hpp"
 
 namespace hpcfail::logmodel {
 
 namespace {
 bool time_less(const LogRecord& a, const LogRecord& b) noexcept { return a.time < b.time; }
+
+/// One appended row's entry in a CSR index; sorts by key, then row.
+struct KeyedRow {
+  std::uint32_t key = 0;
+  std::uint32_t row = 0;
+  friend auto operator<=>(const KeyedRow&, const KeyedRow&) = default;
+};
+
+/// The index build_indexes() makes over base rows + appended rows, given
+/// that every appended row is at or after every base row in time: each
+/// key's run is its base run followed by its appended rows.  Offsets shift
+/// by the running count of appended entries with smaller keys; entries are
+/// bulk-copied between the insertion points.  `fresh` is sorted.  The key
+/// space is the base's, grown for fresh keys past it and to at least
+/// `min_keys`; zero keys is the empty index.
+util::CsrIndex<std::uint32_t> splice(const util::CsrIndex<std::uint32_t>& base,
+                                     const std::vector<KeyedRow>& fresh,
+                                     std::size_t min_keys = 0) {
+  std::size_t keys = std::max(min_keys, base.offsets.empty() ? 0 : base.offsets.size() - 1);
+  if (!fresh.empty()) keys = std::max(keys, std::size_t{fresh.back().key} + 1);
+  util::CsrIndex<std::uint32_t> out;
+  if (keys == 0) return out;
+  const auto base_end = static_cast<std::uint32_t>(base.entries.size());
+  // Where key k's base run starts; keys past the base's range start at its end.
+  const auto base_start = [&](std::size_t k) {
+    return k < base.offsets.size() ? base.offsets[k] : base_end;
+  };
+  out.offsets.resize(keys + 1);
+  std::size_t below = 0;  // fresh entries with key < k
+  for (std::size_t k = 0; k <= keys; ++k) {
+    while (below < fresh.size() && fresh[below].key < k) ++below;
+    out.offsets[k] = base_start(k) + static_cast<std::uint32_t>(below);
+  }
+  out.entries.resize(base.entries.size() + fresh.size());
+  auto dst = out.entries.begin();
+  std::uint32_t copied = 0;
+  for (const KeyedRow& f : fresh) {
+    const std::uint32_t run_end = base_start(std::size_t{f.key} + 1);
+    dst = std::copy(base.entries.begin() + copied, base.entries.begin() + run_end, dst);
+    copied = run_end;
+    *dst++ = f.row;
+  }
+  std::copy(base.entries.begin() + copied, base.entries.end(), dst);
+  return out;
+}
 }  // namespace
 
 LogStore::LogStore(std::vector<LogRecord> records, SymbolTable symbols)
@@ -34,6 +83,68 @@ LogStore LogStore::from_sorted(std::vector<LogRecord> records, SymbolTable symbo
   store.build_indexes();
   store.finalized_ = true;
   return store;
+}
+
+LogStore LogStore::extend(const LogStore& base, std::vector<LogRecord> fresh,
+                          SymbolTable symbols) {
+  util::TraceSpan span("hpcfail.store.extend");
+  base.require_finalized();
+  std::stable_sort(fresh.begin(), fresh.end(), time_less);
+  const std::vector<LogRecord>& rows = base.records_;
+  LogStore out;
+  out.symbols_ = std::move(symbols);
+  out.records_.reserve(rows.size() + fresh.size());
+
+  if (!rows.empty() && !fresh.empty() && time_less(fresh.front(), rows.back())) {
+    // Fresh records interleave history: a linear merge (base first on
+    // ties, as a stable sort of base ++ fresh orders them), then the
+    // ordinary index build.
+    std::merge(rows.begin(), rows.end(), fresh.begin(), fresh.end(),
+               std::back_inserter(out.records_), time_less);
+    out.build_indexes();
+    return out;
+  }
+
+  // Append: copy the base columns once, add the fresh rows, and splice
+  // each fresh row onto the end of its key's run in every index.
+  const auto n = static_cast<std::uint32_t>(rows.size());
+  out.records_.assign(rows.begin(), rows.end());
+  out.records_.insert(out.records_.end(), fresh.begin(), fresh.end());
+  out.times_.reserve(out.records_.size());
+  out.times_.assign(base.times_.begin(), base.times_.end());
+  out.types_.reserve(out.records_.size());
+  out.types_.assign(base.types_.begin(), base.types_.end());
+  std::vector<KeyedRow> node_rows;
+  std::vector<KeyedRow> blade_rows;
+  std::vector<KeyedRow> cabinet_rows;
+  std::vector<KeyedRow> type_rows;
+  for (std::uint32_t i = 0; i < fresh.size(); ++i) {
+    const LogRecord& r = fresh[i];
+    out.times_.push_back(r.time.usec);
+    out.types_.push_back(r.type);
+    if (r.has_node()) node_rows.push_back({r.node.value, n + i});
+    if (r.has_blade()) blade_rows.push_back({r.blade.value, n + i});
+    if (r.has_cabinet()) cabinet_rows.push_back({r.cabinet.value, n + i});
+    type_rows.push_back({static_cast<std::uint32_t>(r.type), n + i});
+  }
+  for (auto* keyed : {&node_rows, &blade_rows, &cabinet_rows, &type_rows}) {
+    std::sort(keyed->begin(), keyed->end());
+  }
+  out.by_node_ = splice(base.by_node_, node_rows);
+  out.by_blade_ = splice(base.by_blade_, blade_rows);
+  out.by_cabinet_ = splice(base.by_cabinet_, cabinet_rows);
+  // build_indexes() sizes a non-empty store's type index by the enum.
+  out.by_type_ = splice(base.by_type_, type_rows, out.records_.empty() ? 0 : kEventTypeCount);
+
+  std::vector<platform::NodeId> fresh_nodes;
+  for (const KeyedRow& k : node_rows) {
+    if (fresh_nodes.empty() || fresh_nodes.back().value != k.key) {
+      fresh_nodes.push_back(platform::NodeId{k.key});
+    }
+  }
+  std::set_union(base.nodes_.begin(), base.nodes_.end(), fresh_nodes.begin(),
+                 fresh_nodes.end(), std::back_inserter(out.nodes_));
+  return out;
 }
 
 void LogStore::add(LogRecord r) {

@@ -40,6 +40,20 @@ class LogStore {
   [[nodiscard]] static LogStore from_sorted(std::vector<LogRecord> records,
                                             SymbolTable symbols = {});
 
+  /// Returns exactly the store `LogStore(base.records() ++ fresh, symbols)`
+  /// builds — rows, columns, the four CSR indexes and nodes() — without
+  /// sorting or re-indexing the base.  `symbols` must resolve the Symbols
+  /// of both base and fresh records (a copy of base.symbols() with the
+  /// fresh details interned into it keeps every base id valid).  Only
+  /// `fresh` is stable-sorted.  When every fresh record is at or after
+  /// base.last_time() (a live tail), the base columns are copied once and
+  /// each index run is spliced in one pass; otherwise base and fresh are
+  /// merged (base first on ties) and the indexes rebuilt.  Either way the
+  /// cost is linear in base.size(), never n log n.  The base must be
+  /// finalized.
+  [[nodiscard]] static LogStore extend(const LogStore& base, std::vector<LogRecord> fresh,
+                                       SymbolTable symbols);
+
   void add(LogRecord r);
 
   /// Sorts and (re)builds indexes. Must be called after the last add()

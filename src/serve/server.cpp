@@ -77,8 +77,7 @@ Server::TailPoll Server::poll_tail() {
   parsers::ParseContext ctx = parse_ctx_;
   ctx.symbols = &scratch;
 
-  // (record, resolved detail text) in arrival order across the tails.
-  std::vector<std::pair<logmodel::LogRecord, std::string>> fresh;
+  std::vector<logmodel::LogRecord> fresh;  // details interned in `scratch`
   for (AttachedTail& tail : tails_) {
     TailReader::Poll poll = tail.reader.poll();
     if (!poll.ok()) {
@@ -88,9 +87,7 @@ Server::TailPoll Server::poll_tail() {
     for (const std::string& line : poll.lines) {
       ++out.lines;
       if (line.empty()) continue;
-      if (const auto record = tail.parse(line, ctx)) {
-        fresh.emplace_back(*record, std::string(scratch.view(record->detail)));
-      }
+      if (const auto record = tail.parse(line, ctx)) fresh.push_back(*record);
     }
   }
   out.records = fresh.size();
@@ -100,35 +97,38 @@ Server::TailPoll Server::poll_tail() {
   }
   if (fresh.empty()) return out;
 
-  // Build the next epoch: previous records + symbols (deep copies; symbol
-  // ids are preserved, so old records stay resolvable) plus the fresh tail
-  // records interned into the copy.  The LogStore constructor re-sorts, so
-  // a tail whose times interleave another source's history still lands in
-  // time order.
+  // Build the next epoch: the previous store extended by the fresh records,
+  // whose details are interned into a copy of its symbol table (ids are
+  // preserved, so old records stay resolvable).  The batch is time-sorted
+  // here because the monitor below needs it in that order across tails;
+  // extend() sorts its own copy again (a no-op pass on a sorted batch) and
+  // places records that interleave history in time order too.
+  logmodel::SymbolTable symbols = snap->store.symbols();
+  for (logmodel::LogRecord& record : fresh) {
+    record.detail = symbols.intern(scratch.view(record.detail));
+  }
+  std::stable_sort(fresh.begin(), fresh.end(),
+                   [](const logmodel::LogRecord& a, const logmodel::LogRecord& b) {
+                     return a.time < b.time;
+                   });
   auto next = std::make_shared<Epoch>();
   next->id = snap->id + 1;
-  std::vector<logmodel::LogRecord> records = snap->store.records();
-  logmodel::SymbolTable symbols = snap->store.symbols();
-  records.reserve(records.size() + fresh.size());
-  for (const auto& [record, detail] : fresh) {
-    logmodel::LogRecord r = record;
-    r.detail = symbols.intern(detail);
-    records.push_back(r);
-  }
-  next->store = logmodel::LogStore(std::move(records), std::move(symbols));
+  next->store = logmodel::LogStore::extend(snap->store, fresh, std::move(symbols));
   window_of(next->store, next->begin, next->end);
   next->tail_records = snap->tail_records + fresh.size();
 
-  // Feed the monitor in arrival order.  It requires non-decreasing times;
-  // a tail record older than the watermark (its times interleave another
-  // source's already-replayed history) is analyzable but not monitorable.
-  for (const auto& [record, detail] : fresh) {
+  // Feed the monitor the time-sorted batch, so a record from a tail polled
+  // later is not dropped behind an earlier tail's newer record.  It
+  // requires non-decreasing times; a tail record older than the watermark
+  // (its time interleaves already-replayed history) is analyzable but not
+  // monitorable.
+  for (const logmodel::LogRecord& record : fresh) {
     if (record.time < monitor_watermark_) {
       if (reg != nullptr) reg->counter("hpcfail.serve.monitor_skipped").increment();
       continue;
     }
     monitor_watermark_ = record.time;
-    for (core::Alert& alert : monitor_.ingest(record, detail)) {
+    for (core::Alert& alert : monitor_.ingest(record, next->store.detail(record))) {
       apply_alert(alert, health_);
       out.alerts.push_back(std::move(alert));
     }
@@ -221,8 +221,8 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
     const core::AnalysisEngine engine(cfg);
     epoch.analysis = std::make_shared<const core::AnalysisResult>(
         engine.analyze(epoch.store, &jobs_, epoch.begin, epoch.end));
-    // The markdown report runs the same engine pipeline internally; render
-    // it here so one recompute per epoch covers every analysis-backed verb.
+    // Render the report from that same analysis, so one engine run per
+    // epoch covers every analysis-backed verb.
     core::ReportInputs inputs;
     inputs.store = &epoch.store;
     inputs.jobs = &jobs_;
@@ -230,7 +230,7 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
     inputs.system_label = label_;
     inputs.begin = epoch.begin;
     inputs.end = epoch.end;
-    epoch.report = core::markdown_report(inputs);
+    epoch.report = core::markdown_report(inputs, *epoch.analysis);
     recomputes_.fetch_add(1, std::memory_order_relaxed);
     if (util::MetricsRegistry* reg = util::metrics()) {
       reg->counter("hpcfail.serve.analysis_recomputes").increment();

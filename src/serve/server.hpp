@@ -7,14 +7,17 @@
 // current Epoch — a finalized LogStore over base + tail records, the
 // sliding analysis window clipped to ServerConfig::window, and a snapshot
 // of per-node monitor health.  poll_tail() is the single writer: when new
-// records arrive it builds the next Epoch and swaps the pointer; queries
-// (any thread) copy the pointer once and answer entirely from that Epoch,
-// so every response is consistent with exactly one epoch — no torn reads.
+// records arrive it builds the next Epoch — the previous store extended
+// by the fresh records (LogStore::extend: one copy of the base, no sort,
+// no re-index) — and swaps the pointer; queries (any thread) copy the
+// pointer once and answer entirely from that Epoch, so every response is
+// consistent with exactly one epoch — no torn reads.
 //
 // Analysis results are cached per epoch: the first query that needs the
-// AnalysisEngine (causes, lead_time, report) computes it once under
-// std::call_once and every later query in that epoch reuses it.  A tail
-// advance invalidates nothing in place — the old Epoch simply stops being
+// AnalysisEngine (causes, lead_time, report) runs it once under
+// std::call_once, renders the markdown report from that same result, and
+// every later query in that epoch reuses both.  A tail advance
+// invalidates nothing in place — the old Epoch simply stops being
 // current, and in-flight queries against it stay valid until their
 // shared_ptr drops.  hpcfail.serve.analysis_recomputes counts the compute
 // path, hpcfail.serve.cache_hits the reuse path; the epoch-cache test
@@ -87,9 +90,14 @@ class Server {
   };
 
   /// Polls every attached tail and, when records arrived, publishes the
-  /// next epoch.  Single-writer: call from one thread at a time (queries
-  /// may run concurrently).  A tail error leaves that tail's offset where
-  /// it was — the next poll retries — and never tears the current epoch.
+  /// next epoch: the current store extended by the fresh records, in time
+  /// order wherever they fall.  The fresh records of all tails reach the
+  /// OnlineMonitor time-sorted; one older than the last record fed (its
+  /// time interleaves history) is stored and analyzed but not monitored,
+  /// and counted in hpcfail.serve.monitor_skipped.  Single-writer: call
+  /// from one thread at a time (queries may run concurrently).  A tail
+  /// error leaves that tail's offset where it was — the next poll retries
+  /// — and never tears the current epoch.
   TailPoll poll_tail();
 
   /// Parses and answers one request line; always returns exactly one
@@ -132,7 +140,7 @@ class Server {
     // Lazy per-epoch analysis cache, filled at most once under `once`.
     std::once_flag once;
     std::shared_ptr<const core::AnalysisResult> analysis;
-    std::string report;  ///< markdown_report over the epoch window
+    std::string report;  ///< markdown_report rendered from `analysis`
   };
 
   struct AttachedTail {
@@ -143,8 +151,8 @@ class Server {
   [[nodiscard]] std::shared_ptr<Epoch> current() const;
   void publish(std::shared_ptr<Epoch> next);
 
-  /// Fills the epoch's analysis cache on first use; counts recompute vs
-  /// cache hit.
+  /// Fills the epoch's analysis cache (the analysis, then the report
+  /// rendered from it) on first use; counts recompute vs cache hit.
   const core::AnalysisResult& analysis_of(Epoch& epoch);
 
   void apply_alert(const core::Alert& alert,

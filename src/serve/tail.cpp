@@ -24,6 +24,17 @@ TailReader::Poll TailReader::poll() {
     return out;  // writer has not created the file yet
   }
 
+  // A file shorter than the offset was truncated under us (copytruncate
+  // rotation): restart from its first byte, as `tail -F` does, instead of
+  // seeking past EOF and later resuming mid-line.
+  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+  if (!ec && size < offset_) {
+    offset_ = 0;
+    if (util::MetricsRegistry* reg = util::metrics()) {
+      reg->counter("hpcfail.serve.tail_truncations").increment();
+    }
+  }
+
   std::ifstream in(path_, std::ios::binary);
   if (!in) {
     out.error = TailError{path_, offset_, "cannot open tail file"};

@@ -11,7 +11,11 @@
 // poll result, the offset does not advance, and the next poll retries —
 // the daemon never crashes or silently skips bytes.  A file that does not
 // exist yet is an empty poll, not an error (the writer may not have
-// created it).
+// created it).  A file found shorter than the offset was truncated in
+// place (copytruncate rotation): the reader restarts at byte 0, as
+// `tail -F` does, and counts hpcfail.serve.tail_truncations.  A truncated
+// file that grows past the old offset again before the next poll cannot
+// be told apart from an append.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,8 @@ class TailReader {
     [[nodiscard]] bool ok() const noexcept { return !error.has_value(); }
   };
 
-  /// Reads every complete line appended since the last successful poll.
+  /// Reads every complete line appended since the last successful poll
+  /// (from byte 0 after a truncation).
   [[nodiscard]] Poll poll();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }

@@ -5,6 +5,7 @@
 #include "core/analysis_context.hpp"
 #include "core/benign_faults.hpp"
 #include "core/clusters.hpp"
+#include "core/engine.hpp"
 #include "core/external_correlator.hpp"
 #include "core/markdown_report.hpp"
 #include "core/failure_detector.hpp"
@@ -587,6 +588,30 @@ TEST(ReportTest, MarkdownReportContainsAllSections) {
         "## Recommended actions", "HardwareMce", "QuarantineNode"}) {
     EXPECT_NE(report.find(section), std::string::npos) << section;
   }
+}
+
+TEST(ReportTest, MarkdownReportRendersFromAFinishedAnalysis) {
+  std::vector<LogRecord> records;
+  records.push_back(rec(util::Duration::minutes(5), EventType::HardwareError, 1));
+  records.push_back(rec(util::Duration::minutes(8), EventType::MachineCheckException, 1));
+  records.push_back(rec(util::Duration::minutes(9), EventType::KernelPanic, 1));
+  records.push_back(rec(util::Duration::minutes(40), EventType::NodeBoot, 1));
+  const logmodel::LogStore store{std::move(records), test_symbols()};
+  const platform::Topology topo;
+  ReportInputs inputs;
+  inputs.store = &store;
+  inputs.topology = &topo;
+  inputs.system_label = "TEST";
+  inputs.begin = kBase;
+  inputs.end = kBase + util::Duration::days(1);
+  const AnalysisEngine engine;
+  EXPECT_EQ(markdown_report(inputs, engine.analyze(store, nullptr, inputs.begin, inputs.end)),
+            markdown_report(inputs));
+  // An analysis of another window is refused, not rendered under this
+  // window's header.
+  const AnalysisResult other =
+      engine.analyze(store, nullptr, inputs.begin, inputs.end + util::Duration::days(1));
+  EXPECT_THROW((void)markdown_report(inputs, other), std::invalid_argument);
 }
 
 // Pinned: empty failure lists are a no-op for every report helper — zero

@@ -1,13 +1,20 @@
-// Unit and property tests for src/logmodel: taxonomy consistency, LogStore.
+// Unit and property tests for src/logmodel: taxonomy consistency, LogStore
+// (including extend() against the constructor), StoreBuilder.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <map>
+#include <span>
+#include <stdexcept>
 
 #include "logmodel/cause.hpp"
 #include "logmodel/event_type.hpp"
 #include "logmodel/log_store.hpp"
-#include <stdexcept>
-
 #include "logmodel/store_builder.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace hpcfail::logmodel {
 namespace {
@@ -305,6 +312,192 @@ TEST(StoreBuilderTest, EmptyBuildYieldsUsableStore) {
   EXPECT_TRUE(store.finalized());
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.count_of_type(EventType::KernelPanic), 0u);
+}
+
+// ------------------------------------------------------- LogStore::extend --
+
+/// Every section a snapshot of the store would hold — record rows with
+/// padding zeroed, time/type columns, the four CSR offset and entry
+/// arrays, nodes() and the symbol table — as name -> bytes.
+std::map<std::string, std::vector<std::byte>> section_bytes(const LogStore& store) {
+  util::Sections sections;
+  store.append_sections(sections);
+  std::map<std::string, std::vector<std::byte>> out;
+  for (const auto& entry : sections.entries()) {
+    out[entry.name].assign(entry.bytes.begin(), entry.bytes.end());
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> as_vector(std::span<const std::uint32_t> span) {
+  return {span.begin(), span.end()};
+}
+
+/// Builds the base store from `base_records`, then checks that
+/// extend(base, fresh) is byte-identical to the constructor over
+/// base ++ fresh.  Each record's detail names its input position, so a
+/// tie broken the wrong way shows up in the record bytes.
+void expect_extend_matches_constructor(std::vector<LogRecord> base_records,
+                                       std::vector<LogRecord> fresh) {
+  SymbolTable base_symbols;
+  for (std::size_t i = 0; i < base_records.size(); ++i) {
+    base_records[i].detail = base_symbols.intern("base" + std::to_string(i));
+  }
+  const LogStore base(base_records, base_symbols);
+  SymbolTable symbols = base.symbols();
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    fresh[i].detail = symbols.intern("fresh" + std::to_string(i));
+  }
+  std::vector<LogRecord> all = base.records();
+  all.insert(all.end(), fresh.begin(), fresh.end());
+  const LogStore want(std::move(all), symbols);
+  const LogStore got = LogStore::extend(base, std::move(fresh), std::move(symbols));
+
+  EXPECT_TRUE(got.finalized());
+  EXPECT_EQ(section_bytes(want), section_bytes(got));
+  EXPECT_TRUE(std::equal(want.times().begin(), want.times().end(), got.times().begin(),
+                         got.times().end()));
+  EXPECT_TRUE(std::equal(want.types().begin(), want.types().end(), got.types().begin(),
+                         got.types().end()));
+  EXPECT_EQ(want.nodes(), got.nodes());
+  std::uint32_t max_key = static_cast<std::uint32_t>(kEventTypeCount);
+  for (const LogRecord& r : want.records()) {
+    if (r.has_node()) max_key = std::max(max_key, r.node.value);
+    if (r.has_blade()) max_key = std::max(max_key, r.blade.value);
+    if (r.has_cabinet()) max_key = std::max(max_key, r.cabinet.value);
+  }
+  const util::TimePoint all_begin{std::numeric_limits<std::int64_t>::min()};
+  const util::TimePoint all_end{std::numeric_limits<std::int64_t>::max()};
+  for (std::uint32_t k = 0; k <= max_key + 1; ++k) {
+    EXPECT_EQ(as_vector(want.node_index(platform::NodeId{k})),
+              as_vector(got.node_index(platform::NodeId{k})))
+        << "node " << k;
+    EXPECT_EQ(as_vector(want.blade_range(platform::BladeId{k}, all_begin, all_end)),
+              as_vector(got.blade_range(platform::BladeId{k}, all_begin, all_end)))
+        << "blade " << k;
+    EXPECT_EQ(as_vector(want.cabinet_range(platform::CabinetId{k}, all_begin, all_end)),
+              as_vector(got.cabinet_range(platform::CabinetId{k}, all_begin, all_end)))
+        << "cabinet " << k;
+    EXPECT_EQ(as_vector(want.type_index(static_cast<EventType>(k))),
+              as_vector(got.type_index(static_cast<EventType>(k))))
+        << "type " << k;
+  }
+}
+
+LogRecord blade_only(std::int64_t sec, std::uint32_t blade, std::uint32_t cabinet) {
+  LogRecord r = make_record(sec, EventType::EcHwError, 0);
+  r.node = platform::NodeId{};
+  r.blade = platform::BladeId{blade};
+  r.cabinet = platform::CabinetId{cabinet};
+  return r;
+}
+
+LogRecord cabinet_only(std::int64_t sec, std::uint32_t cabinet) {
+  LogRecord r = blade_only(sec, 0, cabinet);
+  r.type = EventType::NodeHeartbeatFault;
+  r.blade = platform::BladeId{};
+  return r;
+}
+
+/// A small history over nodes 0-5, blades 0-2 and cabinets 0-1 between
+/// t = 10 and t = 50, with ties.
+std::vector<LogRecord> history() {
+  return {make_record(10, EventType::NodeBoot, 0, 0, 0),
+          make_record(20, EventType::KernelPanic, 3, 1, 0),
+          blade_only(20, 2, 1),
+          make_record(30, EventType::HardwareError, 5, 2, 1),
+          cabinet_only(40, 1),
+          make_record(50, EventType::LustreError, 1, 0, 0),
+          make_record(50, EventType::MachineCheckException, 3, 1, 0)};
+}
+
+TEST(LogStoreExtendTest, AppendAfterLastRecord) {
+  expect_extend_matches_constructor(
+      history(), {make_record(60, EventType::KernelPanic, 3, 1, 0),
+                  make_record(55, EventType::NodeBoot, 0, 0, 0),
+                  make_record(70, EventType::LustreError, 4, 2, 1)});
+}
+
+TEST(LogStoreExtendTest, TiesAtTheLastTime) {
+  expect_extend_matches_constructor(
+      history(), {make_record(50, EventType::KernelPanic, 3, 1, 0),
+                  make_record(50, EventType::KernelPanic, 1, 0, 0), blade_only(50, 1, 0)});
+}
+
+TEST(LogStoreExtendTest, FreshInsideHistory) {
+  expect_extend_matches_constructor(
+      history(), {make_record(60, EventType::NodeBoot, 5, 2, 1),
+                  make_record(20, EventType::KernelPanic, 3, 1, 0),
+                  make_record(30, EventType::OomKill, 2, 1, 0)});
+}
+
+TEST(LogStoreExtendTest, FreshBeforeFirstRecord) {
+  expect_extend_matches_constructor(
+      history(), {make_record(1, EventType::NodeBoot, 0, 0, 0), cabinet_only(5, 0)});
+}
+
+TEST(LogStoreExtendTest, IdsPastTheBaseKeySpace) {
+  // Appended, then interleaved: both branches must grow the key spaces.
+  const std::vector<LogRecord> fresh = {make_record(60, EventType::NodeBoot, 40, 2, 1),
+                                        blade_only(61, 17, 1), cabinet_only(62, 9)};
+  expect_extend_matches_constructor(history(), fresh);
+  std::vector<LogRecord> interleaved = fresh;
+  interleaved.push_back(make_record(15, EventType::KernelPanic, 41, 18, 10));
+  expect_extend_matches_constructor(history(), interleaved);
+}
+
+TEST(LogStoreExtendTest, BladeOnlyAndCabinetOnlyRecords) {
+  expect_extend_matches_constructor(
+      history(), {blade_only(55, 0, 0), cabinet_only(56, 1), blade_only(57, 2, 1)});
+  // A base without any node-scoped record, extended by one.
+  expect_extend_matches_constructor({blade_only(10, 1, 0), cabinet_only(11, 0)},
+                                    {make_record(12, EventType::NodeBoot, 2, 1, 0)});
+}
+
+TEST(LogStoreExtendTest, EmptyBase) {
+  expect_extend_matches_constructor({}, {make_record(5, EventType::NodeBoot, 1, 0, 0),
+                                         make_record(3, EventType::KernelPanic, 2, 1, 0)});
+  expect_extend_matches_constructor({}, {cabinet_only(5, 3)});
+}
+
+TEST(LogStoreExtendTest, EmptyFresh) {
+  expect_extend_matches_constructor(history(), {});
+  expect_extend_matches_constructor({}, {});
+}
+
+TEST(LogStoreExtendTest, RequiresAFinalizedBase) {
+  LogStore base;
+  base.add(make_record(5, EventType::NodeBoot, 1));
+  EXPECT_THROW((void)LogStore::extend(base, {}, SymbolTable{}), std::logic_error);
+}
+
+TEST(LogStoreExtendTest, SeededRandomSweep) {
+  util::Rng rng(2024);
+  const auto random_record = [&rng] {
+    const auto sec = rng.uniform_int(0, 40);  // dense ties
+    const auto type = static_cast<EventType>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kEventTypeCount) - 1));
+    LogRecord r = make_record(sec, type, static_cast<std::uint32_t>(rng.uniform_int(0, 30)),
+                          static_cast<std::uint32_t>(rng.uniform_int(0, 8)),
+                          static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+    // Drop each location level independently, including all three.
+    if (rng.uniform_int(0, 3) == 0) r.node = platform::NodeId{};
+    if (rng.uniform_int(0, 4) == 0) r.blade = platform::BladeId{};
+    if (rng.uniform_int(0, 5) == 0) r.cabinet = platform::CabinetId{};
+    return r;
+  };
+  for (int round = 0; round < 200; ++round) {
+    std::vector<LogRecord> base(static_cast<std::size_t>(rng.uniform_int(0, 60)));
+    for (LogRecord& r : base) r = random_record();
+    std::vector<LogRecord> fresh(static_cast<std::size_t>(rng.uniform_int(0, 8)));
+    for (LogRecord& r : fresh) {
+      r = random_record();
+      // Half the rounds are live tails: nothing earlier than the base.
+      if (round % 2 == 0) r.time = r.time + util::Duration::seconds(40);
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_extend_matches_constructor(std::move(base), std::move(fresh));
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // matrix (every bad input answers a structured error and the daemon keeps
 // serving), the epoch cache contract (repeated queries within an epoch
 // never recompute; a tail advance bumps the epoch and recomputes once),
-// and the tail/session mechanics the daemon is built from.
+// multi-tail epochs against a batch parse of the same lines, and the
+// tail/session mechanics the daemon is built from.
 //
 // To regenerate the transcripts after an intentional protocol change:
 //   HPCFAIL_UPDATE_GOLDENS=1 ./tests/serve_test
@@ -13,11 +14,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/markdown_report.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
@@ -26,6 +29,7 @@
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/tail.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -45,13 +49,13 @@ std::string golden_dir() {
 /// (console text interleaves chatter the parsers skip) — re-appending it
 /// to a tail is guaranteed to produce one record without violating the
 /// store's time order.
-std::string last_parsable_line(const parsers::ParsedCorpus& parsed,
+std::string last_parsable_line(const platform::Topology& topology,
                                const loggen::Corpus& corpus,
                                logmodel::LogSource source) {
   const parsers::LineParseFn parse = parsers::line_parser_for(source);
   logmodel::SymbolTable scratch;
   parsers::ParseContext ctx;
-  ctx.topo = &parsed.topology;
+  ctx.topo = &topology;
   ctx.symbols = &scratch;
   const util::CivilTime civil = util::civil_time(corpus.begin);
   ctx.base_year = civil.year;
@@ -75,7 +79,10 @@ struct Booted {
   loggen::Corpus corpus;
   std::string node_name;       ///< a real node name for node_health requests
   std::string tail_line;       ///< console line guaranteed to parse
+  std::string controller_line;  ///< controller line guaranteed to parse
   std::size_t base_records = 0;
+  util::TimePoint first_time;  ///< boot store extent
+  util::TimePoint last_time;
   std::unique_ptr<serve::Server> server;
 };
 
@@ -91,7 +98,12 @@ Booted boot(platform::SystemName system, int days, unsigned seed,
     out.node_name =
         std::string(parsed.topology.node_name(parsed.store.nodes().front()));
   }
-  out.tail_line = last_parsable_line(parsed, out.corpus, logmodel::LogSource::Console);
+  out.tail_line =
+      last_parsable_line(parsed.topology, out.corpus, logmodel::LogSource::Console);
+  out.controller_line =
+      last_parsable_line(parsed.topology, out.corpus, logmodel::LogSource::Controller);
+  out.first_time = parsed.store.first_time();
+  out.last_time = parsed.store.last_time();
   out.server = std::make_unique<serve::Server>(std::move(parsed), config);
   return out;
 }
@@ -111,11 +123,47 @@ class ScratchFile {
     std::ofstream out(path_, std::ios::app | std::ios::binary);
     out << text;
   }
+  /// Truncates the file in place and writes `text` (copytruncate rotation).
+  void truncate_to(const std::string& text) const {
+    std::ofstream out(path_, std::ios::trunc | std::ios::binary);
+    out << text;
+  }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
   std::string path_;
 };
+
+/// `line` (console or controller text, both ISO-timestamp first) moved to
+/// time `t`.
+std::string retimed(const std::string& line, util::TimePoint t) {
+  return util::format_iso(t) + line.substr(line.find(' '));
+}
+
+/// Installs a metrics registry for one test and uninstalls it on exit.
+class ScopedMetrics {
+ public:
+  ScopedMetrics() { util::install_metrics(&registry_); }
+  ~ScopedMetrics() { util::install_metrics(nullptr); }
+  ScopedMetrics(const ScopedMetrics&) = delete;
+  ScopedMetrics& operator=(const ScopedMetrics&) = delete;
+
+  [[nodiscard]] std::uint64_t counter(const std::string& name) {
+    return registry_.counter(name).value();
+  }
+
+ private:
+  util::MetricsRegistry registry_;
+};
+
+/// The `data` object of an ok response.
+serve::JsonValue data_of(const std::string& response) {
+  const auto doc = serve::JsonValue::parse(response);
+  EXPECT_TRUE(doc.has_value()) << response;
+  const serve::JsonValue* data = doc.has_value() ? doc->find("data") : nullptr;
+  EXPECT_NE(data, nullptr) << response;
+  return data != nullptr ? *data : serve::JsonValue{};
+}
 
 // ------------------------------------------------------- golden transcripts --
 
@@ -300,6 +348,124 @@ TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
   EXPECT_NE(status.find("\"tail_records\":1"), std::string::npos) << status;
 }
 
+// ------------------------------------------------------- multi-tail epochs --
+
+TEST(ServeEpochTest, MonitorSeesOnePollInTimeOrderAcrossTails) {
+  Booted booted = boot(platform::SystemName::S2, 1, 4242);
+  serve::Server& server = *booted.server;
+  const ScratchFile console("order_console.log");
+  const ScratchFile controller("order_controller.log");
+  server.attach_tail(console.path(), logmodel::LogSource::Console);
+  server.attach_tail(controller.path(), logmodel::LogSource::Controller);
+  ASSERT_FALSE(booted.tail_line.empty());
+  ASSERT_FALSE(booted.controller_line.empty());
+
+  // Both lines are newer than all history, but the tail polled second
+  // holds the earlier one.
+  ScopedMetrics metrics;
+  console.append(retimed(booted.tail_line, booted.last_time + util::Duration::seconds(20)) +
+                 "\n");
+  controller.append(
+      retimed(booted.controller_line, booted.last_time + util::Duration::seconds(10)) + "\n");
+  const auto poll = server.poll_tail();
+  ASSERT_TRUE(poll.ok());
+  EXPECT_EQ(poll.records, 2u);
+  EXPECT_EQ(metrics.counter("hpcfail.serve.monitor_skipped"), 0u)
+      << "a record newer than all history must reach the monitor";
+}
+
+/// "## " sections of a markdown report, keyed by heading text.
+std::map<std::string, std::string> report_sections(const std::string& report) {
+  std::map<std::string, std::string> out;
+  std::size_t at = report.find("## ");
+  while (at != std::string::npos) {
+    const std::size_t next = report.find("\n## ", at);
+    const std::size_t end = next == std::string::npos ? report.size() : next + 1;
+    const std::size_t eol = report.find('\n', at);
+    out[report.substr(at + 3, eol - at - 3)] = report.substr(at, end - at);
+    at = next == std::string::npos ? next : next + 1;
+  }
+  return out;
+}
+
+TEST(ServeEpochTest, MultiTailEpochsMatchABatchParse) {
+  Booted booted = boot(platform::SystemName::S2, 1, 4242);
+  serve::Server& server = *booted.server;
+  const ScratchFile console("multi_console.log");
+  const ScratchFile controller("multi_controller.log");
+  server.attach_tail(console.path(), logmodel::LogSource::Console);
+  server.attach_tail(controller.path(), logmodel::LogSource::Controller);
+  ASSERT_FALSE(booted.tail_line.empty());
+  ASSERT_FALSE(booted.controller_line.empty());
+
+  // Every appended time is distinct from every other record's, so the
+  // batch parse and the epochs cannot order ties differently.
+  const auto after = [&](int sec) {
+    return booted.last_time + util::Duration::seconds(sec) +
+           util::Duration::microseconds(250);
+  };
+  const util::TimePoint inside =
+      booted.first_time + (booted.last_time - booted.first_time) / 2 +
+      util::Duration::microseconds(125);
+  ASSERT_LT(inside, booted.last_time);
+  const std::vector<std::vector<std::pair<logmodel::LogSource, std::string>>> polls = {
+      {{logmodel::LogSource::Console, retimed(booted.tail_line, after(30))},
+       {logmodel::LogSource::Controller, retimed(booted.controller_line, after(10))}},
+      // Interleaves history: this epoch takes extend()'s merge branch.
+      {{logmodel::LogSource::Console, retimed(booted.tail_line, inside)},
+       {logmodel::LogSource::Controller, retimed(booted.controller_line, after(40))}},
+      {{logmodel::LogSource::Controller, retimed(booted.controller_line, after(50))},
+       {logmodel::LogSource::Console, "not a log line"}},
+      {{logmodel::LogSource::Console, retimed(booted.tail_line, after(60))}},
+  };
+
+  loggen::Corpus reference = booted.corpus;
+  std::size_t appended_records = 0;
+  for (const auto& lines : polls) {
+    for (const auto& [source, line] : lines) {
+      (source == logmodel::LogSource::Console ? console : controller).append(line + "\n");
+      reference.of(source) += line + "\n";
+    }
+    const auto poll = server.poll_tail();
+    ASSERT_TRUE(poll.ok());
+    EXPECT_EQ(poll.lines, lines.size());
+    appended_records += poll.records;
+  }
+  EXPECT_EQ(appended_records, 6u) << "every line but the chatter parses";
+  EXPECT_EQ(server.epoch(), polls.size());
+
+  const parsers::ParsedCorpus batch = parsers::parse_corpus(reference);
+  const serve::JsonValue status = data_of(server.handle_line(R"({"id":1,"verb":"status"})"));
+  ASSERT_NE(status.find("records"), nullptr);
+  EXPECT_EQ(status.find("records")->as_number(), static_cast<double>(batch.store.size()));
+  EXPECT_EQ(batch.store.size(), booted.base_records + appended_records);
+
+  core::ReportInputs inputs;
+  inputs.store = &batch.store;
+  inputs.jobs = &batch.jobs;
+  inputs.topology = &batch.topology;
+  inputs.system_label = batch.system.label;
+  inputs.end = batch.store.last_time() + util::Duration::microseconds(1);
+  inputs.begin = std::max(batch.store.first_time(), inputs.end - util::Duration::days(30));
+  const std::map<std::string, std::string> want = report_sections(core::markdown_report(inputs));
+  ASSERT_FALSE(want.empty());
+
+  const serve::JsonValue listing = data_of(server.handle_line(R"({"id":2,"verb":"report"})"));
+  ASSERT_NE(listing.find("sections"), nullptr);
+  std::size_t served = 0;
+  for (const serve::JsonValue& title : listing.find("sections")->items()) {
+    std::string request = R"({"id":3,"verb":"report","params":{"section":)";
+    serve::append_json_string(request, title.as_string());
+    const serve::JsonValue section = data_of(server.handle_line(request + "}}"));
+    ASSERT_NE(section.find("text"), nullptr);
+    ASSERT_EQ(want.count(title.as_string()), 1u) << title.as_string();
+    EXPECT_EQ(section.find("text")->as_string(), want.at(title.as_string()))
+        << "section \"" << title.as_string() << "\" differs from the batch report";
+    ++served;
+  }
+  EXPECT_EQ(served, want.size());
+}
+
 // ------------------------------------------------------------- tail reader --
 
 TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
@@ -328,6 +494,34 @@ TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
   EXPECT_TRUE(poll.ok());
   EXPECT_TRUE(poll.lines.empty());
   EXPECT_EQ(reader.offset(), std::string("alpha\nbeta-still-beta\ngamma\r\n").size());
+}
+
+TEST(TailReaderTest, TruncationRestartsAtTheFirstByte) {
+  const ScratchFile file("tail_truncate.log");
+  serve::TailReader reader(file.path(), logmodel::LogSource::Console);
+  ScopedMetrics metrics;
+
+  file.append("line-one-aaaaaaaaaaaa\nline-two-bbbbbbbbbbbb\n");
+  auto poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll.lines.size(), 2u);
+  ASSERT_EQ(reader.offset(), 44u);
+
+  // copytruncate: the file shrinks below the offset, then grows past it.
+  file.truncate_to("rotated-1\n");
+  poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll.lines.size(), 1u);
+  EXPECT_EQ(poll.lines[0], "rotated-1");
+  EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 1u);
+
+  file.append("rotated-2-cccccccccccccccccccc\nrotated-3\n");
+  poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll.lines.size(), 2u);
+  EXPECT_EQ(poll.lines[0], "rotated-2-cccccccccccccccccccc");
+  EXPECT_EQ(poll.lines[1], "rotated-3");
+  EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 1u);
 }
 
 TEST(TailReaderTest, SchedulerTailsAreRejected) {
