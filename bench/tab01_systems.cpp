@@ -1,6 +1,6 @@
 // Table I: the five-system inventory. Prints the presets and verifies the
 // modelled topologies reach the paper's node counts.
-// No failure analysis here — pure topology. hpcfail-lint: allow(bench-pipeline)
+// hpcfail-lint: allow(bench-pipeline) -- pure topology, no failure analysis
 #include "bench_common.hpp"
 #include "platform/system_config.hpp"
 #include "util/table.hpp"

@@ -45,7 +45,6 @@ LineParseFn line_parser_for(LogSource source) noexcept {
 std::string_view to_string(IngestErrorKind kind) noexcept {
   switch (kind) {
     case IngestErrorKind::Resource: return "resource";
-    case IngestErrorKind::MissingFile: return "missing-file";
     case IngestErrorKind::StreamIo: break;
   }
   return "stream-io";
@@ -349,19 +348,9 @@ IngestResult ingest_files(const std::string& dir, const IngestOptions& options) 
     const fs::path path = fs::path(dir) / loggen::source_file_name(source);
     std::ifstream file(path, std::ios::binary);
     if (!file) {
-      // Absent source (e.g. no ERD on S5): never invisible, optionally fatal.
+      // Absent source (e.g. no ERD on S5): skipped, but never invisible.
       if (util::MetricsRegistry* reg = util::metrics()) {
         reg->counter("hpcfail.ingest.files_missing").increment();
-      }
-      if (options.missing_file_policy == MissingFilePolicy::Error) {
-        IngestResult out;
-        out.system = header.system;
-        out.topology = platform::Topology{header.system.topology};
-        out.begin = header.begin;
-        out.days = header.days;
-        out.error = IngestError{IngestErrorKind::MissingFile, source, path.string(), 0,
-                                "source file is absent and missing_file_policy is Error"};
-        return out;
       }
       continue;
     }

@@ -18,14 +18,14 @@
 // JobTable in order) but still streams chunk by chunk.
 //
 // Error surface: malformed *lines* are skipped and counted (never fatal),
-// but *stream-level* failures — an I/O error mid-file, an allocation
-// failure mid-pipeline, a missing source file under MissingFilePolicy::
-// Error — stop the run and surface as a structured IngestError on the
-// returned IngestResult, alongside the record-accurate partial store built
-// from everything retired before the failure.  Configuration mistakes
-// (missing/malformed manifest) still throw: they mean there is no corpus,
-// not a damaged one.  The `ingest.*` fault sites (util/fault.hpp) let the
-// sweep in tests/faultinject_test.cpp provoke every degraded ending.
+// and so are absent source files; *stream-level* failures — an I/O error
+// mid-file, an allocation failure mid-pipeline — stop the run and surface
+// as a structured IngestError on the returned IngestResult, alongside the
+// record-accurate partial store built from everything retired before the
+// failure.  Configuration mistakes (missing/malformed manifest) still
+// throw: they mean there is no corpus, not a damaged one.  The `ingest.*`
+// fault sites (util/fault.hpp) let the sweep in tests/faultinject_test.cpp
+// provoke every degraded ending.
 //
 // This is the only parse path: parse_corpus() (parsers/corpus_parser.hpp)
 // is ingest_stream() over in-memory streams.  tests/ingest_test.cpp pins
@@ -44,17 +44,6 @@
 
 namespace hpcfail::parsers {
 
-/// What to do when a per-source log file named by the manifest layout is
-/// absent from the corpus directory.
-enum class MissingFilePolicy {
-  /// Skip the source, like read_corpus (S5 legitimately has no external
-  /// logs) — but count it in `hpcfail.ingest.files_missing` so the skip is
-  /// no longer invisible.
-  Skip,
-  /// Stop and report IngestErrorKind::MissingFile.
-  Error,
-};
-
 struct IngestOptions {
   /// Target chunk size in bytes; a chunk grows past this only when a
   /// single line is longer.  256 KiB keeps the in-flight buffers a small
@@ -64,8 +53,6 @@ struct IngestOptions {
   std::size_t max_inflight_chunks = 0;
   /// Pool for chunk parsing; null = shared default pool.
   util::ThreadPool* pool = nullptr;
-  /// Absent source files: skip-with-metric (default) or structured error.
-  MissingFilePolicy missing_file_policy = MissingFilePolicy::Skip;
 };
 
 /// One open source stream; `in` must outlive the ingest call.
@@ -75,9 +62,8 @@ struct SourceStream {
 };
 
 enum class IngestErrorKind {
-  StreamIo,     ///< the stream reported badbit/failbit that is not EOF
-  Resource,     ///< std::bad_alloc mid-pipeline (parse, retire, or merge)
-  MissingFile,  ///< a source file is absent and missing_file_policy == Error
+  StreamIo,  ///< the stream reported badbit/failbit that is not EOF
+  Resource,  ///< std::bad_alloc mid-pipeline (parse, retire, or merge)
 };
 
 [[nodiscard]] std::string_view to_string(IngestErrorKind kind) noexcept;
@@ -105,8 +91,9 @@ struct IngestResult : ParsedCorpus {
 };
 
 /// Streams a corpus directory (manifest.txt + per-source log files, as
-/// written by loggen::write_corpus).  Absent source files follow
-/// options.missing_file_policy.  Throws on a missing/malformed manifest;
+/// written by loggen::write_corpus).  An absent source file is skipped, like
+/// read_corpus does (S5 legitimately has no external logs), and counted in
+/// `hpcfail.ingest.files_missing`.  Throws on a missing/malformed manifest;
 /// data-plane failures come back as IngestResult::error.
 [[nodiscard]] IngestResult ingest_files(const std::string& dir,
                                         const IngestOptions& options = {});

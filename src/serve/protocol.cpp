@@ -6,6 +6,10 @@
 
 namespace hpcfail::serve {
 
+using util::append_json_number;
+using util::append_json_string;
+using util::JsonValue;
+
 namespace {
 
 // The request/response verb table, sorted by verb.  FORMATS.md's "serve

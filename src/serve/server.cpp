@@ -12,6 +12,10 @@
 
 namespace hpcfail::serve {
 
+using util::append_json_number;
+using util::append_json_string;
+using util::JsonValue;
+
 namespace {
 
 /// Latency bucket edges (microseconds) shared by every request observation

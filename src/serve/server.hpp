@@ -166,11 +166,11 @@ class Server {
   [[nodiscard]] std::string data_ping() const;
   [[nodiscard]] std::string data_status(const Epoch& epoch) const;
   [[nodiscard]] std::string data_node_health(const Epoch& epoch,
-                                             const JsonValue& params,
+                                             const util::JsonValue& params,
                                              std::string& bad_params) const;
   [[nodiscard]] std::string data_lead_time(const core::AnalysisResult& analysis) const;
   [[nodiscard]] std::string data_causes(const core::AnalysisResult& analysis) const;
-  [[nodiscard]] std::string data_report(Epoch& epoch, const JsonValue& params,
+  [[nodiscard]] std::string data_report(Epoch& epoch, const util::JsonValue& params,
                                         std::string& bad_params);
   [[nodiscard]] std::string data_metrics() const;
   [[nodiscard]] std::string data_shutdown();

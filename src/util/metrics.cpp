@@ -1,9 +1,9 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace hpcfail::util {
 
@@ -11,30 +11,6 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 std::atomic<std::uint64_t> g_metrics_generation{0};
-
-/// JSON number rendering: integers stay integral, doubles use ostream
-/// default precision (round-trips the values the tests assert on).
-void append_double(std::ostringstream& out, double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    out << static_cast<long long>(v);
-  } else {
-    out << v;
-  }
-}
-
-void append_quoted(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
 
 }  // namespace
 
@@ -122,46 +98,49 @@ std::vector<std::pair<std::string, const Histogram*>> MetricsRegistry::histogram
 
 std::string MetricsRegistry::to_json() const {
   std::lock_guard lock(mutex_);
-  std::ostringstream out;
-  out << "{\"schema\":\"hpcfail.metrics.v1\",\"counters\":{";
+  std::string out = "{\"schema\":\"hpcfail.metrics.v1\",\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    if (!first) out << ',';
+    if (!first) out += ',';
     first = false;
-    append_quoted(out, name);
-    out << ':' << c->value();
+    append_json_string(out, name);
+    out += ':';
+    append_json_number(out, c->value());
   }
-  out << "},\"gauges\":{";
+  out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    if (!first) out << ',';
+    if (!first) out += ',';
     first = false;
-    append_quoted(out, name);
-    out << ':' << g->value();
+    append_json_string(out, name);
+    out += ':';
+    append_json_number(out, g->value());
   }
-  out << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    if (!first) out << ',';
+    if (!first) out += ',';
     first = false;
-    append_quoted(out, name);
-    out << ":{\"bounds\":[";
+    append_json_string(out, name);
+    out += ":{\"bounds\":[";
     for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      if (i) out << ',';
-      append_double(out, h->bounds()[i]);
+      if (i) out += ',';
+      append_json_number(out, h->bounds()[i]);
     }
-    out << "],\"counts\":[";
+    out += "],\"counts\":[";
     const auto counts = h->counts();
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i) out << ',';
-      out << counts[i];
+      if (i) out += ',';
+      append_json_number(out, counts[i]);
     }
-    out << "],\"count\":" << h->count() << ",\"sum\":";
-    append_double(out, h->sum());
-    out << '}';
+    out += "],\"count\":";
+    append_json_number(out, h->count());
+    out += ",\"sum\":";
+    append_json_number(out, h->sum());
+    out += '}';
   }
-  out << "}}";
-  return out.str();
+  out += "}}";
+  return out;
 }
 
 void install_metrics(MetricsRegistry* registry) noexcept {

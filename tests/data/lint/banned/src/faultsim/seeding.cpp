@@ -8,5 +8,9 @@ unsigned bad_seed() {
 }
 
 unsigned tolerated_seed() {
+  return static_cast<unsigned>(rand());  // hpcfail-lint: allow(banned-pattern) -- fixture for a reasoned allow
+}
+
+unsigned reasonless_seed() {
   return static_cast<unsigned>(rand());  // hpcfail-lint: allow(banned-pattern)
 }

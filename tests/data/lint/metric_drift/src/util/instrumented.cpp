@@ -11,5 +11,7 @@ void instrument(hpcfail::util::MetricsRegistry& reg, int worker) {
   reg.counter("hpcfail.pool.Worker" + std::to_string(worker)).add(1);
   hpcfail::util::TraceSpan span("hpcfail.engine.run");
   hpcfail::util::TraceSpan bad("hpcfail.engine.Analyzer");
-  reg.counter("hpcfail.Legacy.Name").add(1);  // hpcfail-lint: allow(metric-naming)
+  reg.counter("hpcfail.Legacy.Name").add(1);  // hpcfail-lint: allow(metric-naming) -- fixture for a reasoned allow
+  // Without a reason the allow suppresses nothing:
+  reg.counter("hpcfail.Legacy.Other").add(1);  // hpcfail-lint: allow(metric-naming)
 }

@@ -142,7 +142,7 @@ TEST(FaultInjectTest, BadbitSurfacesAsStructuredErrorNotTruncation) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FaultInjectTest, MissingFilePolicySkipCountsAndErrorStops) {
+TEST(FaultInjectTest, MissingSourceFilesAreSkippedAndCounted) {
   const loggen::Corpus corpus = small_corpus();
   const std::string dir = "/tmp/hpcfail_faultinject_missing";
   std::filesystem::remove_all(dir);
@@ -153,26 +153,16 @@ TEST(FaultInjectTest, MissingFilePolicySkipCountsAndErrorStops) {
 
   util::MetricsRegistry registry;
   util::install_metrics(&registry);
-  parsers::IngestOptions options;
   {
     util::ThreadPool pool(2);
+    parsers::IngestOptions options;
     options.pool = &pool;
     const auto skipped = parsers::ingest_files(dir, options);
-    EXPECT_TRUE(skipped.ok());  // today's behavior, but no longer invisible:
+    EXPECT_TRUE(skipped.ok());  // skipped, but not invisible:
     EXPECT_EQ(counter_map(registry)["hpcfail.ingest.files_missing"], 2u);
     EXPECT_GT(skipped.parsed_records, 0u);
   }
   util::install_metrics(nullptr);
-  options.pool = nullptr;
-
-  // Error policy stops on the first absent source in canonical order.
-  options.missing_file_policy = parsers::MissingFilePolicy::Error;
-  const auto stopped = parsers::ingest_files(dir, options);
-  ASSERT_FALSE(stopped.ok());
-  EXPECT_EQ(stopped.error->kind, parsers::IngestErrorKind::MissingFile);
-  EXPECT_EQ(stopped.error->source, logmodel::LogSource::Console);
-  EXPECT_NE(stopped.error->file.find("p0-console.log"), std::string::npos);
-  EXPECT_EQ(stopped.parsed_records, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -12,15 +13,14 @@
 
 #include "lint.hpp"
 #include "sarif.hpp"
-#include "support/json.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using hpcfail::lint::Report;
 using hpcfail::lint::run_checks;
 using hpcfail::lint::to_sarif;
-using hpcfail::test::JsonValue;
-using hpcfail::test::parse_json;
+using hpcfail::util::JsonValue;
 
 std::filesystem::path fixture(const char* name) {
   return std::filesystem::path(HPCFAIL_LINT_FIXTURES) / name;
@@ -73,6 +73,11 @@ TEST(LintBannedPattern, NondeterministicSeedingIsDiagnosedAndSuppressible) {
                 "is banned; simulation time comes from the scenario config",
                 "src/faultsim/seeding.cpp:7: error: [banned-pattern] libc rand()/srand() "
                 "is banned; use util::Rng (deterministic xoshiro256**)",
+                "src/faultsim/seeding.cpp:15: error: [banned-pattern] libc rand()/srand() "
+                "is banned; use util::Rng (deterministic xoshiro256**)",
+                "src/faultsim/seeding.cpp:15: error: [banned-pattern] "
+                "allow(banned-pattern) suppression is missing its reason; write: "
+                "// hpcfail-lint: allow(banned-pattern) -- <why this is safe>",
             }));
 }
 
@@ -129,6 +134,12 @@ TEST(LintBenchPipeline, HandWiredFigureBenchIsDiagnosed) {
                 "bench/fig99_handwired.cpp:1: error: [bench-pipeline] figure bench "
                 "never uses bench::run_pipeline/run_system or core::AnalysisEngine; "
                 "hand-wired analysis drifts from the shared pipeline",
+                "bench/tab98_reasonless.cpp:1: error: [bench-pipeline] figure bench "
+                "never uses bench::run_pipeline/run_system or core::AnalysisEngine; "
+                "hand-wired analysis drifts from the shared pipeline",
+                "bench/tab98_reasonless.cpp:2: error: [bench-pipeline] "
+                "allow(bench-pipeline) suppression is missing its reason; write: "
+                "// hpcfail-lint: allow(bench-pipeline) -- <why this is safe>",
             }));
 }
 
@@ -160,6 +171,12 @@ TEST(LintMetricNaming, DriftedInstrumentNamesAreDiagnosedExactly) {
                 "src/util/instrumented.cpp:13: error: [metric-naming] metric/span name "
                 "'hpcfail.engine.Analyzer' drifts from hpcfail.<layer>.<snake_case> "
                 "(lowercase snake_case segments, at least two after 'hpcfail')",
+                "src/util/instrumented.cpp:16: error: [metric-naming] metric/span name "
+                "'hpcfail.Legacy.Other' drifts from hpcfail.<layer>.<snake_case> "
+                "(lowercase snake_case segments, at least two after 'hpcfail')",
+                "src/util/instrumented.cpp:16: error: [metric-naming] "
+                "allow(metric-naming) suppression is missing its reason; write: "
+                "// hpcfail-lint: allow(metric-naming) -- <why this is safe>",
             }));
 }
 
@@ -183,6 +200,12 @@ TEST(LintFaultSites, DriftedSitesAndInventoryAreDiagnosedExactly) {
                 "src/parsers/pipeline.cpp:8: error: [fault-sites] fault site "
                 "'parse.oops' is not listed in the kSites inventory "
                 "(src/util/fault.cpp); the sweep harness cannot arm it",
+                "src/parsers/pipeline.cpp:12: error: [fault-sites] fault site "
+                "'legacy.probe.shim' is not listed in the kSites inventory "
+                "(src/util/fault.cpp); the sweep harness cannot arm it",
+                "src/parsers/pipeline.cpp:12: error: [fault-sites] "
+                "allow(fault-sites) suppression is missing its reason; write: "
+                "// hpcfail-lint: allow(fault-sites) -- <why this is safe>",
                 "src/util/fault.cpp:4: error: [fault-sites] kSites entry "
                 "'store.gone.bad_alloc' has no HPCFAIL_FAULT_SITE use in the tree; "
                 "remove it or wire the site",
@@ -318,13 +341,17 @@ TEST(LintHotPathScan, RawNewlineScansAndLineVectorsAreDiagnosedExactly) {
             }));
 }
 
-// A reasoned allow suppresses exactly its finding: the tolerated() cases in
-// every drift fixture carry `allow(<check>) -- <reason>` and none of the
-// pinned diagnostics above mention their lines.  This locks the other half
-// of the contract: a reasonless allow never suppresses, and is itself
-// diagnosed, in every one of the four fixtures.
+// A reasoned allow suppresses exactly its finding: every fixture below
+// carries an `allow(<check>) -- <reason>` line and none of the pinned
+// diagnostics above mention it.  This locks the other half of the
+// contract: a reasonless allow never suppresses, and is itself diagnosed,
+// for every check that honors allows.
 TEST(LintSuppressions, ReasonlessAllowNeverSuppresses) {
   const std::vector<std::pair<const char*, const char*>> cases = {
+      {"banned", "banned-pattern"},
+      {"bench_drift", "bench-pipeline"},
+      {"metric_drift", "metric-naming"},
+      {"fault_drift", "fault-sites"},
       {"capture_drift", "capture-lifetime"},
       {"view_drift", "dangling-view"},
       {"finalize_drift", "finalize-protocol"},
@@ -348,31 +375,33 @@ TEST(LintSarif, ReportRendersAsWellFormedSarif210) {
   const Report report = run_checks(fixture("rawsync_drift"), {"raw-sync"});
   ASSERT_FALSE(report.diagnostics.empty());
 
-  const JsonValue doc = parse_json(to_sarif(report));
-  ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
+  const std::optional<JsonValue> parsed = JsonValue::parse(to_sarif(report));
+  ASSERT_TRUE(parsed.has_value());
+  const JsonValue& doc = *parsed;
+  ASSERT_EQ(doc.kind(), JsonValue::Kind::Object);
   ASSERT_NE(doc.find("version"), nullptr);
-  EXPECT_EQ(doc.find("version")->text, "2.1.0");
+  EXPECT_EQ(doc.find("version")->as_string(), "2.1.0");
   ASSERT_NE(doc.find("$schema"), nullptr);
 
   const JsonValue* runs = doc.find("runs");
   ASSERT_NE(runs, nullptr);
-  ASSERT_EQ(runs->array.size(), 1u);
-  const JsonValue& run = runs->array[0];
+  ASSERT_EQ(runs->items().size(), 1u);
+  const JsonValue& run = runs->items()[0];
 
   const JsonValue* tool = run.find("tool");
   ASSERT_NE(tool, nullptr);
   const JsonValue* driver = tool->find("driver");
   ASSERT_NE(driver, nullptr);
-  EXPECT_EQ(driver->find("name")->text, "hpcfail-lint");
+  EXPECT_EQ(driver->find("name")->as_string(), "hpcfail-lint");
 
   // One rule per registered check, ids matching the registry.
   const JsonValue* rules = driver->find("rules");
   ASSERT_NE(rules, nullptr);
   std::set<std::string> rule_ids;
-  for (const auto& rule : rules->array) {
+  for (const auto& rule : rules->items()) {
     ASSERT_NE(rule.find("id"), nullptr);
     ASSERT_NE(rule.find("shortDescription"), nullptr);
-    rule_ids.insert(rule.find("id")->text);
+    rule_ids.insert(rule.find("id")->as_string());
   }
   for (const auto& name : hpcfail::lint::all_check_names()) {
     EXPECT_TRUE(rule_ids.count(name)) << name;
@@ -381,18 +410,18 @@ TEST(LintSarif, ReportRendersAsWellFormedSarif210) {
   // One result per diagnostic, in order, with matching location/level.
   const JsonValue* results = run.find("results");
   ASSERT_NE(results, nullptr);
-  ASSERT_EQ(results->array.size(), report.diagnostics.size());
+  ASSERT_EQ(results->items().size(), report.diagnostics.size());
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const auto& d = report.diagnostics[i];
-    const JsonValue& r = results->array[i];
-    EXPECT_EQ(r.find("ruleId")->text, d.check);
-    EXPECT_EQ(r.find("level")->text, "error");
-    EXPECT_EQ(r.find("message")->find("text")->text, d.message);
-    const JsonValue& loc = r.find("locations")->array.at(0);
+    const JsonValue& r = results->items()[i];
+    EXPECT_EQ(r.find("ruleId")->as_string(), d.check);
+    EXPECT_EQ(r.find("level")->as_string(), "error");
+    EXPECT_EQ(r.find("message")->find("text")->as_string(), d.message);
+    const JsonValue& loc = r.find("locations")->items().at(0);
     const JsonValue* phys = loc.find("physicalLocation");
     ASSERT_NE(phys, nullptr);
-    EXPECT_EQ(phys->find("artifactLocation")->find("uri")->text, d.file);
-    EXPECT_EQ(phys->find("region")->find("startLine")->number,
+    EXPECT_EQ(phys->find("artifactLocation")->find("uri")->as_string(), d.file);
+    EXPECT_EQ(phys->find("region")->find("startLine")->as_number(),
               static_cast<double>(d.line));
   }
 }

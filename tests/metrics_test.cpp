@@ -1,7 +1,8 @@
 // Observability contract tests: the metrics registry's semantics under
-// concurrency, the RAII trace spans' nesting guarantees, and — via a small
-// recursive-descent JSON parser — the exact schemas of both exports
-// ("hpcfail.metrics.v1" and the chrome://tracing Trace Event Format).
+// concurrency, the RAII trace spans' nesting guarantees, and — through the
+// strict util::JsonValue parser the daemon uses on requests — the exact
+// bytes and schemas of both exports ("hpcfail.metrics.v1" and the
+// chrome://tracing Trace Event Format).
 // These pin what DESIGN.md §6 promises; the determinism side (instrumented
 // runs produce byte-identical analysis results) lives in engine_test.cpp
 // and ingest_test.cpp.
@@ -11,6 +12,7 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -24,21 +26,19 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
-#include "support/json.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
 
-using hpcfail::test::JsonValue;
-using hpcfail::test::parse_json;
-
 using hpcfail::util::Counter;
 using hpcfail::util::Gauge;
 using hpcfail::util::Histogram;
 using hpcfail::util::install_metrics;
 using hpcfail::util::install_trace;
+using hpcfail::util::JsonValue;
 using hpcfail::util::MetricsRegistry;
 using hpcfail::util::TraceEvent;
 using hpcfail::util::TraceRecorder;
@@ -224,6 +224,18 @@ TEST(TraceSpans, ThreadIdsAreDensifiedInFirstSeenOrder) {
 // Export schemas
 // ---------------------------------------------------------------------------
 
+/// Parses an export with the strict parser; a rejected document fails the
+/// test and yields null.
+JsonValue parse_json(const std::string& text) {
+  std::optional<JsonValue> doc = JsonValue::parse(text);
+  EXPECT_TRUE(doc.has_value()) << "export is not valid JSON: " << text;
+  return doc.value_or(JsonValue{});
+}
+
+// This test and TraceJson.ExportMatchesChromeTraceSchemaAndEscapes pin both
+// exports byte for byte: the literals are what the writers produced before
+// they moved onto util/json.  The histogram's sum (104.73456789) pins the
+// 6-significant-digit rendering of fractions.
 TEST(MetricsJson, ExportMatchesSchemaWithSortedKeys) {
   MetricsRegistry reg;
   reg.counter("hpcfail.test.beta").add(7);
@@ -231,59 +243,87 @@ TEST(MetricsJson, ExportMatchesSchemaWithSortedKeys) {
   reg.gauge("hpcfail.test.depth").set(-4);
   reg.histogram("hpcfail.test.latency_us", {1.0, 10.0}).observe(3.5);
   reg.histogram("hpcfail.test.latency_us", {1.0, 10.0}).observe(100.0);
+  reg.histogram("hpcfail.test.latency_us", {1.0, 10.0}).observe(1.23456789);
 
   const std::string json = reg.to_json();
   EXPECT_EQ(json, reg.to_json()) << "export must be deterministic";
+  EXPECT_EQ(json,
+            R"({"schema":"hpcfail.metrics.v1",)"
+            R"("counters":{"hpcfail.test.alpha":2,"hpcfail.test.beta":7},)"
+            R"("gauges":{"hpcfail.test.depth":-4},)"
+            R"("histograms":{"hpcfail.test.latency_us":{"bounds":[1,10],)"
+            R"("counts":[0,2,1],"count":3,"sum":104.735}}})");
 
   const JsonValue root = parse_json(json);
-  ASSERT_EQ(root.kind, JsonValue::Kind::Object);
-  ASSERT_EQ(root.object.size(), 4u);
-  EXPECT_EQ(root.object[0].first, "schema");
-  EXPECT_EQ(root.object[1].first, "counters");
-  EXPECT_EQ(root.object[2].first, "gauges");
-  EXPECT_EQ(root.object[3].first, "histograms");
-  EXPECT_EQ(root.find("schema")->text, "hpcfail.metrics.v1");
+  ASSERT_EQ(root.kind(), JsonValue::Kind::Object);
+  ASSERT_EQ(root.members().size(), 4u);
+  EXPECT_EQ(root.members()[0].first, "schema");
+  EXPECT_EQ(root.members()[1].first, "counters");
+  EXPECT_EQ(root.members()[2].first, "gauges");
+  EXPECT_EQ(root.members()[3].first, "histograms");
+  EXPECT_EQ(root.find("schema")->as_string(), "hpcfail.metrics.v1");
 
   const JsonValue& counters = *root.find("counters");
-  ASSERT_EQ(counters.object.size(), 2u);
-  EXPECT_EQ(counters.object[0].first, "hpcfail.test.alpha");  // keys sorted
-  EXPECT_EQ(counters.object[0].second.number, 2.0);
-  EXPECT_EQ(counters.object[1].first, "hpcfail.test.beta");
-  EXPECT_EQ(counters.object[1].second.number, 7.0);
+  ASSERT_EQ(counters.members().size(), 2u);
+  EXPECT_EQ(counters.members()[0].first, "hpcfail.test.alpha");  // keys sorted
+  EXPECT_EQ(counters.members()[0].second.as_number(), 2.0);
+  EXPECT_EQ(counters.members()[1].first, "hpcfail.test.beta");
+  EXPECT_EQ(counters.members()[1].second.as_number(), 7.0);
 
-  EXPECT_EQ(root.find("gauges")->find("hpcfail.test.depth")->number, -4.0);
+  EXPECT_EQ(root.find("gauges")->find("hpcfail.test.depth")->as_number(), -4.0);
 
   const JsonValue* hist = root.find("histograms")->find("hpcfail.test.latency_us");
   ASSERT_NE(hist, nullptr);
   ASSERT_NE(hist->find("bounds"), nullptr);
   ASSERT_NE(hist->find("counts"), nullptr);
-  ASSERT_EQ(hist->find("bounds")->array.size(), 2u);
-  ASSERT_EQ(hist->find("counts")->array.size(), 3u) << "bounds + the +inf bucket";
-  EXPECT_EQ(hist->find("bounds")->array[0].number, 1.0);
-  EXPECT_EQ(hist->find("bounds")->array[1].number, 10.0);
-  EXPECT_EQ(hist->find("counts")->array[0].number, 0.0);
-  EXPECT_EQ(hist->find("counts")->array[1].number, 1.0);
-  EXPECT_EQ(hist->find("counts")->array[2].number, 1.0);
-  EXPECT_EQ(hist->find("count")->number, 2.0);
-  EXPECT_DOUBLE_EQ(hist->find("sum")->number, 103.5);
+  ASSERT_EQ(hist->find("bounds")->items().size(), 2u);
+  ASSERT_EQ(hist->find("counts")->items().size(), 3u) << "bounds + the +inf bucket";
+  EXPECT_EQ(hist->find("bounds")->items()[0].as_number(), 1.0);
+  EXPECT_EQ(hist->find("bounds")->items()[1].as_number(), 10.0);
+  EXPECT_EQ(hist->find("counts")->items()[0].as_number(), 0.0);
+  EXPECT_EQ(hist->find("counts")->items()[1].as_number(), 2.0);
+  EXPECT_EQ(hist->find("counts")->items()[2].as_number(), 1.0);
+  EXPECT_EQ(hist->find("count")->as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(hist->find("sum")->as_number(), 104.735);
 }
 
 TEST(MetricsJson, NamesWithQuotesAndBackslashesAreEscaped) {
   MetricsRegistry reg;
-  reg.counter("odd\"name\\x").increment();  // hpcfail-lint: allow(metric-naming)
+  reg.counter("odd\"name\\x").increment();
   const JsonValue root = parse_json(reg.to_json());
   const JsonValue& counters = *root.find("counters");
-  ASSERT_EQ(counters.object.size(), 1u);
-  EXPECT_EQ(counters.object[0].first, "odd\"name\\x");
+  ASSERT_EQ(counters.members().size(), 1u);
+  EXPECT_EQ(counters.members()[0].first, "odd\"name\\x");
+}
+
+// Names are not restricted to printable bytes: control characters must be
+// escaped, or the export stops being JSON.
+TEST(MetricsJson, ControlCharactersInNamesRoundTrip) {
+  const std::string metric_name = "a\x01" "b";
+  MetricsRegistry reg;
+  reg.counter(metric_name).increment();
+  const JsonValue metrics = parse_json(reg.to_json());
+  ASSERT_NE(metrics.find("counters"), nullptr);
+  ASSERT_EQ(metrics.find("counters")->members().size(), 1u);
+  EXPECT_EQ(metrics.find("counters")->members()[0].first, metric_name);
+
+  const std::string span_name = "a\nb\r";
+  TraceRecorder rec;
+  rec.record(span_name, 0, 1);
+  const JsonValue trace = parse_json(rec.to_chrome_json());
+  ASSERT_NE(trace.find("traceEvents"), nullptr);
+  ASSERT_EQ(trace.find("traceEvents")->items().size(), 1u);
+  EXPECT_EQ(trace.find("traceEvents")->items()[0].find("name")->as_string(), span_name);
 }
 
 /// Validates one parsed chrome trace document: event fields, sort order and
 /// the per-thread containment property, returning the set of span names.
 std::set<std::string> validate_chrome_trace(const JsonValue& root) {
-  EXPECT_EQ(root.kind, JsonValue::Kind::Object);
+  EXPECT_EQ(root.kind(), JsonValue::Kind::Object);
   const JsonValue* events = root.find("traceEvents");
   EXPECT_NE(events, nullptr);
-  EXPECT_EQ(events->kind, JsonValue::Kind::Array);
+  if (events == nullptr) return {};
+  EXPECT_EQ(events->kind(), JsonValue::Kind::Array);
 
   std::set<std::string> names;
   struct Interval {
@@ -292,16 +332,16 @@ std::set<std::string> validate_chrome_trace(const JsonValue& root) {
   std::map<std::int64_t, std::vector<Interval>> stacks;  // tid -> open spans
   std::int64_t prev_ts = -1;
   std::int64_t prev_tid = -1;
-  for (const JsonValue& e : events->array) {
-    EXPECT_EQ(e.kind, JsonValue::Kind::Object);
+  for (const JsonValue& e : events->items()) {
+    EXPECT_EQ(e.kind(), JsonValue::Kind::Object);
     EXPECT_NE(e.find("name"), nullptr);
-    names.insert(e.find("name")->text);
-    EXPECT_EQ(e.find("cat")->text, "hpcfail");
-    EXPECT_EQ(e.find("ph")->text, "X");
-    EXPECT_EQ(e.find("pid")->number, 1.0);
-    const auto ts = static_cast<std::int64_t>(e.find("ts")->number);
-    const auto dur = static_cast<std::int64_t>(e.find("dur")->number);
-    const auto tid = static_cast<std::int64_t>(e.find("tid")->number);
+    names.insert(e.find("name")->as_string());
+    EXPECT_EQ(e.find("cat")->as_string(), "hpcfail");
+    EXPECT_EQ(e.find("ph")->as_string(), "X");
+    EXPECT_EQ(e.find("pid")->as_number(), 1.0);
+    const auto ts = static_cast<std::int64_t>(e.find("ts")->as_number());
+    const auto dur = static_cast<std::int64_t>(e.find("dur")->as_number());
+    const auto tid = static_cast<std::int64_t>(e.find("tid")->as_number());
     EXPECT_GE(ts, 0);
     EXPECT_GE(dur, 0);
     EXPECT_GE(tid, 0);
@@ -316,7 +356,7 @@ std::set<std::string> validate_chrome_trace(const JsonValue& root) {
     while (!stack.empty() && stack.back().end <= ts) stack.pop_back();
     if (!stack.empty()) {
       EXPECT_LE(ts + dur, stack.back().end)
-          << "span " << e.find("name")->text << " partially overlaps its parent";
+          << "span " << e.find("name")->as_string() << " partially overlaps its parent";
     }
     stack.push_back(Interval{ts, ts + dur});
   }
@@ -328,12 +368,21 @@ TEST(TraceJson, ExportMatchesChromeTraceSchemaAndEscapes) {
   rec.record("hpcfail.test.with\"quote\\slash", 5, 2);
   rec.record("hpcfail.test.parent", 0, 10);
   rec.record("hpcfail.test.child", 2, 3);
-  const JsonValue root = parse_json(rec.to_chrome_json());
+  const std::string json = rec.to_chrome_json();
+  EXPECT_EQ(json,
+            R"({"traceEvents":[)"
+            R"({"name":"hpcfail.test.parent","cat":"hpcfail","ph":"X",)"
+            R"("ts":0,"dur":10,"pid":1,"tid":0},)"
+            R"({"name":"hpcfail.test.child","cat":"hpcfail","ph":"X",)"
+            R"("ts":2,"dur":3,"pid":1,"tid":0},)"
+            R"({"name":"hpcfail.test.with\"quote\\slash","cat":"hpcfail","ph":"X",)"
+            R"("ts":5,"dur":2,"pid":1,"tid":0}]})");
+  const JsonValue root = parse_json(json);
   const std::set<std::string> names = validate_chrome_trace(root);
   EXPECT_TRUE(names.count("hpcfail.test.with\"quote\\slash"));
   EXPECT_TRUE(names.count("hpcfail.test.parent"));
   // Sorting puts the parent (ts 0) before both children.
-  EXPECT_EQ(root.find("traceEvents")->array[0].find("name")->text,
+  EXPECT_EQ(root.find("traceEvents")->items()[0].find("name")->as_string(),
             "hpcfail.test.parent");
 }
 

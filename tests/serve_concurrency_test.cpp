@@ -14,14 +14,15 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -100,11 +101,12 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
   constexpr std::uint64_t kAdvances = 8;
 
   std::atomic<bool> stop{false};
+  std::atomic<int> warmed{0};  // clients through one full verb cycle
   util::ThreadPool pool(kClients);
   std::vector<std::future<std::vector<std::string>>> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
-    clients.push_back(pool.submit([srv = &server, &stop, c] {
+    clients.push_back(pool.submit([srv = &server, &stop, &warmed, c] {
       // Mixed load: cheap verbs, cached-analysis verbs, and the status
       // verb whose payload the main thread cross-checks per epoch.
       static constexpr const char* kVerbs[] = {"status", "ping", "causes",
@@ -115,12 +117,17 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
         std::string request = R"({"id":)" + std::to_string(c * 1000 + i) +
                               R"(,"verb":")" + kVerbs[i % 5] + R"("})";
         responses.push_back(srv->handle_line(request));
+        if (i == 4) warmed.fetch_add(1);
       }
       return responses;
     }));
   }
 
   // The single writer: advance the tail while the clients are in flight.
+  // It starts once every client is through one verb cycle, so the load
+  // holds status and analysis queries however the threads are scheduled
+  // (otherwise the writer can finish before any client runs).
+  while (warmed.load() < kClients) std::this_thread::yield();
   for (std::uint64_t advance = 1; advance <= kAdvances; ++advance) {
     {
       std::ofstream tail(tail_path, std::ios::app | std::ios::binary);
@@ -138,17 +145,17 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
   std::size_t checked_status = 0;
   for (auto& client : clients) {
     for (const std::string& response : client.get()) {
-      const auto doc = serve::JsonValue::parse(response);
+      const auto doc = util::JsonValue::parse(response);
       ASSERT_TRUE(doc.has_value()) << response;
       const auto epoch = doc->uint_member("epoch");
       ASSERT_TRUE(epoch.has_value()) << response;
       ASSERT_LE(*epoch, kAdvances) << response;
-      const serve::JsonValue* ok = doc->find("ok");
+      const util::JsonValue* ok = doc->find("ok");
       ASSERT_NE(ok, nullptr);
       ASSERT_TRUE(ok->is_bool() && ok->as_bool()) << response;
-      const serve::JsonValue* data = doc->find("data");
+      const util::JsonValue* data = doc->find("data");
       ASSERT_NE(data, nullptr) << response;
-      if (const serve::JsonValue* records = data->find("records")) {
+      if (const util::JsonValue* records = data->find("records")) {
         EXPECT_EQ(static_cast<std::uint64_t>(records->as_number()),
                   booted.base_records + *epoch)
             << "status torn across epochs: " << response;

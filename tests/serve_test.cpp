@@ -24,11 +24,11 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/tail.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -157,12 +157,12 @@ class ScopedMetrics {
 };
 
 /// The `data` object of an ok response.
-serve::JsonValue data_of(const std::string& response) {
-  const auto doc = serve::JsonValue::parse(response);
+util::JsonValue data_of(const std::string& response) {
+  const auto doc = util::JsonValue::parse(response);
   EXPECT_TRUE(doc.has_value()) << response;
-  const serve::JsonValue* data = doc.has_value() ? doc->find("data") : nullptr;
+  const util::JsonValue* data = doc.has_value() ? doc->find("data") : nullptr;
   EXPECT_NE(data, nullptr) << response;
-  return data != nullptr ? *data : serve::JsonValue{};
+  return data != nullptr ? *data : util::JsonValue{};
 }
 
 // ------------------------------------------------------- golden transcripts --
@@ -181,11 +181,11 @@ std::vector<std::string> transcript_requests(serve::Server& server,
   };
   // Slice the first report section by the name the daemon just listed.
   const std::string listing = server.handle_line(requests.back());
-  const auto doc = serve::JsonValue::parse(listing);
+  const auto doc = util::JsonValue::parse(listing);
   std::string section;
   if (doc.has_value()) {
-    if (const serve::JsonValue* data = doc->find("data")) {
-      if (const serve::JsonValue* sections = data->find("sections")) {
+    if (const util::JsonValue* data = doc->find("data")) {
+      if (const util::JsonValue* sections = data->find("sections")) {
         if (sections->is_array() && !sections->items().empty() &&
             sections->items().front().is_string()) {
           section = sections->items().front().as_string();
@@ -194,7 +194,7 @@ std::vector<std::string> transcript_requests(serve::Server& server,
     }
   }
   std::string escaped;
-  serve::append_json_string(escaped, section);
+  util::append_json_string(escaped, section);
   requests.push_back(R"({"id":7,"verb":"report","params":{"section":)" + escaped +
                      "}}");
   requests.push_back(R"({"id":8,"verb":"metrics"})");
@@ -285,7 +285,7 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerStructuredErrors) {
         << "request: " << c.request << " response: " << response;
     EXPECT_NE(response.find("\"kind\":\"" + c.kind + "\""), std::string::npos)
         << "request: " << c.request << " response: " << response;
-    const auto doc = serve::JsonValue::parse(response);
+    const auto doc = util::JsonValue::parse(response);
     ASSERT_TRUE(doc.has_value()) << "error response must itself be valid JSON";
     ASSERT_NE(doc->find("error"), nullptr);
     EXPECT_NE(doc->find("error")->find("message"), nullptr);
@@ -435,7 +435,7 @@ TEST(ServeEpochTest, MultiTailEpochsMatchABatchParse) {
   EXPECT_EQ(server.epoch(), polls.size());
 
   const parsers::ParsedCorpus batch = parsers::parse_corpus(reference);
-  const serve::JsonValue status = data_of(server.handle_line(R"({"id":1,"verb":"status"})"));
+  const util::JsonValue status = data_of(server.handle_line(R"({"id":1,"verb":"status"})"));
   ASSERT_NE(status.find("records"), nullptr);
   EXPECT_EQ(status.find("records")->as_number(), static_cast<double>(batch.store.size()));
   EXPECT_EQ(batch.store.size(), booted.base_records + appended_records);
@@ -450,13 +450,13 @@ TEST(ServeEpochTest, MultiTailEpochsMatchABatchParse) {
   const std::map<std::string, std::string> want = report_sections(core::markdown_report(inputs));
   ASSERT_FALSE(want.empty());
 
-  const serve::JsonValue listing = data_of(server.handle_line(R"({"id":2,"verb":"report"})"));
+  const util::JsonValue listing = data_of(server.handle_line(R"({"id":2,"verb":"report"})"));
   ASSERT_NE(listing.find("sections"), nullptr);
   std::size_t served = 0;
-  for (const serve::JsonValue& title : listing.find("sections")->items()) {
+  for (const util::JsonValue& title : listing.find("sections")->items()) {
     std::string request = R"({"id":3,"verb":"report","params":{"section":)";
-    serve::append_json_string(request, title.as_string());
-    const serve::JsonValue section = data_of(server.handle_line(request + "}}"));
+    util::append_json_string(request, title.as_string());
+    const util::JsonValue section = data_of(server.handle_line(request + "}}"));
     ASSERT_NE(section.find("text"), nullptr);
     ASSERT_EQ(want.count(title.as_string()), 1u) << title.as_string();
     EXPECT_EQ(section.find("text")->as_string(), want.at(title.as_string()))

@@ -1,14 +1,17 @@
-// Unit and property tests for src/util: PRNG, time, strings, tables, pool.
+// Unit and property tests for src/util: PRNG, time, strings, JSON, tables,
+// pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "util/chunked_reader.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -460,6 +463,28 @@ TEST(ChunkedReaderTest, LineLongerThanChunkGrowsTheChunk) {
   std::string reassembled = chunk;
   while (reader.next(chunk)) reassembled += chunk;
   EXPECT_EQ(reassembled, longline + "\nshort\n");
+}
+
+// --------------------------------------------------------------- json ----
+
+// Every byte a writer can be handed survives append_json_string ->
+// JsonValue::parse, alone and inside text, and no control character
+// reaches the output unescaped (a bare one makes the document invalid).
+TEST(JsonTest, EveryByteRoundTripsThroughStringEscaping) {
+  for (int b = 0x01; b <= 0xFF; ++b) {
+    const std::string byte(1, static_cast<char>(b));
+    for (const std::string& text : {byte, "pre" + byte + "post"}) {
+      std::string json;
+      append_json_string(json, text);
+      for (const char c : json) {
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20U) << "byte " << b << ": " << json;
+      }
+      const std::optional<JsonValue> doc = JsonValue::parse(json);
+      ASSERT_TRUE(doc.has_value()) << "byte " << b << ": " << json;
+      ASSERT_TRUE(doc->is_string());
+      EXPECT_EQ(doc->as_string(), text) << "byte " << b;
+    }
+  }
 }
 
 // -------------------------------------------------------------- table ----

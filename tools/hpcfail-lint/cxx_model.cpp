@@ -289,20 +289,41 @@ bool SourceTree::exists(const std::string& rel_path) const {
   return fs::exists(root_ / rel_path, ec);
 }
 
-void emit(const SourceFile& file, std::size_t line, const std::string& check,
-          const std::string& message, Report& report, Severity severity) {
-  for (const auto& s : file.suppressions) {
-    if (s.check != check) continue;
-    if (s.line != line && s.line + 1 != line) continue;
-    if (!s.reason.empty()) return;  // reasoned allow: suppressed
-    report.add(file.rel_path, line, check, message, severity);
-    report.add(file.rel_path, s.line, check,
+namespace {
+
+/// Reports the finding unless `allow` is a reasoned allow; a reasonless one
+/// leaves the finding standing and is diagnosed itself.
+void emit_under(const Suppression* allow, const SourceFile& file, std::size_t line,
+                const std::string& check, const std::string& message, Report& report,
+                Severity severity) {
+  if (allow != nullptr && !allow->reason.empty()) return;
+  report.add(file.rel_path, line, check, message, severity);
+  if (allow != nullptr) {
+    report.add(file.rel_path, allow->line, check,
                "allow(" + check + ") suppression is missing its reason; write: " +
                    "// hpcfail-lint: allow(" + check + ") -- <why this is safe>",
                severity);
-    return;
   }
-  report.add(file.rel_path, line, check, message, severity);
+}
+
+}  // namespace
+
+void emit(const SourceFile& file, std::size_t line, const std::string& check,
+          const std::string& message, Report& report, Severity severity) {
+  const auto it = std::find_if(
+      file.suppressions.begin(), file.suppressions.end(), [&](const Suppression& s) {
+        return s.check == check && (s.line == line || s.line + 1 == line);
+      });
+  emit_under(it == file.suppressions.end() ? nullptr : &*it, file, line, check, message,
+             report, severity);
+}
+
+void emit_file_scoped(const SourceFile& file, std::size_t line, const std::string& check,
+                      const std::string& message, Report& report, Severity severity) {
+  const auto it = std::find_if(file.suppressions.begin(), file.suppressions.end(),
+                               [&](const Suppression& s) { return s.check == check; });
+  emit_under(it == file.suppressions.end() ? nullptr : &*it, file, line, check, message,
+             report, severity);
 }
 
 std::size_t matching_close(const std::vector<Token>& tokens, std::size_t open) {

@@ -17,10 +17,11 @@
 //     loads files through it, so each file is read and lexed at most once
 //     per lint run no matter how many checks look at it.
 //   - Suppressions: `// hpcfail-lint: allow(<check>) -- <reason>` parsed
-//     from comments.  Token-level checks emit through emit(), which honors
-//     a reasoned allow on the diagnostic's line (or the line above) and
-//     rejects a reasonless one: the finding stands and an extra
-//     missing-reason diagnostic is added, so suppressions are auditable.
+//     from comments.  Every check that can be suppressed emits through
+//     emit(), which honors a reasoned allow on the diagnostic's line (or
+//     the line above) and rejects a reasonless one: the finding stands and
+//     an extra missing-reason diagnostic is added, so suppressions are
+//     auditable.
 #pragma once
 
 #include <cstddef>
@@ -121,6 +122,12 @@ class SourceTree {
 void emit(const SourceFile& file, std::size_t line, const std::string& check,
           const std::string& message, Report& report,
           Severity severity = Severity::Error);
+
+/// emit() for a finding about the whole file, reported at `line`: an
+/// `allow(<check>)` anywhere in the file applies, under the same rules.
+void emit_file_scoped(const SourceFile& file, std::size_t line, const std::string& check,
+                      const std::string& message, Report& report,
+                      Severity severity = Severity::Error);
 
 /// Index of the matching closer for tokens[open] (one of ( [ {), or
 /// tokens.size() when unbalanced.  Counts all three bracket kinds so nested

@@ -682,11 +682,8 @@ void check_banned_patterns(SourceTree& tree, Report& report) {
     if (file == nullptr) continue;
     for (std::size_t n = 1; n <= file->lines.size(); ++n) {
       const std::string& text = file->lines[n - 1];
-      if (text.find("hpcfail-lint: allow(banned-pattern)") != std::string::npos) continue;
       for (const auto& b : banned) {
-        if (std::regex_search(text, b.re)) {
-          report.add(rel, n, check, b.why);
-        }
+        if (std::regex_search(text, b.re)) emit(*file, n, check, b.why, report);
       }
     }
   }
@@ -749,25 +746,22 @@ void check_bench_pipeline(SourceTree& tree, Report& report) {
     const auto* file = load(tree, rel, check, report);
     if (file == nullptr) continue;
     bool uses_pipeline = false;
-    bool allowed = false;
     for (std::size_t n = 1; n <= file->lines.size(); ++n) {
       const std::string& text = file->lines[n - 1];
-      if (text.find("hpcfail-lint: allow(bench-pipeline)") != std::string::npos) {
-        allowed = true;
-        continue;
-      }
       if (std::regex_search(text, pipeline_use)) uses_pipeline = true;
       if (std::regex_search(text, direct_call)) {
-        report.add(rel, n, check,
-                   "figure bench calls analyze_failures() directly; route it through "
-                   "bench::run_pipeline or core::AnalysisEngine");
+        emit(*file, n, check,
+             "figure bench calls analyze_failures() directly; route it through "
+             "bench::run_pipeline or core::AnalysisEngine",
+             report);
       }
     }
-    if (!uses_pipeline && !allowed) {
-      report.add(rel, 1, check,
-                 "figure bench never uses bench::run_pipeline/run_system or "
-                 "core::AnalysisEngine; hand-wired analysis drifts from the shared "
-                 "pipeline");
+    if (!uses_pipeline) {
+      emit_file_scoped(*file, 1, check,
+                       "figure bench never uses bench::run_pipeline/run_system or "
+                       "core::AnalysisEngine; hand-wired analysis drifts from the shared "
+                       "pipeline",
+                       report);
     }
   }
 }
@@ -807,7 +801,6 @@ void check_metric_naming(SourceTree& tree, Report& report) {
       if (file == nullptr) continue;
       for (std::size_t n = 1; n <= file->lines.size(); ++n) {
         const std::string& text = file->lines[n - 1];
-        if (text.find("hpcfail-lint: allow(metric-naming)") != std::string::npos) continue;
 
         // Collect each candidate name once per line; a name seen with a
         // trailing '+' anywhere on the line is validated as a prefix.
@@ -824,25 +817,28 @@ void check_metric_naming(SourceTree& tree, Report& report) {
 
         for (const auto& [name, is_prefix] : names) {
           if (name.rfind("hpcfail.", 0) != 0) {
-            report.add(rel, n, check,
-                       "instrument name '" + name +
-                           "' is not rooted under 'hpcfail.'; metric and span names "
-                           "follow hpcfail.<layer>.<snake_case>");
+            emit(*file, n, check,
+                 "instrument name '" + name +
+                     "' is not rooted under 'hpcfail.'; metric and span names "
+                     "follow hpcfail.<layer>.<snake_case>",
+                 report);
           } else if (is_prefix) {
             std::string head = name;
             if (!head.empty() && (head.back() == '.' || head.back() == '_')) head.pop_back();
             if (!std::regex_match(head, prefix_name)) {
-              report.add(rel, n, check,
-                         "metric/span name prefix '" + name +
-                             "' drifts from hpcfail.<layer>.<snake_case> (complete "
-                             "segments before the runtime suffix must be lowercase "
-                             "snake_case)");
+              emit(*file, n, check,
+                   "metric/span name prefix '" + name +
+                       "' drifts from hpcfail.<layer>.<snake_case> (complete "
+                       "segments before the runtime suffix must be lowercase "
+                       "snake_case)",
+                   report);
             }
           } else if (!std::regex_match(name, full_name)) {
-            report.add(rel, n, check,
-                       "metric/span name '" + name +
-                           "' drifts from hpcfail.<layer>.<snake_case> (lowercase "
-                           "snake_case segments, at least two after 'hpcfail')");
+            emit(*file, n, check,
+                 "metric/span name '" + name +
+                     "' drifts from hpcfail.<layer>.<snake_case> (lowercase "
+                     "snake_case segments, at least two after 'hpcfail')",
+                 report);
           }
         }
       }
@@ -892,28 +888,30 @@ void check_fault_sites(SourceTree& tree, Report& report) {
       for (std::size_t n = 1; n <= file->lines.size(); ++n) {
         const std::string& text = file->lines[n - 1];
         if (std::regex_search(text, comment_line)) continue;
-        if (text.find("hpcfail-lint: allow(fault-sites)") != std::string::npos) continue;
         for (auto it = std::sregex_iterator(text.begin(), text.end(), site_use);
              it != std::sregex_iterator(); ++it) {
           const std::string name = (*it)[1].str();
           const auto [slot, inserted] = first_use.emplace(name, Use{rel, n});
           if (!inserted) {
-            report.add(rel, n, check,
-                       "fault site '" + name + "' is already declared at " +
-                           slot->second.file + ":" + std::to_string(slot->second.line) +
-                           "; site names must be unique across the tree");
+            emit(*file, n, check,
+                 "fault site '" + name + "' is already declared at " + slot->second.file +
+                     ":" + std::to_string(slot->second.line) +
+                     "; site names must be unique across the tree",
+                 report);
             continue;
           }
           if (!std::regex_match(name, name_re)) {
-            report.add(rel, n, check,
-                       "fault site '" + name +
-                           "' drifts from <layer>.<component>.<kind> (lowercase "
-                           "snake_case dot segments, at least three)");
+            emit(*file, n, check,
+                 "fault site '" + name +
+                     "' drifts from <layer>.<component>.<kind> (lowercase "
+                     "snake_case dot segments, at least three)",
+                 report);
           }
           if (inventoried.count(name) == 0) {
-            report.add(rel, n, check,
-                       "fault site '" + name + "' is not listed in the kSites inventory (" +
-                           std::string(kFaultCpp) + "); the sweep harness cannot arm it");
+            emit(*file, n, check,
+                 "fault site '" + name + "' is not listed in the kSites inventory (" +
+                     std::string(kFaultCpp) + "); the sweep harness cannot arm it",
+                 report);
           }
         }
       }
@@ -925,16 +923,18 @@ void check_fault_sites(SourceTree& tree, Report& report) {
   for (std::size_t i = 0; i < inventory.size(); ++i) {
     const auto& e = inventory[i];
     if (first_use.count(e.key) == 0) {
-      report.add(kFaultCpp, e.line, check,
-                 "kSites entry '" + e.key +
-                     "' has no HPCFAIL_FAULT_SITE use in the tree; remove it or wire "
-                     "the site");
+      emit(*fault_cpp, e.line, check,
+           "kSites entry '" + e.key +
+               "' has no HPCFAIL_FAULT_SITE use in the tree; remove it or wire "
+               "the site",
+           report);
     }
     if (i > 0 && !(inventory[i - 1].key < e.key)) {
-      report.add(kFaultCpp, e.line, check,
-                 "kSites entry '" + e.key +
-                     "' is out of order; the inventory stays sorted so the sweep "
-                     "enumeration is stable");
+      emit(*fault_cpp, e.line, check,
+           "kSites entry '" + e.key +
+               "' is out of order; the inventory stays sorted so the sweep "
+               "enumeration is stable",
+           report);
     }
   }
 }

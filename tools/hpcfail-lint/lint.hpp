@@ -20,7 +20,10 @@
 //
 // Every check emits gcc-style file:line diagnostics (clickable, CI-parsed);
 // run_checks() can also be rendered as SARIF 2.1.0 (sarif.hpp).  The only
-// way to accept a finding is an inline reasoned allow.
+// way to accept a finding is an inline reasoned allow,
+// `// hpcfail-lint: allow(<check>) -- <reason>`, on the diagnosed line or
+// the line above; a reasonless allow suppresses nothing and is itself
+// diagnosed.
 //
 // The checks are exposed individually (the fixture tests run them against
 // deliberately drifted mini-trees) and collectively via run_checks().
@@ -96,8 +99,8 @@ void check_corpus_files(SourceTree& tree, Report& report);
 void check_snapshot_version(SourceTree& tree, Report& report);
 
 /// Repo invariants: no rand()/srand()/time(NULL)/std::random_device/mt19937
-/// in src/ (simulation must be deterministic through util::Rng).  Suppress a
-/// line with "hpcfail-lint: allow(banned-pattern)".
+/// in src/ (simulation must be deterministic through util::Rng).  Honors
+/// `// hpcfail-lint: allow(banned-pattern) -- <reason>`.
 void check_banned_patterns(SourceTree& tree, Report& report);
 
 /// Header hygiene: every .hpp under src/ carries #pragma once near the top
@@ -107,8 +110,9 @@ void check_header_hygiene(SourceTree& tree, Report& report);
 /// Figure/table benches (bench/fig*.cpp, bench/tab*.cpp) must route their
 /// analysis through bench::run_pipeline/run_system or core::AnalysisEngine —
 /// never a private analyze_failures() wiring, which drifts from the shared
-/// pipeline.  Suppress a file with "hpcfail-lint: allow(bench-pipeline)"
-/// (for benches that do no failure analysis at all).
+/// pipeline.  A `// hpcfail-lint: allow(bench-pipeline) -- <reason>`
+/// anywhere in the file accepts a bench that does no failure analysis at
+/// all; a direct analyze_failures() call needs its own allow on that line.
 void check_bench_pipeline(SourceTree& tree, Report& report);
 
 /// Metric/span naming: every instrument name literal in src/, tools/ and
@@ -116,8 +120,8 @@ void check_bench_pipeline(SourceTree& tree, Report& report);
 /// constructions, and any string literal rooted at "hpcfail." — must follow
 /// `hpcfail.<layer>.<snake_case>` (lowercase snake_case dot-segments, at
 /// least two after the hpcfail root).  A literal completed at runtime
-/// (followed by `+`) is validated as a prefix.  Suppress a line with
-/// "hpcfail-lint: allow(metric-naming)".
+/// (followed by `+`) is validated as a prefix.  Honors
+/// `// hpcfail-lint: allow(metric-naming) -- <reason>`.
 void check_metric_naming(SourceTree& tree, Report& report);
 
 /// Fault-site inventory: every HPCFAIL_FAULT_SITE("...") literal in src/,
@@ -126,16 +130,13 @@ void check_metric_naming(SourceTree& tree, Report& report);
 /// segments, at least three), and appear in the kSites inventory of
 /// src/util/fault.cpp — and every inventory entry must have a code use, so
 /// the sweep harness (tests/faultinject_test.cpp) really enumerates every
-/// injection point.  Suppress a line with
-/// "hpcfail-lint: allow(fault-sites)".
+/// injection point.  Honors `// hpcfail-lint: allow(fault-sites) -- <reason>`.
 void check_fault_sites(SourceTree& tree, Report& report);
 
 // ---------------------------------------------------------------------------
 // Semantic checks (token level, cxx_model.hpp)
 //
-// All the checks below honor `// hpcfail-lint: allow(<check>) -- <reason>` on the
-// diagnosed line or the line above; the reason is mandatory (a reasonless
-// allow leaves the finding standing and is itself diagnosed).
+// All the checks below honor reasoned allows (see the top of this file).
 // ---------------------------------------------------------------------------
 
 /// Lambdas handed to ThreadPool::submit() or parallel_for_ranges() must not

@@ -1,39 +1,17 @@
 #include "sarif.hpp"
 
-#include <cstdio>
 #include <set>
 #include <string_view>
 #include <vector>
 
 #include "lint.hpp"
+#include "util/json.hpp"
 
 namespace hpcfail::lint {
 
 namespace {
 
-/// JSON string escaping per RFC 8259 (control characters as \u00XX).
-[[nodiscard]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::append_json_string;
 
 [[nodiscard]] std::string_view sarif_level(Severity severity) {
   switch (severity) {
@@ -79,9 +57,11 @@ std::string to_sarif(const Report& report) {
   out += "          \"rules\": [\n";
   for (std::size_t i = 0; i < rules.size(); ++i) {
     out += "            {\n";
-    out += "              \"id\": \"" + json_escape(rules[i].id) + "\",\n";
-    out += "              \"shortDescription\": { \"text\": \"" +
-           json_escape(rules[i].description) + "\" }\n";
+    out += "              \"id\": ";
+    append_json_string(out, rules[i].id);
+    out += ",\n              \"shortDescription\": { \"text\": ";
+    append_json_string(out, rules[i].description);
+    out += " }\n";
     out += i + 1 < rules.size() ? "            },\n" : "            }\n";
   }
   out += "          ]\n";
@@ -94,14 +74,18 @@ std::string to_sarif(const Report& report) {
     // SARIF requires startLine >= 1; line 0 means "whole file" internally.
     const std::size_t line = d.line == 0 ? 1 : d.line;
     out += "        {\n";
-    out += "          \"ruleId\": \"" + json_escape(d.check) + "\",\n";
-    out += "          \"level\": \"" + std::string(sarif_level(d.severity)) + "\",\n";
-    out += "          \"message\": { \"text\": \"" + json_escape(d.message) + "\" },\n";
+    out += "          \"ruleId\": ";
+    append_json_string(out, d.check);
+    out += ",\n          \"level\": \"" + std::string(sarif_level(d.severity)) + "\",\n";
+    out += "          \"message\": { \"text\": ";
+    append_json_string(out, d.message);
+    out += " },\n";
     out += "          \"locations\": [\n";
     out += "            {\n";
     out += "              \"physicalLocation\": {\n";
-    out += "                \"artifactLocation\": { \"uri\": \"" + json_escape(d.file) +
-           "\" },\n";
+    out += "                \"artifactLocation\": { \"uri\": ";
+    append_json_string(out, d.file);
+    out += " },\n";
     out += "                \"region\": { \"startLine\": " + std::to_string(line) +
            " }\n";
     out += "              }\n";
