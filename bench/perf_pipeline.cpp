@@ -6,7 +6,9 @@
 //
 // Besides the google-benchmark suite, `--json[=PATH]` runs the canonical
 // pipeline baseline (S2 week, seed 42, single thread) and writes
-// BENCH_pipeline.json — the committed perf trajectory CI compares against.
+// BENCH_pipeline.json — the committed perf trajectory CI compares against:
+// simulate and render (the generators), then ingest, analyze and snapshot
+// load of their output.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -312,11 +314,19 @@ struct MeasureSample {
   std::size_t bytes = 0;
   std::size_t records = 0;
   std::size_t snapshot_bytes = 0;
+  std::size_t render_bytes = 0;
   double ingest_seconds = 0.0;
   double ingest_rss_mb = 0.0;
   double analyze_seconds = 0.0;
   double snapshot_seconds = 0.0;
+  double simulate_seconds = 0.0;
+  double render_seconds = 0.0;
 };
+
+/// The canonical scenario every --json number is measured on.
+faultsim::ScenarioConfig canonical_scenario() {
+  return faultsim::scenario_preset(platform::SystemName::S2, 7, 42);
+}
 
 constexpr int kJsonRepeats = 5;
 
@@ -332,8 +342,10 @@ std::size_t dir_log_bytes(const std::string& dir) {
   return total;
 }
 
-/// Child mode: one single-thread ingest + one engine run, key=value lines
-/// on stdout.  RSS is sampled right after ingest, before analysis allocates.
+/// Child mode: one single-thread ingest + one engine run, then one simulate
+/// and one build_corpus of the same scenario; key=value lines on stdout.
+/// RSS is sampled right after ingest, before analysis or the generators
+/// allocate.
 int run_json_measure(const std::string& dir) {
   const std::size_t bytes = dir_log_bytes(dir);
   util::ThreadPool pool(1);
@@ -379,6 +391,16 @@ int run_json_measure(const std::string& dir) {
     if (!ec) snapshot_bytes = static_cast<std::size_t>(size);
   }
 
+  // The generators behind every reproduction: simulate, then render.
+  const auto g0 = std::chrono::steady_clock::now();
+  const auto sim = faultsim::Simulator(canonical_scenario()).run();
+  const auto g1 = std::chrono::steady_clock::now();
+  const loggen::Corpus corpus = loggen::build_corpus(sim);
+  const auto g2 = std::chrono::steady_clock::now();
+  if (corpus.bytes() != bytes) {
+    throw std::runtime_error("rendered corpus size diverges from the corpus on disk");
+  }
+
   std::printf("bytes=%zu\n", bytes);
   std::printf("records=%zu\n", parsed.parsed_records);
   std::printf("ingest_seconds=%.6f\n", std::chrono::duration<double>(t1 - t0).count());
@@ -387,6 +409,9 @@ int run_json_measure(const std::string& dir) {
   std::printf("snapshot_seconds=%.6f\n", snapshot_seconds);
   std::printf("snapshot_bytes=%zu\n", snapshot_bytes);
   std::printf("failures=%zu\n", result.failures.size());
+  std::printf("simulate_seconds=%.6f\n", std::chrono::duration<double>(g1 - g0).count());
+  std::printf("render_seconds=%.6f\n", std::chrono::duration<double>(g2 - g1).count());
+  std::printf("render_bytes=%zu\n", corpus.bytes());
   return 0;
 }
 
@@ -395,8 +420,7 @@ int run_json_measure(const std::string& dir) {
 int run_json_baseline(const std::string& out_path) {
   const std::string dir = "/tmp/hpcfail_perf_pipeline_corpus";
   std::fprintf(stderr, "perf_pipeline --json: simulating S2 week (seed 42)...\n");
-  const auto sim =
-      faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, 7, 42)).run();
+  const auto sim = faultsim::Simulator(canonical_scenario()).run();
   std::filesystem::remove_all(dir);
   loggen::write_corpus(loggen::build_corpus(sim), dir);
 
@@ -443,16 +467,20 @@ int run_json_baseline(const std::string& out_path) {
       std::sscanf(line, "analyze_seconds=%lf", &s.analyze_seconds);
       std::sscanf(line, "snapshot_seconds=%lf", &s.snapshot_seconds);
       std::sscanf(line, "snapshot_bytes=%zu", &s.snapshot_bytes);
+      std::sscanf(line, "simulate_seconds=%lf", &s.simulate_seconds);
+      std::sscanf(line, "render_seconds=%lf", &s.render_seconds);
+      std::sscanf(line, "render_bytes=%zu", &s.render_bytes);
     }
-    if (::pclose(child) != 0 || s.ingest_seconds <= 0.0 || s.snapshot_seconds <= 0.0) {
+    if (::pclose(child) != 0 || s.ingest_seconds <= 0.0 || s.snapshot_seconds <= 0.0 ||
+        s.simulate_seconds <= 0.0 || s.render_seconds <= 0.0) {
       std::fprintf(stderr, "perf_pipeline --json: measurement child failed\n");
       return 1;
     }
     std::fprintf(stderr,
                  "  run %d: ingest %.3fs, rss %.1f MB, analyze %.3fs, "
-                 "snapshot load %.4fs\n",
+                 "snapshot load %.4fs, simulate %.3fs, render %.3fs\n",
                  i + 1, s.ingest_seconds, s.ingest_rss_mb, s.analyze_seconds,
-                 s.snapshot_seconds);
+                 s.snapshot_seconds, s.simulate_seconds, s.render_seconds);
     if (best.ingest_seconds == 0.0 || s.ingest_seconds < best.ingest_seconds) {
       best.bytes = s.bytes;
       best.records = s.records;
@@ -467,6 +495,13 @@ int run_json_baseline(const std::string& out_path) {
     if (best.snapshot_seconds == 0.0 || s.snapshot_seconds < best.snapshot_seconds) {
       best.snapshot_seconds = s.snapshot_seconds;
       best.snapshot_bytes = s.snapshot_bytes;
+    }
+    if (best.simulate_seconds == 0.0 || s.simulate_seconds < best.simulate_seconds) {
+      best.simulate_seconds = s.simulate_seconds;
+    }
+    if (best.render_seconds == 0.0 || s.render_seconds < best.render_seconds) {
+      best.render_seconds = s.render_seconds;
+      best.render_bytes = s.render_bytes;
     }
   }
   std::filesystem::remove_all(dir);
@@ -485,14 +520,18 @@ int run_json_baseline(const std::string& out_path) {
   char buf[512];
   // snapshot_load_mb_per_s divides the same log-text byte count as
   // ingest_mb_per_s, so the two rows compare directly (CI tracks this
-  // ratio staying >= 5x).
+  // ratio staying >= 5x); render_mb_per_s divides it by build_corpus time.
   std::snprintf(buf, sizeof(buf),
+                "  \"simulate_seconds\": %.3f,\n"
+                "  \"render_mb_per_s\": %.1f,\n"
                 "  \"ingest_mb_per_s\": %.1f,\n"
                 "  \"ingest_records_per_s\": %.0f,\n"
                 "  \"peak_rss_mb\": %.1f,\n"
                 "  \"analyze_seconds\": %.3f,\n"
                 "  \"snapshot_file_mb\": %.1f,\n"
                 "  \"snapshot_load_mb_per_s\": %.1f\n",
+                best.simulate_seconds,
+                static_cast<double>(best.render_bytes) / 1e6 / best.render_seconds,
                 static_cast<double>(best.bytes) / 1e6 / best.ingest_seconds,
                 static_cast<double>(best.records) / best.ingest_seconds,
                 best.ingest_rss_mb, best.analyze_seconds,

@@ -22,19 +22,16 @@ namespace {
 bool job_driven(RootCause c) noexcept { return logmodel::is_application_triggered(c); }
 
 /// Scenario-phase scope: a trace span over the phase plus a counter crediting
-/// the log records the phase emitted.  Both are inert when no sink/registry
-/// is installed.
+/// what the phase appended to `items` (log records; jobs for the workload
+/// phase).  Both are inert when no sink/registry is installed.
+template <typename T>
 class PhaseScope {
  public:
-  PhaseScope(const char* span_name, const char* counter_name,
-             const std::vector<LogRecord>& records)
-      : span_(span_name),
-        counter_name_(counter_name),
-        records_(records),
-        before_(records.size()) {}
+  PhaseScope(const char* span_name, const char* counter_name, const std::vector<T>& items)
+      : span_(span_name), counter_name_(counter_name), items_(items), before_(items.size()) {}
   ~PhaseScope() {
     if (util::MetricsRegistry* reg = util::metrics()) {
-      reg->counter(counter_name_).add(records_.size() - before_);
+      reg->counter(counter_name_).add(items_.size() - before_);
     }
   }
   PhaseScope(const PhaseScope&) = delete;
@@ -43,7 +40,7 @@ class PhaseScope {
  private:
   util::TraceSpan span_;
   const char* counter_name_;
-  const std::vector<LogRecord>& records_;
+  const std::vector<T>& items_;
   std::size_t before_;
 };
 
@@ -90,7 +87,7 @@ SimulationResult Simulator::run() {
   }
 
   if (config_.enable_jobs) {
-    PhaseScope phase("hpcfail.sim.workload", "hpcfail.sim.workload_records", st.records);
+    PhaseScope phase("hpcfail.sim.workload", "hpcfail.sim.workload_jobs", st.jobs);
     generate_workload(st);
   }
   {

@@ -56,6 +56,22 @@ constexpr std::array<std::string_view, 6> kMessagesChatter = {
     "rsyslogd: action resumed (module builtin:omfile)",
 };
 
+/// One line to emit: sorting by (time, emission order) is the stable sort
+/// by time, without moving any text.
+struct LineKey {
+  std::int64_t time;
+  std::uint64_t seq;
+  auto operator<=>(const LineKey&) const = default;
+};
+static_assert(sizeof(LineKey) == 16);
+
+struct Chatter {
+  util::TimePoint time;
+  platform::NodeId node;
+  bool console;
+  std::uint8_t text;  ///< index into kConsoleChatter / kMessagesChatter
+};
+
 }  // namespace
 
 Corpus build_corpus(const faultsim::SimulationResult& sim) {
@@ -65,79 +81,94 @@ Corpus build_corpus(const faultsim::SimulationResult& sim) {
   corpus.days = sim.config.days;
 
   const bool has_external = corpus.system.name != platform::SystemName::S5;
+  const bool cray = sim.topology.config().naming == platform::NamingScheme::CrayCname;
   LogRenderer renderer(sim.topology, corpus.system.scheduler, sim.symbols);
 
-  // Render every non-scheduler record plus the routine chatter into
-  // per-source (time, line) streams, then sort and concatenate.
-  struct Line {
-    util::TimePoint time;
-    LogSource source;
-    std::string text;
-  };
-  std::vector<Line> lines;
-  lines.reserve(sim.records.size());
-  for (const auto& r : sim.records) {
-    if (r.source == LogSource::Scheduler) continue;  // jobs render below
-    if (!has_external &&
-        (r.source == LogSource::Controller || r.source == LogSource::Erd)) {
-      continue;  // S5 has no external log universe
-    }
-    lines.push_back({r.time, r.source, renderer.render(r)});
-  }
-
-  // Routine chatter: raw daemon lines matching no fault signature.
+  // Every non-scheduler record plus the routine chatter, keyed by time and
+  // emission order (records first, then chatter).
+  std::vector<Chatter> chatter;
   const double chatter_rate = sim.config.benign.routine_chatter_lines_per_day;
   if (chatter_rate > 0.0 && sim.topology.node_count() > 0) {
     util::Rng rng(sim.config.seed ^ 0xc4a77e5ULL);
     const auto total = static_cast<std::size_t>(
         chatter_rate * static_cast<double>(std::max(1, sim.config.days)));
+    chatter.reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
-      const util::TimePoint t =
-          sim.config.begin + util::Duration::seconds(rng.uniform_int(
-                                 0, static_cast<std::int64_t>(sim.config.days) * 86400 - 1));
-      const platform::NodeId node{static_cast<std::uint32_t>(rng.uniform_int(
+      Chatter c{};
+      c.time = sim.config.begin + util::Duration::seconds(rng.uniform_int(
+                                      0, static_cast<std::int64_t>(sim.config.days) * 86400 - 1));
+      c.node = platform::NodeId{static_cast<std::uint32_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(sim.topology.node_count()) - 1))};
-      const bool console = rng.bernoulli(0.7);
-      std::string text;
-      if (console) {
-        text = util::format_iso(t) + ' ' + sim.topology.node_name(node);
-        if (sim.topology.config().naming == platform::NamingScheme::CrayCname) {
-          text += ' ' + sim.topology.cname_of(node).to_string();
-        }
-        text += " kernel: ";
-        text += kConsoleChatter[static_cast<std::size_t>(rng.uniform_int(0, 7))];
-      } else {
-        text = util::format_syslog(t) + ' ' + sim.topology.node_name(node) +
-               " daemon[1]: ";
-        text += kMessagesChatter[static_cast<std::size_t>(rng.uniform_int(0, 5))];
-      }
-      lines.push_back({t, console ? LogSource::Console : LogSource::Messages,
-                       std::move(text)});
-      ++corpus.chatter_lines;
+      c.console = rng.bernoulli(0.7);
+      c.text = static_cast<std::uint8_t>(rng.uniform_int(0, c.console ? 7 : 5));
+      chatter.push_back(c);
     }
   }
+  corpus.chatter_lines = chatter.size();
 
-  std::stable_sort(lines.begin(), lines.end(),
-                   [](const Line& a, const Line& b) { return a.time < b.time; });
-  for (const auto& line : lines) {
-    auto& out = corpus.of(line.source);
-    out += line.text;
+  const std::size_t n_records = sim.records.size();
+  std::vector<LineKey> keys;
+  keys.reserve(n_records + chatter.size());
+  for (std::size_t i = 0; i < n_records; ++i) {
+    const auto& r = sim.records[i];
+    if (r.source == LogSource::Scheduler) continue;  // jobs render below
+    if (!has_external && (r.source == LogSource::Controller || r.source == LogSource::Erd)) {
+      continue;  // S5 has no external log universe
+    }
+    keys.push_back({r.time.usec, i});
+  }
+  for (std::size_t i = 0; i < chatter.size(); ++i) {
+    keys.push_back({chatter[i].time.usec, n_records + i});
+  }
+  std::sort(keys.begin(), keys.end());
+
+  for (const auto& key : keys) {
+    if (key.seq < n_records) {
+      const auto& r = sim.records[key.seq];
+      std::string& out = corpus.of(r.source);
+      renderer.append(out, r);
+      out += '\n';
+      continue;
+    }
+    // Routine chatter: raw daemon lines matching no fault signature.
+    const Chatter& c = chatter[key.seq - n_records];
+    std::string& out = corpus.of(c.console ? LogSource::Console : LogSource::Messages);
+    if (c.console) {
+      util::append_iso(out, c.time);
+      out += ' ';
+      sim.topology.append_node_name(out, c.node);
+      if (cray) {
+        out += ' ';
+        sim.topology.cname_of(c.node).append_to(out);
+      }
+      out += " kernel: ";
+      out += kConsoleChatter[c.text];
+    } else {
+      util::append_syslog(out, c.time);
+      out += ' ';
+      sim.topology.append_node_name(out, c.node);
+      out += " daemon[1]: ";
+      out += kMessagesChatter[c.text];
+    }
     out += '\n';
   }
 
   // Scheduler file from the jobs table, sorted by event time (Torque
-  // timestamps do not sort lexically).
-  std::vector<LogRenderer::SchedulerLine> sched_lines;
-  for (const auto& job : sim.jobs) {
-    for (auto& line : renderer.render_job_lines(job)) {
-      sched_lines.push_back(std::move(line));
+  // timestamps do not sort lexically); seq = job index * 8 + line kind.
+  using JobLine = LogRenderer::JobLine;
+  keys.clear();
+  for (std::size_t j = 0; j < sim.jobs.size(); ++j) {
+    for (std::uint8_t k = 0; k < LogRenderer::kJobLineKinds; ++k) {
+      if (const auto t = LogRenderer::job_line_time(sim.jobs[j], JobLine{k})) {
+        keys.push_back({t->usec, j * 8 + k});
+      }
     }
   }
-  std::stable_sort(sched_lines.begin(), sched_lines.end(),
-                   [](const auto& a, const auto& b) { return a.time < b.time; });
+  std::sort(keys.begin(), keys.end());
   auto& sched = corpus.of(LogSource::Scheduler);
-  for (const auto& line : sched_lines) {
-    sched += line.text;
+  for (const auto& key : keys) {
+    renderer.append_job_line(sched, sim.jobs[key.seq / 8],
+                             JobLine{static_cast<std::uint8_t>(key.seq % 8)});
     sched += '\n';
   }
   return corpus;

@@ -1,7 +1,7 @@
 #include "loggen/nid_ranges.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -18,40 +18,63 @@ constexpr int kHostWidth = 4;
 constexpr std::uint64_t kMaxNid = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
-std::string compress_node_list(std::vector<platform::NodeId> nodes,
-                               platform::NamingScheme naming) {
-  const char* prefix = naming == platform::NamingScheme::CrayCname ? "nid" : "node";
-  const int width = naming == platform::NamingScheme::CrayCname ? kNidWidth : kHostWidth;
-  if (nodes.empty()) return std::string(prefix) + "[]";
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+void append_node_list(std::string& out, std::span<const platform::NodeId> nodes,
+                      platform::NamingScheme naming, std::vector<std::uint64_t>& bits) {
+  const bool cray = naming == platform::NamingScheme::CrayCname;
+  const int width = cray ? kNidWidth : kHostWidth;
+  out += cray ? "nid" : "node";
+  if (nodes.empty()) {
+    out += "[]";
+    return;
+  }
+  const auto [min_it, max_it] = std::minmax_element(nodes.begin(), nodes.end());
+  const std::uint32_t lo = min_it->value;
+  if (lo == max_it->value) {  // one distinct node: no brackets
+    util::append_padded(out, lo, width);
+    return;
+  }
+  const std::size_t words = (max_it->value - lo) / 64 + 1;
+  if (bits.size() < words) bits.resize(words);
+  std::fill_n(bits.begin(), words, 0);
+  for (const auto node : nodes) {
+    const std::uint32_t b = node.value - lo;
+    bits[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
 
-  char buf[32];
-  if (nodes.size() == 1) {
-    std::snprintf(buf, sizeof buf, "%s%0*u", prefix, width, nodes[0].value);
-    return buf;
-  }
-  std::string out = prefix;
-  out += '[';
-  std::size_t i = 0;
-  bool first = true;
-  while (i < nodes.size()) {
-    std::size_t j = i;
-    while (j + 1 < nodes.size() && nodes[j + 1].value == nodes[j].value + 1) ++j;
-    if (!first) out += ',';
-    first = false;
-    if (j == i) {
-      std::snprintf(buf, sizeof buf, "%0*u", width, nodes[i].value);
-      out += buf;
-    } else {
-      std::snprintf(buf, sizeof buf, "%0*u-%0*u", width, nodes[i].value, width,
-                    nodes[j].value);
-      out += buf;
+  // Set bits in ascending order; consecutive ones extend the open range.
+  // Ranges are formatted into a local buffer and appended in batches, not
+  // field by field.
+  char buf[256];
+  char* p = buf;
+  *p++ = '[';
+  std::uint32_t first = lo;
+  std::uint32_t last = lo;
+  const auto close_range = [&] {
+    if (p > buf + sizeof buf - 24) {  // room for "4294967295-4294967295,"
+      out.append(buf, static_cast<std::size_t>(p - buf));
+      p = buf;
     }
-    i = j + 1;
+    p = util::put_padded(p, first, width);
+    if (last != first) {
+      *p++ = '-';
+      p = util::put_padded(p, last, width);
+    }
+  };
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const auto node = lo + static_cast<std::uint32_t>(w * 64 + std::countr_zero(word));
+      if (node == last + 1) {
+        last = node;
+      } else if (node != lo) {
+        close_range();
+        *p++ = ',';
+        first = last = node;
+      }
+    }
   }
-  out += ']';
-  return out;
+  close_range();
+  *p++ = ']';
+  out.append(buf, static_cast<std::size_t>(p - buf));
 }
 
 std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view text) noexcept {

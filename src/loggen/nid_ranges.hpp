@@ -4,7 +4,9 @@
 // carry job allocations in this form; the parser expands them back.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,10 +16,13 @@
 
 namespace hpcfail::loggen {
 
-/// Compresses a node list (need not be sorted; duplicates are dropped).
-/// `naming` selects the nid/node prefix and digit width.
-[[nodiscard]] std::string compress_node_list(std::vector<platform::NodeId> nodes,
-                                             platform::NamingScheme naming);
+/// Appends the compressed form of a node list (need not be sorted;
+/// duplicates are dropped).  `naming` selects the nid/node prefix and digit
+/// width.  The nodes are marked in `bits`, a scratch bitset reused across
+/// calls and grown to (max - min) / 64 + 1 words, so no copy of the list
+/// is sorted.
+void append_node_list(std::string& out, std::span<const platform::NodeId> nodes,
+                      platform::NamingScheme naming, std::vector<std::uint64_t>& bits);
 
 /// Expands the compressed form. Returns nullopt on malformed input.
 /// Validation against a topology (bounds) is the caller's business.

@@ -1,9 +1,7 @@
 #include "loggen/renderer.hpp"
 
-#include <cstdio>
-
 #include "loggen/nid_ranges.hpp"
-#include "util/table.hpp"
+#include "util/strings.hpp"
 
 namespace hpcfail::loggen {
 
@@ -15,58 +13,88 @@ LogRenderer::LogRenderer(const platform::Topology& topo, platform::SchedulerKind
                          const logmodel::SymbolTable& symbols)
     : topo_(topo), scheduler_(scheduler), symbols_(symbols) {}
 
-std::string internal_payload(const LogRecord& r, const logmodel::SymbolTable& symbols) {
-  const std::string detail{symbols.view(r.detail)};
+void internal_payload(std::string& out, const LogRecord& r,
+                      const logmodel::SymbolTable& symbols) {
+  // Every template is prefix + detail + suffix, except the detail-free oops.
+  std::string_view prefix;
+  std::string_view suffix;
   switch (r.type) {
     case EventType::KernelPanic:
-      return "Kernel panic - not syncing: " + detail;
+      prefix = "Kernel panic - not syncing: ";
+      break;
     case EventType::KernelOops:
-      return "BUG: unable to handle kernel paging request at 00000000deadbeef";
+      out += "BUG: unable to handle kernel paging request at 00000000deadbeef";
+      return;
     case EventType::CallTrace:
-      return " [<ffffffff81234567>] " + detail + "+0x1a2/0x400";
+      prefix = " [<ffffffff81234567>] ";
+      suffix = "+0x1a2/0x400";
+      break;
     case EventType::MachineCheckException:
-      return "mce: [Hardware Error]: Machine check events logged: " + detail;
+      prefix = "mce: [Hardware Error]: Machine check events logged: ";
+      break;
     case EventType::HardwareError:
-      return "EDAC MC0: " + detail;
+      prefix = "EDAC MC0: ";
+      break;
     case EventType::CpuCorruption:
-      return "mce: [Hardware Error]: PCC processor context corrupt: " + detail;
+      prefix = "mce: [Hardware Error]: PCC processor context corrupt: ";
+      break;
     case EventType::CpuStall:
-      return "INFO: rcu_sched self-detected stall on CPU: " + detail;
+      prefix = "INFO: rcu_sched self-detected stall on CPU: ";
+      break;
     case EventType::BiosError:
-      return "HEST: " + detail;
+      prefix = "HEST: ";
+      break;
     case EventType::FirmwareBug:
-      return "[Firmware Bug]: " + detail;
+      prefix = "[Firmware Bug]: ";
+      break;
     case EventType::DriverBug:
-      return "WARNING: driver bug: " + detail;
+      prefix = "WARNING: driver bug: ";
+      break;
     case EventType::SegFault:
-      return "app[31337]: segfault at 0 ip 00007f err 4: " + detail;
+      prefix = "app[31337]: segfault at 0 ip 00007f err 4: ";
+      break;
     case EventType::InvalidOpcode:
-      return "invalid opcode: 0000 [#1] SMP: " + detail;
+      prefix = "invalid opcode: 0000 [#1] SMP: ";
+      break;
     case EventType::PageAllocationFailure:
-      return detail + ", mode:0x4020";
+      suffix = ", mode:0x4020";
+      break;
     case EventType::OomKill:
-      return detail + " score 987 or sacrifice child";
+      suffix = " score 987 or sacrifice child";
+      break;
     case EventType::HungTaskTimeout:
-      return "INFO: task blocked for more than 120 seconds: " + detail;
+      prefix = "INFO: task blocked for more than 120 seconds: ";
+      break;
     case EventType::LustreBug:
-      return "LustreError: LBUG - ASSERTION failed: " + detail;
+      prefix = "LustreError: LBUG - ASSERTION failed: ";
+      break;
     case EventType::LustreError:
-      return "LustreError: 11-0: " + detail;
+      prefix = "LustreError: 11-0: ";
+      break;
     case EventType::DvsError:
-      return "DVS: " + detail;
+      prefix = "DVS: ";
+      break;
     case EventType::InodeError:
-      return "LDISKFS-fs error: bad inode: " + detail;
+      prefix = "LDISKFS-fs error: bad inode: ";
+      break;
     case EventType::InterconnectError:
-      return "hsn: link error detected: " + detail;
+      prefix = "hsn: link error detected: ";
+      break;
     case EventType::NodeShutdown:
-      return "Shutdown: system going down: " + detail;
+      prefix = "Shutdown: system going down: ";
+      break;
     case EventType::NodeHalt:
-      return "System halted: " + detail;
+      prefix = "System halted: ";
+      break;
     case EventType::NodeBoot:
-      return "Booting Linux on physical CPU 0x0: " + detail;
+      prefix = "Booting Linux on physical CPU 0x0: ";
+      break;
     default:
-      return detail;
+      break;
   }
+  out += prefix;
+  out += symbols.view(r.detail);
+  out += suffix;
 }
 
 std::string_view erd_event_name(EventType t) noexcept {
@@ -88,237 +116,324 @@ std::string_view erd_event_name(EventType t) noexcept {
 
 namespace {
 
-/// Controller payload for controller-scoped event types.
-std::string controller_payload(const LogRecord& r, const logmodel::SymbolTable& symbols) {
-  const std::string detail{symbols.view(r.detail)};
-  char value_buf[48];
+/// Appends the controller payload for controller-scoped event types.
+void controller_payload(std::string& out, const LogRecord& r,
+                        const logmodel::SymbolTable& symbols) {
   switch (r.type) {
     case EventType::SedcTemperatureWarning:
-      std::snprintf(value_buf, sizeof value_buf, "%.3f", r.value);
-      return std::string("ec_sedc_warning: CPU_TEMP reading ") + value_buf +
-             " outside allowed band";
+      out += "ec_sedc_warning: CPU_TEMP reading ";
+      util::append_fixed(out, r.value, 3);
+      out += " outside allowed band";
+      return;
     case EventType::SedcVoltageWarning:
-      std::snprintf(value_buf, sizeof value_buf, "%.3f", r.value);
-      return std::string("ec_sedc_warning: VDD reading ") + value_buf + " below minimum";
+      out += "ec_sedc_warning: VDD reading ";
+      util::append_fixed(out, r.value, 3);
+      out += " below minimum";
+      return;
     case EventType::SedcAirVelocityWarning:
-      std::snprintf(value_buf, sizeof value_buf, "%.3f", r.value);
-      return std::string("ec_sedc_warning: AIR_VEL reading ") + value_buf +
-             " below minimum";
+      out += "ec_sedc_warning: AIR_VEL reading ";
+      util::append_fixed(out, r.value, 3);
+      out += " below minimum";
+      return;
     case EventType::SedcFanSpeedWarning:
-      std::snprintf(value_buf, sizeof value_buf, "%.3f", r.value);
-      return std::string("ec_environment: fan speed deviation reading ") + value_buf;
+      out += "ec_environment: fan speed deviation reading ";
+      util::append_fixed(out, r.value, 3);
+      return;
     case EventType::SedcReading:
-      std::snprintf(value_buf, sizeof value_buf, "%.3f", r.value);
-      return "sedc: " + detail + " value=" + value_buf;
+      out += "sedc: ";
+      out += symbols.view(r.detail);
+      out += " value=";
+      util::append_fixed(out, r.value, 3);
+      return;
     case EventType::CabinetPowerFault:
-      return "cabinet power fault detected";
+      out += "cabinet power fault detected";
+      return;
     case EventType::CabinetMicroFault:
-      return "cabinet micro controller fault";
+      out += "cabinet micro controller fault";
+      return;
     case EventType::CommunicationFault:
-      return "communication fault: controller timeout";
+      out += "communication fault: controller timeout";
+      return;
     case EventType::ModuleHealthFault:
-      return "module health fault";
+      out += "module health fault";
+      return;
     case EventType::RpmFault:
-      return "RPM fault on fan 3";
+      out += "RPM fault on fan 3";
+      return;
     case EventType::EcbFault:
-      return "ECB fault: circuit breaker tripped";
+      out += "ECB fault: circuit breaker tripped";
+      return;
     case EventType::CabinetSensorCheck:
-      return "cabinet sensor check failed";
+      out += "cabinet sensor check failed";
+      return;
     case EventType::GetSensorReadingFailed:
-      return "get sensor reading failed";
+      out += "get sensor reading failed";
+      return;
     case EventType::BladeHeartbeatFault:
-      return "bc heartbeat fault";
+      out += "bc heartbeat fault";
+      return;
     case EventType::L0SysdMce:
-      return "L0_sysd_mce: " + detail;
+      out += "L0_sysd_mce: ";
+      out += symbols.view(r.detail);
+      return;
     default:
-      return detail;
+      out += symbols.view(r.detail);
+      return;
+  }
+}
+
+void append_job_suffix(std::string& out, const LogRecord& r) {
+  if (r.has_job()) {
+    out += " jobid=";
+    util::append_int(out, r.job_id);
   }
 }
 
 }  // namespace
 
-std::string LogRenderer::console_line(const LogRecord& r) const {
-  std::string line = util::format_iso(r.time);
-  line += ' ';
-  line += topo_.node_name(r.node);
+void LogRenderer::append_component(std::string& out, const LogRecord& r,
+                                   std::string_view fallback) const {
+  if (r.has_node()) {
+    topo_.cname_of(r.node).append_to(out);
+  } else if (r.has_blade()) {
+    topo_.cname_of_blade(r.blade).append_to(out);
+  } else if (r.has_cabinet()) {
+    topo_.cname_of_cabinet(r.cabinet).append_to(out);
+  } else {
+    out += fallback;
+  }
+}
+
+void LogRenderer::append_console(std::string& out, const LogRecord& r) const {
+  util::append_iso(out, r.time);
+  out += ' ';
+  topo_.append_node_name(out, r.node);
   if (topo_.config().naming == platform::NamingScheme::CrayCname) {
-    line += ' ';
-    line += topo_.cname_of(r.node).to_string();
+    out += ' ';
+    topo_.cname_of(r.node).append_to(out);
   }
-  line += r.source == LogSource::Consumer ? " hwerrd: " : " kernel: ";
-  line += internal_payload(r, symbols_);
-  if (r.has_job()) {
-    line += " jobid=";
-    line += std::to_string(r.job_id);
-  }
-  return line;
+  out += r.source == LogSource::Consumer ? " hwerrd: " : " kernel: ";
+  internal_payload(out, r, symbols_);
+  append_job_suffix(out, r);
 }
 
-std::string LogRenderer::messages_line(const LogRecord& r) const {
-  std::string line = util::format_syslog(r.time);
-  line += ' ';
-  line += topo_.node_name(r.node);
-  line += " nhc[2114]: ";
-  line += symbols_.view(r.detail);
-  if (r.has_job()) {
-    line += " jobid=";
-    line += std::to_string(r.job_id);
-  }
-  return line;
+void LogRenderer::append_messages(std::string& out, const LogRecord& r) const {
+  util::append_syslog(out, r.time);
+  out += ' ';
+  topo_.append_node_name(out, r.node);
+  out += " nhc[2114]: ";
+  out += symbols_.view(r.detail);
+  append_job_suffix(out, r);
 }
 
-std::string LogRenderer::controller_line(const LogRecord& r) const {
-  std::string line = util::format_iso(r.time);
-  line += ' ';
+void LogRenderer::append_controller(std::string& out, const LogRecord& r) const {
+  util::append_iso(out, r.time);
+  out += ' ';
+  append_component(out, r, "c?-?");
+  out += " cc: ";
+  controller_payload(out, r, symbols_);
+}
+
+void LogRenderer::append_erd(std::string& out, const LogRecord& r) const {
+  util::append_iso(out, r.time);
+  out += " erd ev=";
+  out += erd_event_name(r.type);
+  out += " src=";
+  append_component(out, r, "c0-0");
   if (r.has_node()) {
-    line += topo_.cname_of(r.node).to_string();
-  } else if (r.has_blade()) {
-    line += topo_.cname_of_blade(r.blade).to_string();
-  } else if (r.has_cabinet()) {
-    line += topo_.cname_of_cabinet(r.cabinet).to_string();
-  } else {
-    line += "c?-?";
+    out += " node=";
+    topo_.append_node_name(out, r.node);
   }
-  line += " cc: ";
-  line += controller_payload(r, symbols_);
-  return line;
+  out += ' ';
+  out += symbols_.view(r.detail);
 }
 
-std::string LogRenderer::erd_line(const LogRecord& r) const {
-  std::string line = util::format_iso(r.time);
-  line += " erd ev=";
-  line += erd_event_name(r.type);
-  line += " src=";
-  if (r.has_node()) {
-    line += topo_.cname_of(r.node).to_string();
-  } else if (r.has_blade()) {
-    line += topo_.cname_of_blade(r.blade).to_string();
-  } else if (r.has_cabinet()) {
-    line += topo_.cname_of_cabinet(r.cabinet).to_string();
-  } else {
-    line += "c0-0";
-  }
-  if (r.has_node()) {
-    line += " node=";
-    line += topo_.node_name(r.node);
-  }
-  line += ' ';
-  line += symbols_.view(r.detail);
-  return line;
-}
-
-std::string LogRenderer::scheduler_line(const LogRecord& r) const {
+void LogRenderer::append_scheduler(std::string& out, const LogRecord& r) const {
   // Minimal record-level rendering; full job groups come from
-  // render_job_lines which also carries the node list.
-  std::string line = util::format_iso(r.time);
-  line += scheduler_ == platform::SchedulerKind::Slurm ? " slurmctld: " : " pbs_server: ";
-  const std::string detail{symbols_.view(r.detail)};
+  // append_job_line which also carries the node list.
+  util::append_iso(out, r.time);
+  out += scheduler_ == platform::SchedulerKind::Slurm ? " slurmctld: " : " pbs_server: ";
+  const std::string_view detail = symbols_.view(r.detail);
   switch (r.type) {
     case EventType::JobStart:
-      line += "sched: Allocate JobId=" + std::to_string(r.job_id) + " App=" + detail;
+      out += "sched: Allocate JobId=";
+      util::append_int(out, r.job_id);
+      out += " App=";
+      out += detail;
       break;
     case EventType::JobEnd:
-      line += "JobId=" + std::to_string(r.job_id) +
-              " Ended ExitCode=" + std::to_string(static_cast<int>(r.value)) +
-              ":0 Reason=" + detail;
+      out += "JobId=";
+      util::append_int(out, r.job_id);
+      out += " Ended ExitCode=";
+      util::append_int(out, static_cast<int>(r.value));
+      out += ":0 Reason=";
+      out += detail;
       break;
     case EventType::JobCancelled:
-      line += "scancel JobId=" + std::to_string(r.job_id) + " " + detail;
+      out += "scancel JobId=";
+      util::append_int(out, r.job_id);
+      out += ' ';
+      out += detail;
       break;
     case EventType::JobOverallocation:
-      line += "error: JobId=" + std::to_string(r.job_id) +
-              " allocated memory exceeds node capacity";
+      out += "error: JobId=";
+      util::append_int(out, r.job_id);
+      out += " allocated memory exceeds node capacity";
       break;
     case EventType::EpilogueRun:
-      line += "epilog complete JobId=" + std::to_string(r.job_id);
+      out += "epilog complete JobId=";
+      util::append_int(out, r.job_id);
       break;
     case EventType::NhcSuspectMode:
-      line += "NHC: suspect JobId=" + std::to_string(r.job_id);
+      out += "NHC: suspect JobId=";
+      util::append_int(out, r.job_id);
       break;
     default:
-      line += detail;
+      out += detail;
       break;
   }
-  return line;
 }
 
-std::string LogRenderer::render(const LogRecord& r) const {
+void LogRenderer::append(std::string& out, const LogRecord& r) const {
   switch (r.source) {
     case LogSource::Console:
     case LogSource::Consumer:
-      return console_line(r);
+      append_console(out, r);
+      return;
     case LogSource::Messages:
-      return messages_line(r);
+      append_messages(out, r);
+      return;
     case LogSource::Controller:
-      return controller_line(r);
+      append_controller(out, r);
+      return;
     case LogSource::Erd:
-      return erd_line(r);
+      append_erd(out, r);
+      return;
     case LogSource::Scheduler:
-      return scheduler_line(r);
+      append_scheduler(out, r);
+      return;
     case LogSource::kCount:
-      break;
+      return;
   }
-  return {};
 }
 
-std::vector<LogRenderer::SchedulerLine> LogRenderer::render_job_lines(
-    const jobs::Job& job) const {
-  std::vector<SchedulerLine> lines;
-  char buf[64];
+namespace {
 
-  std::snprintf(buf, sizeof buf, " MemPerNode=%.1fG", job.mem_per_node_gb);
-  const std::string alloc_fields =
-      "Apid=" + std::to_string(job.apid) + " User=" + job.user + " App=" + job.app_name +
-      " NodeList=" + compress_node_list(job.nodes, topo_.config().naming) +
-      " NodeCnt=" + std::to_string(job.nodes.size()) + buf;
+/// Event time of a job line, whether or not the job's outcome emits it.
+util::TimePoint line_time(const jobs::Job& job, LogRenderer::JobLine line) noexcept {
+  switch (line) {
+    case LogRenderer::JobLine::Allocate:
+      return job.start;
+    case LogRenderer::JobLine::Overallocated:
+      return job.start + util::Duration::seconds(30);
+    case LogRenderer::JobLine::Cancelled:
+      return job.end - util::Duration::seconds(1);
+    case LogRenderer::JobLine::End:
+      return job.end;
+    case LogRenderer::JobLine::Epilogue:
+      return job.end + util::Duration::seconds(5);
+  }
+  return job.start;
+}
 
+}  // namespace
+
+std::optional<util::TimePoint> LogRenderer::job_line_time(const jobs::Job& job,
+                                                          JobLine line) noexcept {
+  if ((line == JobLine::Overallocated && job.outcome != jobs::JobOutcome::Overallocated) ||
+      (line == JobLine::Cancelled && job.outcome != jobs::JobOutcome::UserCancelled)) {
+    return std::nullopt;
+  }
+  return line_time(job, line);
+}
+
+void LogRenderer::append_alloc_fields(std::string& out, const jobs::Job& job) {
+  out += "Apid=";
+  util::append_int(out, job.apid);
+  out += " User=";
+  out += job.user;
+  out += " App=";
+  out += job.app_name;
+  out += " NodeList=";
+  append_node_list(out, job.nodes, topo_.config().naming, node_bits_);
+  out += " NodeCnt=";
+  util::append_int(out, static_cast<std::int64_t>(job.nodes.size()));
+  out += " MemPerNode=";
+  util::append_fixed(out, job.mem_per_node_gb, 1);
+  out += 'G';
+}
+
+void LogRenderer::append_job_line(std::string& out, const jobs::Job& job, JobLine line) {
+  const util::TimePoint t = line_time(job, line);
   if (scheduler_ == platform::SchedulerKind::Slurm) {
-    const std::string daemon = " slurmctld: ";
-    lines.push_back({job.start, util::format_iso(job.start) + daemon +
-                                    "sched: Allocate JobId=" + std::to_string(job.job_id) +
-                                    ' ' + alloc_fields});
-    if (job.outcome == jobs::JobOutcome::Overallocated) {
-      const util::TimePoint t = job.start + util::Duration::seconds(30);
-      lines.push_back({t, util::format_iso(t) + daemon + "error: JobId=" +
-                              std::to_string(job.job_id) +
-                              " OverallocCnt=" + std::to_string(job.overallocated_nodes) +
-                              " allocated memory exceeds node capacity"});
+    util::append_iso(out, t);
+    out += " slurmctld: ";
+    switch (line) {
+      case JobLine::Allocate:
+        out += "sched: Allocate JobId=";
+        util::append_int(out, job.job_id);
+        out += ' ';
+        append_alloc_fields(out, job);
+        return;
+      case JobLine::Overallocated:
+        out += "error: JobId=";
+        util::append_int(out, job.job_id);
+        out += " OverallocCnt=";
+        util::append_int(out, job.overallocated_nodes);
+        out += " allocated memory exceeds node capacity";
+        return;
+      case JobLine::Cancelled:
+        out += "scancel JobId=";
+        util::append_int(out, job.job_id);
+        out += " by user ";
+        out += job.user;
+        return;
+      case JobLine::End:
+        out += "JobId=";
+        util::append_int(out, job.job_id);
+        out += " Ended ExitCode=";
+        util::append_int(out, job.exit_code());
+        out += ":0 Reason=";
+        out += to_string(job.outcome);
+        return;
+      case JobLine::Epilogue:
+        out += "epilog complete JobId=";
+        util::append_int(out, job.job_id);
+        return;
     }
-    if (job.outcome == jobs::JobOutcome::UserCancelled) {
-      const util::TimePoint t = job.end - util::Duration::seconds(1);
-      lines.push_back({t, util::format_iso(t) + daemon + "scancel JobId=" +
-                              std::to_string(job.job_id) + " by user " + job.user});
-    }
-    lines.push_back({job.end, util::format_iso(job.end) + daemon + "JobId=" +
-                                  std::to_string(job.job_id) +
-                                  " Ended ExitCode=" + std::to_string(job.exit_code()) +
-                                  ":0 Reason=" + std::string(to_string(job.outcome))});
-    const util::TimePoint epi = job.end + util::Duration::seconds(5);
-    lines.push_back({epi, util::format_iso(epi) + daemon +
-                              "epilog complete JobId=" + std::to_string(job.job_id)});
-    return lines;
+    return;
   }
 
   // Torque/PBS server-log dialect:
   //   MM/DD/YYYY HH:MM:SS;0008;PBS_Server;Job;<id>.sdb;<payload>
-  auto torque = [&job](util::TimePoint t, const std::string& payload) {
-    return SchedulerLine{t, util::format_torque(t) + ";0008;PBS_Server;Job;" +
-                                std::to_string(job.job_id) + ".sdb;" + payload};
-  };
-  lines.push_back(torque(job.start, "Job Run " + alloc_fields));
-  if (job.outcome == jobs::JobOutcome::Overallocated) {
-    lines.push_back(torque(job.start + util::Duration::seconds(30),
-                           "OverallocCnt=" + std::to_string(job.overallocated_nodes) +
-                               " allocated memory exceeds node capacity"));
+  util::append_torque(out, t);
+  out += ";0008;PBS_Server;Job;";
+  util::append_int(out, job.job_id);
+  out += ".sdb;";
+  switch (line) {
+    case JobLine::Allocate:
+      out += "Job Run ";
+      append_alloc_fields(out, job);
+      return;
+    case JobLine::Overallocated:
+      out += "OverallocCnt=";
+      util::append_int(out, job.overallocated_nodes);
+      out += " allocated memory exceeds node capacity";
+      return;
+    case JobLine::Cancelled:
+      out += "Job deleted by user ";
+      out += job.user;
+      return;
+    case JobLine::End:
+      out += "Exit_status=";
+      util::append_int(out, job.exit_code());
+      out += " Reason=";
+      out += to_string(job.outcome);
+      return;
+    case JobLine::Epilogue:
+      out += "Epilogue complete";
+      return;
   }
-  if (job.outcome == jobs::JobOutcome::UserCancelled) {
-    lines.push_back(
-        torque(job.end - util::Duration::seconds(1), "Job deleted by user " + job.user));
-  }
-  lines.push_back(torque(job.end, "Exit_status=" + std::to_string(job.exit_code()) +
-                                      " Reason=" + std::string(to_string(job.outcome))));
-  lines.push_back(torque(job.end + util::Duration::seconds(5), "Epilogue complete"));
-  return lines;
 }
 
 }  // namespace hpcfail::loggen

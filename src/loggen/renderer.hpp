@@ -14,7 +14,10 @@
 // property is tested in tests/roundtrip_test.cpp.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "jobs/job.hpp"
@@ -32,41 +35,57 @@ class LogRenderer {
   LogRenderer(const platform::Topology& topo, platform::SchedulerKind scheduler,
               const logmodel::SymbolTable& symbols);
 
-  /// Renders one record as a single line (no trailing newline). Scheduler-
-  /// source records are rendered via the job grammar without a node list;
-  /// prefer render_job_lines for jobs.
-  [[nodiscard]] std::string render(const logmodel::LogRecord& r) const;
+  /// Appends one record as a single line (no trailing newline). Scheduler-
+  /// source records render via the job grammar without a node list; jobs
+  /// render through append_job_line.
+  void append(std::string& out, const logmodel::LogRecord& r) const;
+  [[nodiscard]] std::string render(const logmodel::LogRecord& r) const {
+    std::string line;
+    append(line, r);
+    return line;
+  }
 
-  /// One scheduler-log line with its event time (Torque timestamps do not
-  /// sort lexically, so the corpus writer sorts by this time).
-  struct SchedulerLine {
-    util::TimePoint time;
-    std::string text;
-  };
+  /// The scheduler-log lines of a job, in emission order: allocation, an
+  /// over-allocation or cancellation event when the outcome has one, end,
+  /// epilogue.
+  enum class JobLine : std::uint8_t { Allocate, Overallocated, Cancelled, End, Epilogue };
+  static constexpr std::uint8_t kJobLineKinds = 5;
 
-  /// Renders the scheduler-log lines of a complete job (allocation, any
-  /// cancellation/over-allocation event, end, epilogue) in time order,
-  /// in the dialect of the system's scheduler.
-  [[nodiscard]] std::vector<SchedulerLine> render_job_lines(const jobs::Job& job) const;
+  /// Event time of `line` for `job`, or nullopt when the job's outcome has
+  /// no such line.  Torque timestamps do not sort lexically, so the corpus
+  /// writer sorts scheduler lines by this time.
+  [[nodiscard]] static std::optional<util::TimePoint> job_line_time(const jobs::Job& job,
+                                                                    JobLine line) noexcept;
+
+  /// Appends one scheduler-log line of `job` (no trailing newline) in the
+  /// dialect of the system's scheduler.  Non-const: the node list reuses a
+  /// scratch bitset.
+  void append_job_line(std::string& out, const jobs::Job& job, JobLine line);
 
   [[nodiscard]] const platform::Topology& topology() const noexcept { return topo_; }
 
  private:
-  [[nodiscard]] std::string console_line(const logmodel::LogRecord& r) const;
-  [[nodiscard]] std::string messages_line(const logmodel::LogRecord& r) const;
-  [[nodiscard]] std::string controller_line(const logmodel::LogRecord& r) const;
-  [[nodiscard]] std::string erd_line(const logmodel::LogRecord& r) const;
-  [[nodiscard]] std::string scheduler_line(const logmodel::LogRecord& r) const;
+  void append_console(std::string& out, const logmodel::LogRecord& r) const;
+  void append_messages(std::string& out, const logmodel::LogRecord& r) const;
+  void append_controller(std::string& out, const logmodel::LogRecord& r) const;
+  void append_erd(std::string& out, const logmodel::LogRecord& r) const;
+  void append_scheduler(std::string& out, const logmodel::LogRecord& r) const;
+  /// cname of the record's node, else its blade, else its cabinet, else
+  /// `fallback`.
+  void append_component(std::string& out, const logmodel::LogRecord& r,
+                        std::string_view fallback) const;
+  void append_alloc_fields(std::string& out, const jobs::Job& job);
 
   const platform::Topology& topo_;
   platform::SchedulerKind scheduler_;
   const logmodel::SymbolTable& symbols_;
+  std::vector<std::uint64_t> node_bits_;  ///< append_node_list scratch
 };
 
-/// Kernel payload for an internal event type (shared with the consumer
-/// grammar). Exposed for tests.  `symbols` resolves r.detail.
-[[nodiscard]] std::string internal_payload(const logmodel::LogRecord& r,
-                                           const logmodel::SymbolTable& symbols);
+/// Appends the kernel payload for an internal event type (shared with the
+/// consumer grammar).  `symbols` resolves r.detail.
+void internal_payload(std::string& out, const logmodel::LogRecord& r,
+                      const logmodel::SymbolTable& symbols);
 
 /// ERD event name for an external event type (e.g. "ec_node_failed").
 [[nodiscard]] std::string_view erd_event_name(logmodel::EventType t) noexcept;

@@ -1,6 +1,6 @@
 #include "platform/cname.hpp"
 
-#include <cstdio>
+#include "util/strings.hpp"
 
 namespace hpcfail::platform {
 
@@ -30,23 +30,27 @@ Cname Cname::truncated(CnameLevel lvl) const noexcept {
   return out;
 }
 
+void Cname::append_to(std::string& out) const {
+  out += 'c';
+  util::append_int(out, cab_x);
+  out += '-';
+  util::append_int(out, cab_y);
+  const CnameLevel lvl = level();
+  if (lvl == CnameLevel::Cabinet) return;
+  out += 'c';
+  util::append_int(out, chassis);
+  if (lvl == CnameLevel::Chassis) return;
+  out += 's';
+  util::append_int(out, slot);
+  if (lvl == CnameLevel::Blade) return;
+  out += 'n';
+  util::append_int(out, node);
+}
+
 std::string Cname::to_string() const {
-  char buf[48];
-  switch (level()) {
-    case CnameLevel::Cabinet:
-      std::snprintf(buf, sizeof buf, "c%d-%d", cab_x, cab_y);
-      break;
-    case CnameLevel::Chassis:
-      std::snprintf(buf, sizeof buf, "c%d-%dc%d", cab_x, cab_y, chassis);
-      break;
-    case CnameLevel::Blade:
-      std::snprintf(buf, sizeof buf, "c%d-%dc%ds%d", cab_x, cab_y, chassis, slot);
-      break;
-    case CnameLevel::Node:
-      std::snprintf(buf, sizeof buf, "c%d-%dc%ds%dn%d", cab_x, cab_y, chassis, slot, node);
-      break;
-  }
-  return buf;
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 std::optional<Cname> parse_cname(std::string_view s) noexcept {
@@ -77,10 +81,15 @@ std::optional<Cname> parse_cname(std::string_view s) noexcept {
   return c;  // node
 }
 
+void append_nid(std::string& out, std::uint32_t node_index) {
+  out += "nid";
+  util::append_padded(out, node_index, 5);
+}
+
 std::string format_nid(std::uint32_t node_index) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "nid%05u", node_index);
-  return buf;
+  std::string out;
+  append_nid(out, node_index);
+  return out;
 }
 
 std::optional<std::uint32_t> parse_nid(std::string_view s) noexcept {
@@ -93,10 +102,15 @@ std::optional<std::uint32_t> parse_nid(std::string_view s) noexcept {
   return value;
 }
 
+void append_hostname(std::string& out, std::uint32_t node_index) {
+  out += "node";
+  util::append_padded(out, node_index, 4);
+}
+
 std::string format_hostname(std::uint32_t node_index) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "node%04u", node_index);
-  return buf;
+  std::string out;
+  append_hostname(out, node_index);
+  return out;
 }
 
 std::optional<std::uint32_t> parse_hostname(std::string_view s) noexcept {

@@ -9,6 +9,7 @@
 // S in [0, slots/chassis), N in [0, nodes/slot).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,6 +35,8 @@ struct Cname {
   /// Drops components below the requested level.
   [[nodiscard]] Cname truncated(CnameLevel lvl) const noexcept;
 
+  /// Appends the cname ("c12-3c2s7n3" at node level) to `out`.
+  void append_to(std::string& out) const;
   [[nodiscard]] std::string to_string() const;
 
   bool operator==(const Cname&) const = default;
@@ -42,13 +45,16 @@ struct Cname {
 /// Parses any cname level. Rejects trailing garbage and negative fields.
 [[nodiscard]] std::optional<Cname> parse_cname(std::string_view s) noexcept;
 
-/// Formats a dense node index as a Cray nid hostname, e.g. nid00042.
+/// Formats a dense node index as a Cray nid hostname, e.g. nid00042
+/// (`nid%05u`: wider indices keep all their digits).
+void append_nid(std::string& out, std::uint32_t node_index);
 [[nodiscard]] std::string format_nid(std::uint32_t node_index);
 
 /// Parses "nid00042" -> 42. Accepts 3..8 digits.
 [[nodiscard]] std::optional<std::uint32_t> parse_nid(std::string_view s) noexcept;
 
-/// Institutional-cluster hostname, e.g. node0042.
+/// Institutional-cluster hostname, e.g. node0042 (`node%04u`).
+void append_hostname(std::string& out, std::uint32_t node_index);
 [[nodiscard]] std::string format_hostname(std::uint32_t node_index);
 
 /// Parses "node0042" -> 42.

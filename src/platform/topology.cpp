@@ -128,10 +128,20 @@ std::optional<CabinetId> Topology::cabinet_from_cname(const Cname& c) const noex
   return CabinetId{cabinet};
 }
 
+void Topology::append_node_name(std::string& out, NodeId n) const {
+  if (!n.valid() || n.value >= node_count_) {
+    out += "nid-invalid";
+  } else if (config_.naming == NamingScheme::CrayCname) {
+    append_nid(out, n.value);
+  } else {
+    append_hostname(out, n.value);
+  }
+}
+
 std::string Topology::node_name(NodeId n) const {
-  if (!n.valid() || n.value >= node_count_) return "nid-invalid";
-  return config_.naming == NamingScheme::CrayCname ? format_nid(n.value)
-                                                   : format_hostname(n.value);
+  std::string out;
+  append_node_name(out, n);
+  return out;
 }
 
 std::optional<NodeId> Topology::node_from_name(std::string_view name) const noexcept {

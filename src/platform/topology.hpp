@@ -47,6 +47,9 @@ class Topology {
   [[nodiscard]] std::uint32_t blade_count() const noexcept { return blade_count_; }
   [[nodiscard]] std::uint32_t chassis_count() const noexcept { return chassis_count_; }
   [[nodiscard]] std::uint32_t cabinet_count() const noexcept { return cabinet_count_; }
+  /// Nodes on a full blade; blade b holds [b * nodes_per_blade(),
+  /// min((b + 1) * nodes_per_blade(), node_count())).
+  [[nodiscard]] std::uint32_t nodes_per_blade() const noexcept { return nodes_per_blade_; }
 
   [[nodiscard]] BladeId blade_of(NodeId n) const noexcept;
   [[nodiscard]] ChassisId chassis_of(BladeId b) const noexcept;
@@ -68,6 +71,7 @@ class Topology {
   [[nodiscard]] std::optional<CabinetId> cabinet_from_cname(const Cname& c) const noexcept;
 
   /// Node hostname as it appears in internal logs (nid##### or node####).
+  void append_node_name(std::string& out, NodeId n) const;
   [[nodiscard]] std::string node_name(NodeId n) const;
 
   /// Inverse of node_name; validates against node_count.

@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/scan.hpp"
@@ -148,6 +149,42 @@ std::optional<std::string_view> find_kv(std::string_view line, std::string_view 
     pos = hit + 1;
   }
   return std::nullopt;
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+char* put_padded(char* p, std::uint64_t v, int width) noexcept {
+  char digits[20];
+  const auto len = static_cast<int>(std::to_chars(digits, digits + sizeof digits, v).ptr - digits);
+  for (int i = len; i < width; ++i) *p++ = '0';
+  return std::copy_n(digits, len, p);
+}
+
+void append_padded(std::string& out, std::int64_t v, int width) {
+  if (v < 0) {
+    out += '-';
+    --width;  // the sign counts toward the width
+  }
+  if (width > 20) {
+    out.append(static_cast<std::size_t>(width - 20), '0');
+    width = 20;
+  }
+  const std::uint64_t magnitude =
+      v < 0 ? 0 - static_cast<std::uint64_t>(v) : static_cast<std::uint64_t>(v);
+  char buf[20];
+  out.append(buf, static_cast<std::size_t>(put_padded(buf, magnitude, width) - buf));
+}
+
+void append_fixed(std::string& out, double v, int precision) {
+  // Widest case: 309 integer digits of DBL_MAX, sign, point, fraction.
+  char buf[328];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                                 std::min(precision, 16));
+  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
 }
 
 }  // namespace hpcfail::util

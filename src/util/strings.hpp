@@ -63,4 +63,25 @@ namespace hpcfail::util {
 [[nodiscard]] std::optional<std::string_view> find_kv(std::string_view line,
                                                       std::string_view key) noexcept;
 
+// Appenders write the bytes of one printf conversion straight onto `out`,
+// without a temporary string.  The log renderers build every line with
+// them; tests/loggen_test.cpp checks each against snprintf.
+
+/// `%lld`.
+void append_int(std::string& out, std::int64_t v);
+
+/// `%0*lld`: zero-padded to at least `width` characters, the sign included
+/// ("-0042" for -42 at width 5; wider values are never truncated).
+void append_padded(std::string& out, std::int64_t v, int width);
+
+/// The raw-buffer kernel of append_padded, for writers that batch many
+/// fields into one append: writes `%0*llu` of `v` at `p` and returns the
+/// end.  `p` needs room for max(width, digits of v) characters, so at most
+/// max(width, 20).
+char* put_padded(char* p, std::uint64_t v, int width) noexcept;
+
+/// `%.*f` with `precision` fraction digits (at most 16; more are clamped):
+/// exact, ties to even, and "nan"/"inf" with their sign, like glibc's printf.
+void append_fixed(std::string& out, double v, int precision);
+
 }  // namespace hpcfail::util

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "util/scan.hpp"
+#include "util/strings.hpp"
 
 namespace hpcfail::util {
 
@@ -54,6 +55,22 @@ int parse_month_sp(const char* p) noexcept {
     if (key == kMonthKeys[i]) return static_cast<int>(i) + 1;
   }
   return 0;
+}
+
+/// Writes `v` (0..99) as two digits.
+char* put2(char* p, int v) noexcept {
+  p[0] = static_cast<char>('0' + v / 10);
+  p[1] = static_cast<char>('0' + v % 10);
+  return p + 2;
+}
+
+/// Writes `%04d` of a year: four digits in the common case, printf's wider
+/// or signed form outside 0..9999 (up to 11 characters).
+char* put_year(char* p, int year) noexcept {
+  if (year >= 0 && year <= 9999) return put2(put2(p, year / 100), year % 100);
+  if (year >= 0) return put_padded(p, static_cast<std::uint64_t>(year), 4);
+  *p++ = '-';
+  return put_padded(p, 0 - static_cast<std::uint64_t>(static_cast<std::int64_t>(year)), 3);
 }
 
 bool valid_civil(int mo, int d, int h, int mi, int sec) noexcept {
@@ -118,12 +135,31 @@ CivilTime civil_time(TimePoint t) noexcept {
   return c;
 }
 
-std::string format_iso(TimePoint t) {
+void append_iso(std::string& out, TimePoint t) {
   const CivilTime c = civil_time(t);
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%06d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second, c.usec);
-  return buf;
+  char buf[40];  // YYYY-MM-DDTHH:MM:SS.ffffff
+  char* p = put_year(buf, c.year);
+  *p++ = '-';
+  p = put2(p, c.month);
+  *p++ = '-';
+  p = put2(p, c.day);
+  *p++ = 'T';
+  p = put2(p, c.hour);
+  *p++ = ':';
+  p = put2(p, c.minute);
+  *p++ = ':';
+  p = put2(p, c.second);
+  *p++ = '.';
+  p = put2(p, c.usec / 10000);
+  p = put2(p, c.usec / 100 % 100);
+  p = put2(p, c.usec % 100);
+  out.append(buf, static_cast<std::size_t>(p - buf));
+}
+
+std::string format_iso(TimePoint t) {
+  std::string out;
+  append_iso(out, t);
+  return out;
 }
 
 std::string format_sql(TimePoint t) {
@@ -134,13 +170,26 @@ std::string format_sql(TimePoint t) {
   return buf;
 }
 
-std::string format_syslog(TimePoint t) {
+void append_syslog(std::string& out, TimePoint t) {
   const CivilTime c = civil_time(t);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%s %2d %02d:%02d:%02d",
-                std::string(kMonthNames[static_cast<std::size_t>(c.month - 1)]).c_str(),
-                c.day, c.hour, c.minute, c.second);
-  return buf;
+  char buf[15];  // Mmm DD HH:MM:SS, the day space-padded
+  kMonthNames[static_cast<std::size_t>(c.month - 1)].copy(buf, 3);
+  buf[3] = ' ';
+  put2(buf + 4, c.day);
+  if (c.day < 10) buf[4] = ' ';
+  buf[6] = ' ';
+  char* p = put2(buf + 7, c.hour);
+  *p++ = ':';
+  p = put2(p, c.minute);
+  *p++ = ':';
+  put2(p, c.second);
+  out.append(buf, sizeof buf);
+}
+
+std::string format_syslog(TimePoint t) {
+  std::string out;
+  append_syslog(out, t);
+  return out;
 }
 
 std::optional<TimePoint> parse_iso(std::string_view s) noexcept {
@@ -209,12 +258,27 @@ std::optional<TimePoint> parse_syslog(std::string_view s, int base_year,
   return t;
 }
 
-std::string format_torque(TimePoint t) {
+void append_torque(std::string& out, TimePoint t) {
   const CivilTime c = civil_time(t);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%02d/%02d/%04d %02d:%02d:%02d", c.month, c.day, c.year,
-                c.hour, c.minute, c.second);
-  return buf;
+  char buf[32];  // MM/DD/YYYY HH:MM:SS
+  char* p = put2(buf, c.month);
+  *p++ = '/';
+  p = put2(p, c.day);
+  *p++ = '/';
+  p = put_year(p, c.year);
+  *p++ = ' ';
+  p = put2(p, c.hour);
+  *p++ = ':';
+  p = put2(p, c.minute);
+  *p++ = ':';
+  p = put2(p, c.second);
+  out.append(buf, static_cast<std::size_t>(p - buf));
+}
+
+std::string format_torque(TimePoint t) {
+  std::string out;
+  append_torque(out, t);
+  return out;
 }
 
 std::optional<TimePoint> parse_torque(std::string_view s) noexcept {

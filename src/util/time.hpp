@@ -91,11 +91,13 @@ void civil_from_days(std::int64_t z, int& y, int& m, int& d) noexcept;
                                   int s = 0, int us = 0) noexcept;
 [[nodiscard]] CivilTime civil_time(TimePoint t) noexcept;
 
-/// "2015-03-02T14:05:01.123456"
+/// "2015-03-02T14:05:01.123456" (`%04d-%02d-%02dT%02d:%02d:%02d.%06d`)
+void append_iso(std::string& out, TimePoint t);
 [[nodiscard]] std::string format_iso(TimePoint t);
 /// "2015-03-02 14:05:01" (scheduler-log style, seconds precision)
 [[nodiscard]] std::string format_sql(TimePoint t);
 /// "Mar  2 14:05:01" (syslog style; day is space-padded)
+void append_syslog(std::string& out, TimePoint t);
 [[nodiscard]] std::string format_syslog(TimePoint t);
 
 /// Parses the ISO format produced by format_iso. Fractional seconds of any
@@ -118,6 +120,7 @@ void civil_from_days(std::int64_t z, int& y, int& m, int& d) noexcept;
                                                     int base_month) noexcept;
 
 /// "03/02/2015 14:05:01" (Torque/PBS server-log style).
+void append_torque(std::string& out, TimePoint t);
 [[nodiscard]] std::string format_torque(TimePoint t);
 [[nodiscard]] std::optional<TimePoint> parse_torque(std::string_view s) noexcept;
 

@@ -2,7 +2,9 @@
 // job table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "jobs/allocator.hpp"
@@ -104,6 +106,114 @@ TEST(AllocatorTest, ImpossibleRequests) {
   EXPECT_TRUE(alloc.allocate(0, t0, t0, AllocPolicy::Scattered, rng).empty());
   EXPECT_TRUE(
       alloc.allocate(topo.node_count() + 1, t0, t0, AllocPolicy::Scattered, rng).empty());
+}
+
+/// NodeAllocator::allocate as it was before its walks became add-and-wrap:
+/// a 32-bit `(offset + step * stride) % n` per scattered probe and a
+/// nodes_on_blade vector per blade.  Kept verbatim as the oracle of
+/// WalkMatchesModuloReference.
+class ModuloAllocator {
+ public:
+  explicit ModuloAllocator(const platform::Topology& topo)
+      : topo_(topo), free_at_(topo.node_count(), util::TimePoint{0}) {}
+
+  std::vector<platform::NodeId> allocate(std::uint32_t count, util::TimePoint start,
+                                         util::TimePoint end, AllocPolicy policy,
+                                         util::Rng& rng) {
+    std::vector<platform::NodeId> picked;
+    if (count == 0 || count > topo_.node_count()) return picked;
+    picked.reserve(count);
+    auto is_free = [this, start](std::uint32_t node) { return free_at_[node] <= start; };
+    if (policy == AllocPolicy::BladePacked) {
+      const std::uint32_t blades = topo_.blade_count();
+      const auto offset = static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(blades) - 1));
+      for (std::uint32_t step = 0; step < blades && picked.size() < count; ++step) {
+        const platform::BladeId blade{(offset + step) % blades};
+        for (const auto node : topo_.nodes_on_blade(blade)) {
+          if (picked.size() >= count) break;
+          if (is_free(node.value)) picked.push_back(node);
+        }
+      }
+    } else {
+      const std::uint32_t n = topo_.node_count();
+      const auto offset =
+          static_cast<std::uint32_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      auto stride = static_cast<std::uint32_t>(rng.uniform_int(1, 257));
+      while (std::gcd(stride, n) != 1) ++stride;
+      for (std::uint32_t step = 0; step < n && picked.size() < count; ++step) {
+        const std::uint32_t node = (offset + step * stride) % n;
+        if (is_free(node)) picked.push_back(platform::NodeId{node});
+      }
+    }
+    if (picked.size() < count) return {};
+    for (const auto node : picked) free_at_[node.value] = end;
+    return picked;
+  }
+
+  void release(platform::NodeId node, util::TimePoint at) {
+    if (node.valid() && node.value < free_at_.size()) {
+      free_at_[node.value] = std::min(free_at_[node.value], at);
+    }
+  }
+
+ private:
+  const platform::Topology& topo_;
+  std::vector<util::TimePoint> free_at_;
+};
+
+/// Seeded random call sequences (both policies, non-monotonic starts,
+/// early releases, requests from 0 to n + 1 nodes) must give the same picks
+/// and leave the caller's RNG at the same next draw.  Only machines where
+/// the oracle's `offset + step * stride` fits in 32 bits qualify: above
+/// ~16.6M nodes it wraps and can probe a node twice, which add-and-wrap
+/// never does.
+TEST(AllocatorTest, WalkMatchesModuloReference) {
+  for (const int per_blade : {4, 3}) {
+    for (const std::uint32_t n : {1u, 2u, 3u, 191u, 257u, 258u, 520u, 6400u}) {
+      platform::TopologyConfig cfg;
+      cfg.nodes_per_slot = per_blade;
+      const std::uint32_t per_cabinet = 3 * 16 * static_cast<std::uint32_t>(per_blade);
+      cfg.cabinet_cols = static_cast<int>((n + per_cabinet - 1) / per_cabinet);
+      cfg.max_nodes = n;
+      const platform::Topology topo(cfg);
+      ASSERT_EQ(topo.node_count(), n);
+      ASSERT_LT(std::uint64_t{n} * 300, std::uint64_t{1} << 32);  // oracle does not wrap
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " per_blade=" << per_blade
+                                          << " seed=" << seed);
+        NodeAllocator fast(topo);
+        ModuloAllocator oracle(topo);
+        util::Rng fast_rng(seed);
+        util::Rng oracle_rng(seed);
+        util::Rng script(seed * 7919 + n);
+        const util::TimePoint base = util::make_time(2015, 1, 1);
+        const auto max_small = std::max<std::int64_t>(1, n / 6);
+        for (int call = 0; call < 300; ++call) {
+          const util::TimePoint start =
+              base + util::Duration::minutes(script.uniform_int(-600, 6000));
+          if (script.bernoulli(0.1)) {
+            const platform::NodeId node{static_cast<std::uint32_t>(
+                script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
+            fast.release(node, start);
+            oracle.release(node, start);
+            continue;
+          }
+          const auto count = static_cast<std::uint32_t>(
+              script.bernoulli(0.2) ? script.uniform_int(0, std::int64_t{n} + 1)
+                                    : script.uniform_int(1, max_small));
+          const util::TimePoint end =
+              start + util::Duration::minutes(script.uniform_int(1, 3000));
+          const AllocPolicy policy =
+              script.bernoulli(0.5) ? AllocPolicy::BladePacked : AllocPolicy::Scattered;
+          const auto got = fast.allocate(count, start, end, policy, fast_rng);
+          const auto want = oracle.allocate(count, start, end, policy, oracle_rng);
+          ASSERT_EQ(got, want) << "call " << call << ": " << count << " nodes";
+          ASSERT_EQ(fast_rng.next_u64(), oracle_rng.next_u64()) << "call " << call;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- workload ----

@@ -422,12 +422,15 @@ TEST(PipelineObservability, TraceCoversSimulatorEngineAndContextPhases) {
     EXPECT_TRUE(names.count(span)) << "missing analyzer span " << span;
   }
 
-  // The simulator's phase counters record its output volumes.  The
-  // workload phase emits jobs rather than log records (its counter is a
-  // legitimate zero); the failure and scheduler phases both emit records.
+  // The simulator's phase counters record its output volumes: the
+  // workload phase counts the jobs it generated (their log records come
+  // later, in the scheduler phase); the failure and scheduler phases count
+  // records.
   std::map<std::string, std::uint64_t> counters;
   for (const auto& [name, value] : reg.counters()) counters[name] = value;
-  ASSERT_TRUE(counters.count("hpcfail.sim.workload_records"));
+  ASSERT_TRUE(counters.count("hpcfail.sim.workload_jobs"));
+  EXPECT_GT(counters["hpcfail.sim.workload_jobs"], 0u);
+  EXPECT_FALSE(counters.count("hpcfail.sim.workload_records"));
   ASSERT_TRUE(counters.count("hpcfail.sim.failures_records"));
   EXPECT_GT(counters["hpcfail.sim.failures_records"], 0u);
   ASSERT_TRUE(counters.count("hpcfail.sim.job_log_records"));
