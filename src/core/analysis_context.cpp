@@ -1,7 +1,5 @@
 #include "core/analysis_context.hpp"
 
-#include <stdexcept>
-
 #include "logmodel/record.hpp"
 #include "util/trace.hpp"
 
@@ -14,12 +12,6 @@ AnalysisContext::AnalysisContext(const logmodel::LogStore& store,
                                  const RootCauseConfig& root_cause_config,
                                  util::ThreadPool* pool)
     : store_(store), jobs_(jobs), begin_(begin), end_(end) {
-  if (!store.finalized()) {
-    throw std::logic_error(
-        "AnalysisContext: store must be finalized before analysis (call "
-        "LogStore::finalize() after the last add())");
-  }
-
   // One pass over the window for the type histogram; every analyzer that
   // previously counted its own types reads this instead.
   {

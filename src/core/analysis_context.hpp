@@ -28,9 +28,8 @@ namespace hpcfail::core {
 
 class AnalysisContext {
  public:
-  /// Detects and diagnoses immediately; `store` must be finalized (throws
-  /// std::logic_error otherwise) and must outlive the context, as must
-  /// `jobs` when non-null.  When `pool` is non-null the per-failure
+  /// Detects and diagnoses immediately; `store` must outlive the context,
+  /// as must `jobs` when non-null.  When `pool` is non-null the per-failure
   /// diagnoses shard over it; the result is identical to the serial path.
   AnalysisContext(const logmodel::LogStore& store, const jobs::JobTable* jobs,
                   util::TimePoint begin, util::TimePoint end,

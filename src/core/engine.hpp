@@ -99,7 +99,7 @@ class AnalysisEngine {
   [[nodiscard]] const AnalysisConfig& config() const noexcept { return config_; }
 
   /// Analyzes `store` over [begin, end): builds the context once, runs
-  /// every analyzer.  Throws std::logic_error on a non-finalized store.
+  /// every analyzer.
   [[nodiscard]] AnalysisResult analyze(const logmodel::LogStore& store,
                                        const jobs::JobTable* jobs,
                                        util::TimePoint begin,

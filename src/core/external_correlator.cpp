@@ -1,7 +1,5 @@
 #include "core/external_correlator.hpp"
 
-#include <stdexcept>
-
 #include "util/strings.hpp"
 
 namespace hpcfail::core {
@@ -13,11 +11,6 @@ ExternalCorrelator::ExternalCorrelator(const logmodel::LogStore& store,
                                        const std::vector<AnalyzedFailure>& failures,
                                        CorrelatorConfig config)
     : store_(store), failures_(failures), config_(config) {
-  if (!store.finalized()) {
-    throw std::logic_error(
-        "ExternalCorrelator: store must be finalized before analysis (call "
-        "LogStore::finalize() after the last add())");
-  }
   for (std::size_t i = 0; i < failures_.size(); ++i) {
     const auto& f = failures_[i];
     if (f.event.node.valid()) failures_by_node_[f.event.node.value].push_back(i);

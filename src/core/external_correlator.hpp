@@ -37,9 +37,8 @@ struct NhfBreakdown {
 
 class ExternalCorrelator {
  public:
-  /// Keeps references to `store` and `failures`; the store must be
-  /// finalized (throws std::logic_error otherwise — fail loud at
-  /// construction, not on the first query against stale indexes).
+  /// Keeps references to `store` and `failures`, which must outlive the
+  /// correlator.
   ExternalCorrelator(const logmodel::LogStore& store,
                      const std::vector<AnalyzedFailure>& failures,
                      CorrelatorConfig config = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "util/thread_pool.hpp"
@@ -13,13 +12,7 @@ using logmodel::EventType;
 using logmodel::LogRecord;
 
 LeadTimeAnalyzer::LeadTimeAnalyzer(const logmodel::LogStore& store, LeadTimeConfig config)
-    : store_(store), config_(config) {
-  if (!store.finalized()) {
-    throw std::logic_error(
-        "LeadTimeAnalyzer: store must be finalized before analysis (call "
-        "LogStore::finalize() after the last add())");
-  }
-}
+    : store_(store), config_(config) {}
 
 bool LeadTimeAnalyzer::quiet_before(platform::BladeId blade, platform::NodeId node,
                                     logmodel::EventType type,
@@ -35,41 +28,24 @@ bool LeadTimeAnalyzer::quiet_before(platform::BladeId blade, platform::NodeId no
 }
 
 std::optional<util::TimePoint> LeadTimeAnalyzer::earliest_external(
-    const FailureEvent& event) const {
-  std::optional<util::TimePoint> earliest;
-  const util::TimePoint begin = event.time - config_.external_lookback;
-  for (const std::uint32_t idx :
-       store_.blade_range(event.blade, begin, event.time)) {
+    platform::NodeId node, platform::BladeId blade, util::TimePoint t) const {
+  const util::TimePoint begin = t - config_.external_lookback;
+  // The blade index is time-ordered, so the first indicator that passes is
+  // the earliest.
+  for (const std::uint32_t idx : store_.blade_range(blade, begin, t)) {
     const LogRecord& r = store_[idx];
     if (!logmodel::is_external_indicator(r.type)) continue;
     // NHFs trail node death; they confirm but never lead, so they cannot
     // open the window.
     if (r.type == EventType::NodeHeartbeatFault) continue;
     // Node-scoped indicators must be for this node.
-    if (r.has_node() && r.node != event.node) continue;
-    if (config_.require_quiet_baseline &&
-        !quiet_before(event.blade, event.node, r.type, begin)) {
-      continue;
-    }
-    if (!earliest || r.time < *earliest) earliest = r.time;
-  }
-  return earliest;
-}
-
-bool LeadTimeAnalyzer::external_indicator_near(platform::NodeId node,
-                                               platform::BladeId blade, util::TimePoint t,
-                                               util::Duration lookback) const {
-  for (const std::uint32_t idx : store_.blade_range(blade, t - lookback, t)) {
-    const LogRecord& r = store_[idx];
-    if (!logmodel::is_external_indicator(r.type)) continue;
-    if (r.type == EventType::NodeHeartbeatFault) continue;
     if (r.has_node() && r.node != node) continue;
-    if (config_.require_quiet_baseline && !quiet_before(blade, node, r.type, t - lookback)) {
+    if (config_.require_quiet_baseline && !quiet_before(blade, node, r.type, begin)) {
       continue;  // ambient on this blade, not an anomaly
     }
-    return true;
+    return r.time;
   }
-  return false;
+  return std::nullopt;
 }
 
 std::vector<FailureLeadTime> LeadTimeAnalyzer::lead_times(
@@ -80,7 +56,7 @@ std::vector<FailureLeadTime> LeadTimeAnalyzer::lead_times(
     FailureLeadTime lt;
     lt.failure_index = i;
     lt.internal_lead = f.event.time - f.event.first_internal;
-    if (const auto external = earliest_external(f.event)) {
+    if (const auto external = earliest_external(f.event.node, f.event.blade, f.event.time)) {
       const util::Duration external_lead = f.event.time - *external;
       if (external_lead - lt.internal_lead >= config_.min_gain) {
         lt.external_lead = external_lead;
@@ -150,8 +126,7 @@ PredictorEvaluation LeadTimeAnalyzer::evaluate_predictor(
       if (flagged_before && r.time - last_flag < horizon) continue;  // same episode
       flagged_before = true;
       last_flag = r.time;
-      if (require_external &&
-          !external_indicator_near(node, r.blade, r.time, config_.external_lookback)) {
+      if (require_external && !earliest_external(node, r.blade, r.time).has_value()) {
         continue;
       }
       ++out.flagged;

@@ -70,9 +70,7 @@ struct PredictorEvaluation {
 
 class LeadTimeAnalyzer {
  public:
-  /// Keeps a reference to `store`, which must be finalized (throws
-  /// std::logic_error otherwise — fail loud at construction, not on the
-  /// first query against stale indexes).
+  /// Keeps a reference to `store`, which must outlive the analyzer.
   LeadTimeAnalyzer(const logmodel::LogStore& store, LeadTimeConfig config = {});
 
   /// Per-failure lead times; indexes parallel `failures`.  When `pool` is
@@ -106,12 +104,13 @@ class LeadTimeAnalyzer {
       util::Duration pattern_window = util::Duration::minutes(10)) const;
 
  private:
-  /// Earliest correlated external indicator before the failure, if any.
-  [[nodiscard]] std::optional<util::TimePoint> earliest_external(
-      const FailureEvent& event) const;
-  [[nodiscard]] bool external_indicator_near(platform::NodeId node,
-                                             platform::BladeId blade, util::TimePoint t,
-                                             util::Duration lookback) const;
+  /// Time of the earliest external indicator correlated with `node` on
+  /// `blade` in the external lookback before `t`, if any: not an NHF, on
+  /// this node when node-scoped, and quiet on the blade over the preceding
+  /// baseline window when the config asks for one.
+  [[nodiscard]] std::optional<util::TimePoint> earliest_external(platform::NodeId node,
+                                                                 platform::BladeId blade,
+                                                                 util::TimePoint t) const;
   /// True when `type` did not occur on the blade during the quiet window
   /// preceding `window_start`.
   [[nodiscard]] bool quiet_before(platform::BladeId blade, platform::NodeId node,

@@ -20,40 +20,12 @@ std::string_view to_string(AlertKind k) noexcept {
 Evidence OnlineMonitor::evidence_for(const NodeView& node, platform::BladeId blade,
                                      util::TimePoint now) const {
   Evidence ev;
-  for (const auto& e : node.recent) {
-    switch (e.type) {
-      case EventType::MachineCheckException: ev.mce = true; break;
-      case EventType::HardwareError: ev.hw_error = true; break;
-      case EventType::CpuCorruption: ev.cpu_corruption = true; break;
-      case EventType::OomKill: ev.oom = true; break;
-      case EventType::PageAllocationFailure: ev.page_alloc_failure = true; break;
-      case EventType::LustreError: ev.lustre_error = true; break;
-      case EventType::LustreBug: ev.lustre_bug = true; break;
-      case EventType::DvsError: ev.dvs_error = true; break;
-      case EventType::KernelOops: ev.kernel_oops = true; break;
-      case EventType::InvalidOpcode: ev.invalid_opcode = true; break;
-      case EventType::CpuStall: ev.cpu_stall = true; break;
-      case EventType::SegFault: ev.seg_fault = true; break;
-      case EventType::NhcTestFail: ev.nhc_test_fail = true; break;
-      case EventType::AppExitAbnormal: ev.app_exit_abnormal = true; break;
-      case EventType::BiosError: ev.bios_error = true; break;
-      case EventType::L0SysdMce: ev.l0_sysd_mce = true; break;
-      case EventType::CallTrace: ev.stack_modules.push_back(e.detail); break;
-      default: break;
-    }
-  }
+  for (const auto& e : node.recent) add_evidence(ev, e.type, e.detail);
   if (blade.valid()) {
     const auto it = blade_external_.find(blade.value);
     if (it != blade_external_.end()) {
       for (const auto& e : it->second) {
-        if (now - e.time > config_.external_memory) continue;
-        switch (e.type) {
-          case EventType::EcHwError: ev.ec_hw_errors = true; break;
-          case EventType::LinkError: ev.link_errors = true; break;
-          case EventType::NodeVoltageFault: ev.node_voltage_fault = true; break;
-          case EventType::SedcVoltageWarning: ev.sedc_voltage = true; break;
-          default: break;
-        }
+        if (now - e.time <= config_.external_memory) add_evidence(ev, e.type, e.detail);
       }
     }
   }

@@ -9,36 +9,45 @@ using logmodel::LogRecord;
 using logmodel::LogStore;
 using logmodel::RootCause;
 
+void add_evidence(Evidence& ev, EventType type, std::string_view detail) {
+  switch (type) {
+    case EventType::MachineCheckException: ev.mce = true; break;
+    case EventType::HardwareError: ev.hw_error = true; break;
+    case EventType::CpuCorruption: ev.cpu_corruption = true; break;
+    case EventType::OomKill: ev.oom = true; break;
+    case EventType::PageAllocationFailure: ev.page_alloc_failure = true; break;
+    case EventType::LustreError: ev.lustre_error = true; break;
+    case EventType::LustreBug: ev.lustre_bug = true; break;
+    case EventType::DvsError: ev.dvs_error = true; break;
+    case EventType::KernelOops: ev.kernel_oops = true; break;
+    case EventType::InvalidOpcode: ev.invalid_opcode = true; break;
+    case EventType::CpuStall: ev.cpu_stall = true; break;
+    case EventType::SegFault: ev.seg_fault = true; break;
+    case EventType::NhcTestFail: ev.nhc_test_fail = true; break;
+    case EventType::AppExitAbnormal: ev.app_exit_abnormal = true; break;
+    case EventType::BiosError: ev.bios_error = true; break;
+    case EventType::L0SysdMce: ev.l0_sysd_mce = true; break;
+    case EventType::CallTrace: ev.stack_modules.emplace_back(detail); break;
+    case EventType::EcHwError: ev.ec_hw_errors = true; break;
+    case EventType::LinkError: ev.link_errors = true; break;
+    case EventType::NodeVoltageFault: ev.node_voltage_fault = true; break;
+    case EventType::SedcVoltageWarning: ev.sedc_voltage = true; break;
+    default: break;
+  }
+}
+
 Evidence RootCauseEngine::collect_evidence(const LogStore& store, const FailureEvent& failure,
                                            const jobs::JobTable* jobs) const {
   Evidence ev;
   const util::TimePoint t = failure.time;
 
-  // Internal window on the failing node.
+  // Internal window on the failing node.  External indicators count only
+  // in the blade window below.
   for (const std::uint32_t idx :
        store.node_range(failure.node, t - config_.internal_lookback,
                         t + util::Duration::minutes(1))) {
     const LogRecord& r = store[idx];
-    switch (r.type) {
-      case EventType::MachineCheckException: ev.mce = true; break;
-      case EventType::HardwareError: ev.hw_error = true; break;
-      case EventType::CpuCorruption: ev.cpu_corruption = true; break;
-      case EventType::OomKill: ev.oom = true; break;
-      case EventType::PageAllocationFailure: ev.page_alloc_failure = true; break;
-      case EventType::LustreError: ev.lustre_error = true; break;
-      case EventType::LustreBug: ev.lustre_bug = true; break;
-      case EventType::DvsError: ev.dvs_error = true; break;
-      case EventType::KernelOops: ev.kernel_oops = true; break;
-      case EventType::InvalidOpcode: ev.invalid_opcode = true; break;
-      case EventType::CpuStall: ev.cpu_stall = true; break;
-      case EventType::SegFault: ev.seg_fault = true; break;
-      case EventType::NhcTestFail: ev.nhc_test_fail = true; break;
-      case EventType::AppExitAbnormal: ev.app_exit_abnormal = true; break;
-      case EventType::BiosError: ev.bios_error = true; break;
-      case EventType::L0SysdMce: ev.l0_sysd_mce = true; break;
-      case EventType::CallTrace: ev.stack_modules.emplace_back(store.detail(r)); break;
-      default: break;
-    }
+    if (!logmodel::is_external_indicator(r.type)) add_evidence(ev, r.type, store.detail(r));
   }
 
   // External window: node-scoped and blade-scoped indicators.
@@ -49,13 +58,7 @@ Evidence RootCauseEngine::collect_evidence(const LogStore& store, const FailureE
     // Node-scoped indicators must match the failing node; blade-scoped
     // ones apply to every node of the blade.
     if (r.has_node() && r.node != failure.node) continue;
-    switch (r.type) {
-      case EventType::EcHwError: ev.ec_hw_errors = true; break;
-      case EventType::LinkError: ev.link_errors = true; break;
-      case EventType::NodeVoltageFault: ev.node_voltage_fault = true; break;
-      case EventType::SedcVoltageWarning: ev.sedc_voltage = true; break;
-      default: break;
-    }
+    if (logmodel::is_external_indicator(r.type)) add_evidence(ev, r.type, {});
   }
 
   ev.job_attributed = failure.job_id != logmodel::kNoJob;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/failure_detector.hpp"
@@ -44,6 +45,14 @@ struct Evidence {
   // job
   bool job_attributed = false;
 };
+
+/// The one table from event type to evidence: a record of `type` sets the
+/// flag it stands for (sixteen internal indicators, four external ones),
+/// and a CallTrace frame appends its module text `detail` to
+/// stack_modules.  Every other type leaves `ev` unchanged.  Callers pick
+/// the window: internal types count on the failing node, external ones on
+/// its blade.
+void add_evidence(Evidence& ev, logmodel::EventType type, std::string_view detail);
 
 struct Inference {
   logmodel::RootCause cause = logmodel::RootCause::Unknown;

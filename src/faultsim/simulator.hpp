@@ -27,7 +27,7 @@ struct SimulationResult {
   std::vector<jobs::Job> jobs;
   GroundTruth truth;
 
-  /// Builds a finalized LogStore over a copy of the records (and of the
+  /// Builds a LogStore over a copy of the records (and of the
   /// symbol table resolving their details).
   [[nodiscard]] logmodel::LogStore make_store() const {
     return logmodel::LogStore{std::vector<logmodel::LogRecord>(records), symbols};

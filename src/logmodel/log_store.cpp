@@ -61,8 +61,8 @@ util::CsrIndex<std::uint32_t> splice(const util::CsrIndex<std::uint32_t>& base,
 
 LogStore::LogStore(std::vector<LogRecord> records, SymbolTable symbols)
     : records_(std::move(records)), symbols_(std::move(symbols)) {
-  finalized_ = false;
-  finalize();
+  std::stable_sort(records_.begin(), records_.end(), time_less);
+  build_indexes();
 }
 
 LogStore LogStore::from_sorted(std::vector<LogRecord> records, SymbolTable symbols) {
@@ -81,14 +81,12 @@ LogStore LogStore::from_sorted(std::vector<LogRecord> records, SymbolTable symbo
   store.records_ = std::move(records);
   store.symbols_ = std::move(symbols);
   store.build_indexes();
-  store.finalized_ = true;
   return store;
 }
 
 LogStore LogStore::extend(const LogStore& base, std::vector<LogRecord> fresh,
                           SymbolTable symbols) {
   util::TraceSpan span("hpcfail.store.extend");
-  base.require_finalized();
   std::stable_sort(fresh.begin(), fresh.end(), time_less);
   const std::vector<LogRecord>& rows = base.records_;
   LogStore out;
@@ -147,18 +145,6 @@ LogStore LogStore::extend(const LogStore& base, std::vector<LogRecord> fresh,
   return out;
 }
 
-void LogStore::add(LogRecord r) {
-  finalized_ = false;
-  records_.push_back(r);
-}
-
-void LogStore::finalize() {
-  if (finalized_) return;
-  std::stable_sort(records_.begin(), records_.end(), time_less);
-  build_indexes();
-  finalized_ = true;
-}
-
 void LogStore::build_indexes() {
   const std::size_t n = records_.size();
 
@@ -170,11 +156,8 @@ void LogStore::build_indexes() {
   // records is real memory traffic), (2) per-key counts into
   // offsets[key + 1], (3) prefix-sum, then fill entries walking records in
   // order so every per-key run stays time-ordered.  Exact-sized flat
-  // arrays, no per-key heap blocks.
-  by_node_ = CsrIndex{};
-  by_blade_ = CsrIndex{};
-  by_cabinet_ = CsrIndex{};
-  by_type_ = CsrIndex{};
+  // arrays, no per-key heap blocks.  Runs once, while the indexes are
+  // still empty.
   std::uint32_t node_keys = 0;
   std::uint32_t blade_keys = 0;
   std::uint32_t cabinet_keys = 0;
@@ -221,33 +204,21 @@ void LogStore::build_indexes() {
   }
 
   // Distinct node ids fall out of the offsets in ascending order for free.
-  nodes_.clear();
   for (std::uint32_t k = 0; k < node_keys; ++k) {
     if (by_node_.offsets[k + 1] > by_node_.offsets[k]) nodes_.push_back(platform::NodeId{k});
   }
 }
 
-void LogStore::require_finalized() const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "LogStore: query on a non-finalized store (call finalize() after add(); "
-        "records are unsorted and indexes stale until then)");
-  }
-}
-
 util::TimePoint LogStore::first_time() const {
-  require_finalized();
   return records_.empty() ? util::TimePoint{} : records_.front().time;
 }
 
 util::TimePoint LogStore::last_time() const {
-  require_finalized();
   return records_.empty() ? util::TimePoint{} : records_.back().time;
 }
 
 std::span<const LogRecord> LogStore::range(util::TimePoint begin,
                                            util::TimePoint end) const {
-  require_finalized();
   // Binary search the dense time column, not the ~48-byte record rows.
   const auto lo = std::lower_bound(times_.begin(), times_.end(), begin.usec);
   const auto hi = std::lower_bound(lo, times_.end(), end.usec);
@@ -274,49 +245,41 @@ std::span<const std::uint32_t> LogStore::filter_window(std::span<const std::uint
 std::span<const std::uint32_t> LogStore::node_range(platform::NodeId node,
                                                     util::TimePoint begin,
                                                     util::TimePoint end) const {
-  require_finalized();
   return filter_window(by_node_.of(node.value), begin, end);
 }
 
 std::span<const std::uint32_t> LogStore::blade_range(platform::BladeId blade,
                                                      util::TimePoint begin,
                                                      util::TimePoint end) const {
-  require_finalized();
   return filter_window(by_blade_.of(blade.value), begin, end);
 }
 
 std::span<const std::uint32_t> LogStore::cabinet_range(platform::CabinetId cabinet,
                                                        util::TimePoint begin,
                                                        util::TimePoint end) const {
-  require_finalized();
   return filter_window(by_cabinet_.of(cabinet.value), begin, end);
 }
 
 std::span<const std::uint32_t> LogStore::type_range(EventType type, util::TimePoint begin,
                                                     util::TimePoint end) const {
-  require_finalized();
   // CsrIndex::of bounds-checks the key, so the empty default-constructed
   // store needs no special case here.
   return filter_window(by_type_.of(static_cast<std::uint32_t>(type)), begin, end);
 }
 
 std::size_t LogStore::count_of_type(EventType type) const {
-  require_finalized();
   return by_type_.of(static_cast<std::uint32_t>(type)).size();
 }
 
 std::span<const std::uint32_t> LogStore::node_index(platform::NodeId node) const {
-  require_finalized();
   return by_node_.of(node.value);
 }
 
 std::span<const std::uint32_t> LogStore::type_index(EventType type) const {
-  require_finalized();
   return by_type_.of(static_cast<std::uint32_t>(type));
 }
 
 const std::vector<platform::NodeId>& LogStore::nodes() const {
-  require_finalized();
   return nodes_;
 }
 

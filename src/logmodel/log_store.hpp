@@ -6,23 +6,23 @@
 // sub-linear.  The store owns the SymbolTable that resolves every record's
 // interned detail Symbol; string_views returned by detail() stay valid for
 // the store's lifetime.
+//
+// A store is immutable: every way to make one (the sorting constructor,
+// from_sorted, extend, from_sections) returns it sorted and fully indexed,
+// so no query can see unsorted records or stale indexes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "logmodel/record.hpp"
 #include "logmodel/symbol_table.hpp"
 #include "util/csr.hpp"
-#include "util/snapshot.hpp"
+#include "util/serialize.hpp"
 
 namespace hpcfail::logmodel {
-
-struct StoreLoadResult;
 
 class LogStore {
  public:
@@ -49,73 +49,31 @@ class LogStore {
   /// base.last_time() (a live tail), the base columns are copied once and
   /// each index run is spliced in one pass; otherwise base and fresh are
   /// merged (base first on ties) and the indexes rebuilt.  Either way the
-  /// cost is linear in base.size(), never n log n.  The base must be
-  /// finalized.
+  /// cost is linear in base.size(), never n log n.
   [[nodiscard]] static LogStore extend(const LogStore& base, std::vector<LogRecord> fresh,
                                        SymbolTable symbols);
 
-  void add(LogRecord r);
-
-  /// Sorts and (re)builds indexes. Must be called after the last add()
-  /// and before any query. Idempotent.
-  void finalize();
-
-  // The accessors below are deliberately unguarded: they are noexcept
-  // hot-path reads whose results (sizes, raw rows, interned text) are
-  // well-defined on a non-finalized store too — only ORDER and the derived
-  // indexes need finalize(), and everything order-dependent goes through
-  // require_finalized() in log_store.cpp.  Each carries a reasoned
-  // allow(finalize-protocol) so a new accessor cannot join them silently.
-  [[nodiscard]] bool finalized() const noexcept { return finalized_; }
-  // hpcfail-lint: allow(finalize-protocol) -- count is order-independent; noexcept hot path
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  // hpcfail-lint: allow(finalize-protocol) -- raw row read, order-independent; noexcept hot path
   [[nodiscard]] const LogRecord& operator[](std::size_t i) const noexcept { return records_[i]; }
-  // hpcfail-lint: allow(finalize-protocol) -- raw row access, order-independent; noexcept hot path
   [[nodiscard]] const std::vector<LogRecord>& records() const noexcept { return records_; }
 
   /// The table resolving every record's detail Symbol.
-  // hpcfail-lint: allow(finalize-protocol) -- symbol table is valid before finalize()
   [[nodiscard]] const SymbolTable& symbols() const noexcept { return symbols_; }
 
   /// Columnar views over the sorted records: times()[i] is
   /// records()[i].time.usec, types()[i] is records()[i].type.  Dense
   /// arrays for scans that only need one field.
-  // hpcfail-lint: allow(finalize-protocol) -- empty until finalize() rebuilds the column; never stale
   [[nodiscard]] std::span<const std::int64_t> times() const noexcept { return times_; }
-  // hpcfail-lint: allow(finalize-protocol) -- empty until finalize() rebuilds the column; never stale
   [[nodiscard]] std::span<const EventType> types() const noexcept { return types_; }
-
-  /// Interns text into this store's table (for records about to be add()ed).
-  // hpcfail-lint: allow(finalize-protocol) -- interning is part of building, pre-finalize by design
-  Symbol intern(std::string_view text) { return symbols_.intern(text); }
 
   /// Resolves a record's detail Symbol; the view is valid while the store
   /// lives.  The record must belong to this store.
-  // hpcfail-lint: allow(finalize-protocol) -- symbol lookup is order-independent; noexcept hot path
   [[nodiscard]] std::string_view detail(const LogRecord& r) const noexcept {
     return symbols_.view(r.detail);
   }
-  // hpcfail-lint: allow(finalize-protocol) -- symbol lookup is order-independent; noexcept hot path
   [[nodiscard]] std::string_view detail(std::size_t i) const noexcept {
     return symbols_.view(records_[i].detail);
   }
-
-  /// Cheap row accessor bundling a record with its resolved detail — the
-  /// `records()[i]`-plus-text view for consumers that want both.
-  class Row {
-   public:
-    Row(const LogStore& store, std::size_t index) noexcept : store_(&store), index_(index) {}
-    [[nodiscard]] const LogRecord& record() const noexcept { return store_->records_[index_]; }
-    [[nodiscard]] std::string_view detail() const noexcept { return store_->detail(index_); }
-    [[nodiscard]] std::size_t index() const noexcept { return index_; }
-
-   private:
-    const LogStore* store_;
-    std::size_t index_;
-  };
-  // hpcfail-lint: allow(finalize-protocol) -- bundles two order-independent reads; noexcept hot path
-  [[nodiscard]] Row row(std::size_t i) const noexcept { return Row(*this, i); }
 
   [[nodiscard]] util::TimePoint first_time() const;
   [[nodiscard]] util::TimePoint last_time() const;
@@ -125,8 +83,7 @@ class LogStore {
                                                  util::TimePoint end) const;
 
   /// Indexes (into records()) of this node's records within [begin, end).
-  /// The span aliases the store's index and is valid while the store lives
-  /// and is not re-finalized.
+  /// The span aliases the store's index and is valid while the store lives.
   [[nodiscard]] std::span<const std::uint32_t> node_range(platform::NodeId node,
                                                           util::TimePoint begin,
                                                           util::TimePoint end) const;
@@ -155,45 +112,28 @@ class LogStore {
   /// All record indexes for an event type (time-ordered).
   [[nodiscard]] std::span<const std::uint32_t> type_index(EventType type) const;
 
-  /// Distinct node ids appearing in the store, sorted (cached at finalize).
+  /// Distinct node ids appearing in the store, sorted (cached at build).
   [[nodiscard]] const std::vector<platform::NodeId>& nodes() const;
 
   // --- Persistence (store_snapshot.cpp) -----------------------------------
   // Every persistent member — record rows, symbol table, time/type columns,
   // the four CSR indexes, the cached node list — serializes as flat
-  // sections under the "store." prefix (util/serialize.hpp); the
-  // hpcfail.store.v1 container (util/snapshot.hpp) adds the on-disk
-  // framing.  See FORMATS.md "snapshot — hpcfail.store.v1".
+  // sections under the "store." prefix (util/serialize.hpp).  The corpus
+  // snapshot (parsers/snapshot.hpp) adds the on-disk framing; see
+  // FORMATS.md "snapshot — hpcfail.store.v1".
 
   /// Registers this store's sections (borrowed views into live columns
-  /// plus a normalized owned copy of the record rows).  The store must be
-  /// finalized and must outlive `out`.
+  /// plus a normalized owned copy of the record rows).  The store must
+  /// outlive `out`.
   void append_sections(util::Sections& out) const;
 
-  /// Rebuilds a finalized store from its sections, validating every
-  /// invariant the query paths rely on (column lengths, monotone times,
-  /// index entries in range, symbol ids resolvable) so corrupt input can
-  /// never produce a store that reads out of bounds.  Throws
-  /// util::SectionError.
+  /// Rebuilds a store from its sections, validating every invariant the
+  /// query paths rely on (column lengths, monotone times, index entries in
+  /// range, symbol ids resolvable) so corrupt input can never produce a
+  /// store that reads out of bounds.  Throws util::SectionError.
   [[nodiscard]] static LogStore from_sections(const util::SectionMap& in);
 
-  /// Writes this finalized store to `path` as a store-only
-  /// hpcfail.store.v1 snapshot.  Failures come back as a structured
-  /// SnapshotError, never an exception or a torn-but-valid file.
-  [[nodiscard]] std::optional<util::SnapshotError> save(const std::string& path) const;
-
-  /// Bulk-reads and validates a snapshot written by save() (or the store
-  /// sections of a corpus-level snapshot) into a finalized store.
-  // hpcfail-lint: allow(finalize-protocol) -- static factory, no store state to guard; from_sections() re-establishes the invariant
-  [[nodiscard]] static StoreLoadResult load(const std::string& path);
-
  private:
-  /// Every query funnels through this: querying between add() and
-  /// finalize() would silently binary-search unsorted records and read
-  /// stale indexes, so it throws std::logic_error instead.  A
-  /// default-constructed store is trivially finalized (empty).
-  void require_finalized() const;
-
   void build_indexes();
 
   /// CSR indexes (util::CsrIndex): entries are record indexes, grouped by
@@ -216,15 +156,6 @@ class LogStore {
   CsrIndex by_cabinet_;
   CsrIndex by_type_;  ///< keyed by EventType value; offsets empty only when n == 0
   std::vector<platform::NodeId> nodes_;  ///< sorted distinct node ids
-  bool finalized_ = true;
-};
-
-/// LogStore::load's result: exactly one of `store` / `error` is set.
-struct StoreLoadResult {
-  std::optional<LogStore> store;
-  std::optional<util::SnapshotError> error;
-
-  [[nodiscard]] bool ok() const noexcept { return !error.has_value(); }
 };
 
 }  // namespace hpcfail::logmodel

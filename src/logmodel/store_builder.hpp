@@ -52,7 +52,7 @@ class StoreBuilder {
   /// Shards sealed so far (the open shard is not counted).
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  /// Merges every shard into time order and returns the finalized store.
+  /// Merges every shard into time order and returns the store.
   /// The builder is left empty and reusable.
   [[nodiscard]] LogStore build();
 

@@ -1,9 +1,9 @@
 // LogStore persistence: the store's columns, indexes and symbol table as
-// flat sections (util/serialize.hpp) and the save/load endpoints over the
-// hpcfail.store.v1 container (util/snapshot.hpp).  Split out of
-// log_store.cpp so the query hot path does not pull in file I/O.
+// flat sections (util/serialize.hpp), which the corpus snapshot
+// (parsers/snapshot.hpp) frames on disk.
 #include <cstddef>
 #include <cstring>
+#include <string>
 
 #include "logmodel/log_store.hpp"
 
@@ -80,7 +80,6 @@ void require_entries_in_range(const util::CsrIndex<std::uint32_t>& index,
 }  // namespace
 
 void LogStore::append_sections(util::Sections& out) const {
-  require_finalized();
   StoreMeta meta;
   meta.records = records_.size();
   meta.symbols = symbols_.size();
@@ -162,37 +161,7 @@ LogStore LogStore::from_sections(const util::SectionMap& in) {
                                  " offsets, found " +
                                  std::to_string(store.by_type_.offsets.size()));
   }
-  store.finalized_ = true;
   return store;
-}
-
-std::optional<util::SnapshotError> LogStore::save(const std::string& path) const {
-  require_finalized();
-  util::Sections sections;
-  append_sections(sections);
-  return util::write_snapshot(path, sections);
-}
-
-StoreLoadResult LogStore::load(const std::string& path) {
-  StoreLoadResult result;
-  auto read = util::read_snapshot(path);
-  if (!read.ok()) {
-    result.error = std::move(read.error);
-    return result;
-  }
-  try {
-    result.store = from_sections(read.snapshot->sections());
-  } catch (const util::SectionError& e) {
-    util::SnapshotError err;
-    err.kind = e.kind() == util::SectionError::Kind::Missing
-                   ? util::SnapshotError::Kind::MissingSection
-                   : util::SnapshotError::Kind::BadSection;
-    err.path = path;
-    err.section = e.section();
-    err.message = e.what();
-    result.error = std::move(err);
-  }
-  return result;
 }
 
 }  // namespace hpcfail::logmodel

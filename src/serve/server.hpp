@@ -4,7 +4,7 @@
 // protocol requests against an immutable per-epoch view of the world.
 //
 // Epoch model (DESIGN.md §14): the server holds a shared_ptr to the
-// current Epoch — a finalized LogStore over base + tail records, the
+// current Epoch — an immutable LogStore over base + tail records, the
 // sliding analysis window clipped to ServerConfig::window, and a snapshot
 // of per-node monitor health.  poll_tail() is the single writer: when new
 // records arrive it builds the next Epoch — the previous store extended
@@ -131,7 +131,7 @@ class Server {
   /// One immutable published view; queries pin it with a shared_ptr.
   struct Epoch {
     std::uint64_t id = 0;
-    logmodel::LogStore store;  ///< finalized: base + every tail record so far
+    logmodel::LogStore store;  ///< base + every tail record so far
     util::TimePoint begin;     ///< analysis window start
     util::TimePoint end;       ///< analysis window end (exclusive)
     std::size_t tail_records = 0;  ///< cumulative tail records in the store

@@ -302,19 +302,6 @@ TEST(EngineTest, ContextJoinsAreConsistent) {
             c.parsed.store.range(c.scenario.begin, c.scenario.end()).size());
 }
 
-/// Fail-loud guards: a non-finalized store is rejected at construction by
-/// the context and by the store-referencing analyzers (satellite of the
-/// PR 2 non-finalized-store guard).
-TEST(EngineTest, NonFinalizedStoreThrowsAtConstruction) {
-  logmodel::LogStore store;
-  store.add(logmodel::LogRecord{});
-  ASSERT_FALSE(store.finalized());
-  const std::vector<core::AnalyzedFailure> none;
-  EXPECT_THROW(core::AnalysisContext(store, nullptr, {}, {}), std::logic_error);
-  EXPECT_THROW(core::LeadTimeAnalyzer analyzer(store), std::logic_error);
-  EXPECT_THROW(core::ExternalCorrelator correlator(store, none), std::logic_error);
-}
-
 /// Uninstalls the process-wide observability sinks even on test failure.
 struct SinkGuard {
   SinkGuard(util::MetricsRegistry* m, util::TraceRecorder* t) {

@@ -274,26 +274,6 @@ TEST(LintDanglingView, EscapingViewsAndTemporaryBindingsAreDiagnosedExactly) {
             }));
 }
 
-TEST(LintFinalizeProtocol, UnguardedPublicAccessorsAreDiagnosedExactly) {
-  const Report report = run_checks(fixture("finalize_drift"), {"finalize-protocol"});
-  EXPECT_EQ(rendered(report),
-            (std::vector<std::string>{
-                "src/logmodel/log_store.hpp:13: error: [finalize-protocol] public "
-                "LogStore::size() reads store state without a "
-                "require_finalized()/finalized() guard and LogStore does not fail "
-                "loud at construction; throw std::logic_error on non-finalized "
-                "access or justify with allow(finalize-protocol)",
-                "src/logmodel/log_store.hpp:17: error: [finalize-protocol] public "
-                "LogStore::last() reads store state without a "
-                "require_finalized()/finalized() guard and LogStore does not fail "
-                "loud at construction; throw std::logic_error on non-finalized "
-                "access or justify with allow(finalize-protocol)",
-                "src/logmodel/log_store.hpp:16: error: [finalize-protocol] "
-                "allow(finalize-protocol) suppression is missing its reason; write: "
-                "// hpcfail-lint: allow(finalize-protocol) -- <why this is safe>",
-            }));
-}
-
 TEST(LintRawSync, BareConcurrencyAndOwnershipPrimitivesAreDiagnosedExactly) {
   const Report report = run_checks(fixture("rawsync_drift"), {"raw-sync"});
   EXPECT_EQ(rendered(report),
@@ -354,7 +334,6 @@ TEST(LintSuppressions, ReasonlessAllowNeverSuppresses) {
       {"fault_drift", "fault-sites"},
       {"capture_drift", "capture-lifetime"},
       {"view_drift", "dangling-view"},
-      {"finalize_drift", "finalize-protocol"},
       {"rawsync_drift", "raw-sync"},
       {"scan_drift", "hot-path-scan"},
   };
@@ -431,8 +410,8 @@ TEST(LintClean, ConsistentFixtureTreePasses) {
       fixture("clean"),
       {"erd-table", "event-names", "corpus-files", "snapshot-version",
        "banned-pattern", "header-hygiene", "bench-pipeline", "metric-naming",
-       "fault-sites", "capture-lifetime", "dangling-view", "finalize-protocol",
-       "raw-sync", "hot-path-scan", "serve-protocol"});
+       "fault-sites", "capture-lifetime", "dangling-view", "raw-sync",
+       "hot-path-scan", "serve-protocol"});
   EXPECT_TRUE(report.ok()) << (report.ok() ? std::string{}
                                            : rendered(report).front());
 }

@@ -1,5 +1,6 @@
 // Unit and property tests for src/logmodel: taxonomy consistency, LogStore
-// (including extend() against the constructor), StoreBuilder.
+// (including extend() against the constructor, and every way to build one
+// against each other), StoreBuilder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,17 +170,6 @@ TEST(LogStoreTest, TypeIndexAndCounts) {
   EXPECT_EQ(in_window.size(), 1u);
 }
 
-TEST(LogStoreTest, IncrementalAddRequiresFinalize) {
-  LogStore store;
-  store.add(make_record(5, EventType::NodeBoot, 1));
-  store.add(make_record(1, EventType::KernelPanic, 1));
-  EXPECT_FALSE(store.finalized());
-  store.finalize();
-  EXPECT_TRUE(store.finalized());
-  EXPECT_EQ(store[0].type, EventType::KernelPanic);
-  EXPECT_EQ(store.nodes().size(), 1u);
-}
-
 TEST(LogStoreTest, EmptyStore) {
   const LogStore store{std::vector<LogRecord>{}};
   EXPECT_EQ(store.size(), 0u);
@@ -188,13 +178,12 @@ TEST(LogStoreTest, EmptyStore) {
 }
 
 TEST(LogStoreTest, DefaultConstructedStoreAnswersEveryQueryEmpty) {
-  // A default-constructed store is trivially finalized; every query must
-  // return the empty answer instead of indexing unbuilt tables (the
-  // type_range subscript used to be UB here).
+  // Every query on a default-constructed store must return the empty
+  // answer instead of indexing unbuilt tables (the type_range subscript
+  // used to be UB here).
   const LogStore store;
   const auto t0 = util::TimePoint{0};
   const auto t9 = util::TimePoint::from_unix_seconds(9);
-  EXPECT_TRUE(store.finalized());
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(store.type_range(EventType::KernelPanic, t0, t9).empty());
   EXPECT_TRUE(store.type_index(EventType::KernelPanic).empty());
@@ -204,27 +193,6 @@ TEST(LogStoreTest, DefaultConstructedStoreAnswersEveryQueryEmpty) {
   EXPECT_TRUE(store.range(t0, t9).empty());
   EXPECT_EQ(store.first_time(), util::TimePoint{});
   EXPECT_EQ(store.last_time(), util::TimePoint{});
-}
-
-TEST(LogStoreTest, QueriesOnNonFinalizedStoreThrow) {
-  LogStore store;
-  store.add(make_record(5, EventType::NodeBoot, 1));
-  ASSERT_FALSE(store.finalized());
-  const auto t0 = util::TimePoint{0};
-  const auto t9 = util::TimePoint::from_unix_seconds(9);
-  EXPECT_THROW((void)store.first_time(), std::logic_error);
-  EXPECT_THROW((void)store.last_time(), std::logic_error);
-  EXPECT_THROW((void)store.range(t0, t9), std::logic_error);
-  EXPECT_THROW((void)store.node_range(platform::NodeId{1}, t0, t9), std::logic_error);
-  EXPECT_THROW((void)store.blade_range(platform::BladeId{0}, t0, t9), std::logic_error);
-  EXPECT_THROW((void)store.cabinet_range(platform::CabinetId{0}, t0, t9), std::logic_error);
-  EXPECT_THROW((void)store.type_range(EventType::NodeBoot, t0, t9), std::logic_error);
-  EXPECT_THROW((void)store.count_of_type(EventType::NodeBoot), std::logic_error);
-  EXPECT_THROW((void)store.node_index(platform::NodeId{1}), std::logic_error);
-  EXPECT_THROW((void)store.type_index(EventType::NodeBoot), std::logic_error);
-  EXPECT_THROW((void)store.nodes(), std::logic_error);
-  store.finalize();
-  EXPECT_EQ(store.first_time().unix_seconds(), 5);
 }
 
 // ------------------------------------------------------- StoreBuilder ----
@@ -309,7 +277,6 @@ TEST(StoreBuilderTest, OversizedBatchKeepsContiguity) {
 TEST(StoreBuilderTest, EmptyBuildYieldsUsableStore) {
   StoreBuilder builder;
   const LogStore store = builder.build();
-  EXPECT_TRUE(store.finalized());
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.count_of_type(EventType::KernelPanic), 0u);
 }
@@ -353,7 +320,6 @@ void expect_extend_matches_constructor(std::vector<LogRecord> base_records,
   const LogStore want(std::move(all), symbols);
   const LogStore got = LogStore::extend(base, std::move(fresh), std::move(symbols));
 
-  EXPECT_TRUE(got.finalized());
   EXPECT_EQ(section_bytes(want), section_bytes(got));
   EXPECT_TRUE(std::equal(want.times().begin(), want.times().end(), got.times().begin(),
                          got.times().end()));
@@ -465,12 +431,6 @@ TEST(LogStoreExtendTest, EmptyFresh) {
   expect_extend_matches_constructor({}, {});
 }
 
-TEST(LogStoreExtendTest, RequiresAFinalizedBase) {
-  LogStore base;
-  base.add(make_record(5, EventType::NodeBoot, 1));
-  EXPECT_THROW((void)LogStore::extend(base, {}, SymbolTable{}), std::logic_error);
-}
-
 TEST(LogStoreExtendTest, SeededRandomSweep) {
   util::Rng rng(2024);
   const auto random_record = [&rng] {
@@ -498,6 +458,70 @@ TEST(LogStoreExtendTest, SeededRandomSweep) {
     SCOPED_TRACE("round " + std::to_string(round));
     expect_extend_matches_constructor(std::move(base), std::move(fresh));
   }
+}
+
+// ------------------------------------------- every way to build a store ----
+
+/// A store is sorted and indexed by construction, whichever way it is made:
+/// the sorting constructor, from_sorted, StoreBuilder, extend (both its
+/// merge and its splice branch) and from_sections build the same rows,
+/// columns, indexes, nodes() and symbols from the same records.  Each
+/// record's detail names its input position, so a tie broken the wrong way
+/// shows up in the bytes.
+TEST(LogStoreConstructionTest, EveryWayInBuildsTheSameStore) {
+  util::Rng rng(99);
+  SymbolTable symbols;
+  std::vector<LogRecord> records(600);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    LogRecord& r = records[i];
+    const auto type = static_cast<EventType>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kEventTypeCount) - 1));
+    r = make_record(rng.uniform_int(0, 120), type,
+                    static_cast<std::uint32_t>(rng.uniform_int(0, 40)),
+                    static_cast<std::uint32_t>(rng.uniform_int(0, 10)),
+                    static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+    if (rng.uniform_int(0, 3) == 0) r.node = platform::NodeId{};
+    if (rng.uniform_int(0, 4) == 0) r.blade = platform::BladeId{};
+    if (rng.uniform_int(0, 5) == 0) r.cabinet = platform::CabinetId{};
+    r.detail = symbols.intern("r" + std::to_string(i));
+  }
+  const LogStore want(records, symbols);
+  const auto want_bytes = section_bytes(want);
+  ASSERT_EQ(want.size(), records.size());
+
+  std::vector<LogRecord> sorted = records;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const LogRecord& a, const LogRecord& b) { return a.time < b.time; });
+  EXPECT_EQ(section_bytes(LogStore::from_sorted(std::move(sorted), symbols)), want_bytes);
+
+  StoreBuilder builder(64);
+  builder.symbols() = symbols;
+  for (std::size_t i = 0; i < records.size(); i += 50) {  // unsorted chunks
+    const auto lo = records.begin() + static_cast<std::ptrdiff_t>(i);
+    builder.append_batch({lo, lo + 50});
+  }
+  EXPECT_EQ(section_bytes(builder.build()), want_bytes);
+
+  // A prefix in input order, so the suffix interleaves it (merge branch).
+  const auto cut = records.begin() + 400;
+  EXPECT_EQ(section_bytes(LogStore::extend(LogStore({records.begin(), cut}, symbols),
+                                           {cut, records.end()}, symbols)),
+            want_bytes);
+  // A split in time, so the suffix starts at the prefix's end (splice branch).
+  std::vector<LogRecord> early;
+  std::vector<LogRecord> late;
+  for (const LogRecord& r : records) {
+    (r.time < util::TimePoint::from_unix_seconds(60) ? early : late).push_back(r);
+  }
+  EXPECT_EQ(section_bytes(LogStore::extend(LogStore(std::move(early), symbols),
+                                           std::move(late), symbols)),
+            want_bytes);
+
+  util::Sections sections;
+  want.append_sections(sections);
+  util::SectionMap map;
+  for (const auto& entry : sections.entries()) map.add(entry.name, entry.bytes);
+  EXPECT_EQ(section_bytes(LogStore::from_sections(map)), want_bytes);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //     corrupt-file rejection matrix — truncation, bad magic, future
 //     version, bit flips at every checksum tier — each yielding the right
 //     structured SnapshotError and never a partial structure,
-//   - the per-structure hooks (CsrIndex, SymbolTable, LogStore, JobTable),
+//   - the per-structure hooks (CsrIndex, SymbolTable, JobTable; LogStore's
+//     is covered in logmodel_test),
 //   - the corpus-level round trip: a loaded snapshot must drive
 //     markdown_report to bytes identical to the text-parse path, on the
 //     same S2 week/seed-42 corpus the committed BENCH_pipeline.json pins,
@@ -23,7 +24,6 @@
 #include "faultsim/simulator.hpp"
 #include "jobs/job_table.hpp"
 #include "loggen/corpus.hpp"
-#include "logmodel/log_store.hpp"
 #include "logmodel/symbol_table.hpp"
 #include "parsers/corpus_parser.hpp"
 #include "parsers/snapshot.hpp"
@@ -362,54 +362,6 @@ const faultsim::SimulationResult& small_sim() {
   return sim;
 }
 
-TEST(LogStoreSnapshotTest, SaveLoadRoundtripPreservesEveryColumnAndIndex) {
-  const logmodel::LogStore store = small_sim().make_store();
-  ASSERT_GT(store.size(), 0u);
-
-  const ScratchFile file("logstore");
-  ASSERT_FALSE(store.save(file.path()));
-  const auto loaded = logmodel::LogStore::load(file.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.error->to_string();
-  const logmodel::LogStore& back = *loaded.store;
-
-  ASSERT_EQ(back.size(), store.size());
-  EXPECT_TRUE(back.finalized());
-  EXPECT_EQ(back.nodes(), store.nodes());
-  EXPECT_EQ(back.symbols().size(), store.symbols().size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const auto& want = store[i];
-    const auto& got = back[i];
-    ASSERT_EQ(got.time.usec, want.time.usec) << "record " << i;
-    ASSERT_EQ(got.source, want.source) << "record " << i;
-    ASSERT_EQ(got.type, want.type) << "record " << i;
-    ASSERT_EQ(got.severity, want.severity) << "record " << i;
-    ASSERT_EQ(got.node.value, want.node.value) << "record " << i;
-    ASSERT_EQ(got.blade.value, want.blade.value) << "record " << i;
-    ASSERT_EQ(got.cabinet.value, want.cabinet.value) << "record " << i;
-    ASSERT_EQ(got.job_id, want.job_id) << "record " << i;
-    ASSERT_EQ(got.value, want.value) << "record " << i;
-    ASSERT_EQ(back.detail(i), store.detail(i)) << "record " << i;
-  }
-  // Rebuilt secondary indexes answer identically.
-  const auto t0 = store.first_time();
-  const auto t1 = store.last_time();
-  for (const auto node : store.nodes()) {
-    EXPECT_EQ(back.node_range(node, t0, t1).size(),
-              store.node_range(node, t0, t1).size());
-  }
-  for (std::size_t t = 0; t < logmodel::kEventTypeCount; ++t) {
-    const auto type = static_cast<logmodel::EventType>(t);
-    EXPECT_EQ(back.count_of_type(type), store.count_of_type(type));
-  }
-}
-
-TEST(LogStoreSnapshotTest, UnfinalizedStoreRefusesToSave) {
-  logmodel::LogStore store;
-  store.add(logmodel::LogRecord{});
-  const ScratchFile file("unfinalized");
-  EXPECT_THROW((void)store.save(file.path()), std::logic_error);
-}
-
 TEST(JobTableSnapshotTest, RoundtripPreservesJobsAndNodeIndex) {
   const jobs::JobTable table = jobs::JobTable::from_jobs(small_sim().jobs);
   ASSERT_GT(table.size(), 0u);
@@ -446,7 +398,9 @@ TEST(JobTableSnapshotTest, RoundtripPreservesJobsAndNodeIndex) {
       const auto* want_hit = table.job_on_node_at(node, job.start);
       const auto* got_hit = back.job_on_node_at(node, job.start);
       ASSERT_EQ(want_hit != nullptr, got_hit != nullptr);
-      if (want_hit != nullptr) EXPECT_EQ(got_hit->job_id, want_hit->job_id);
+      if (want_hit != nullptr) {
+        EXPECT_EQ(got_hit->job_id, want_hit->job_id);
+      }
     }
   }
 }

@@ -6,8 +6,6 @@
 //     holding a dangling reference after an early rethrow),
 //   - dangling-view: the hazard class PR 5 introduced repo-wide when
 //     LogStore/SymbolTable grew std::span/std::string_view accessors,
-//   - finalize-protocol: the fail-loud std::logic_error contract for
-//     querying non-finalized stores (PR 2/3),
 //   - raw-sync: concurrency/ownership primitives that bypass the
 //     instrumented util::ThreadPool (whose metrics caught PR 4's ABA
 //     use-after-free).
@@ -206,7 +204,7 @@ void scan_temporary_view_bindings(const SourceFile& file, Report& report) {
   static const std::set<std::string_view> kViewMembers = {
       "view",        "detail",      "times",      "types",      "records",
       "symbols",     "range",       "node_range", "blade_range", "cabinet_range",
-      "type_range",  "node_index",  "type_index", "nodes",       "row"};
+      "type_range",  "node_index",  "type_index", "nodes"};
   static const std::set<std::string_view> kClasses = {"LogStore", "SymbolTable"};
   const Tokens& toks = file.tokens;
 
@@ -246,226 +244,6 @@ void scan_temporary_view_bindings(const SourceFile& file, Report& report) {
              "; the view dangles at the end of the full expression (the PR 5 "
              "hazard class) — name the " + std::string(toks[i].text) + " first",
          report);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check: finalize-protocol
-// ---------------------------------------------------------------------------
-
-/// True when [begin, end) mentions any token of the finalize guard
-/// vocabulary (require_finalized(), the finalized_ flag / finalized()
-/// accessor, or a thrown std::logic_error).
-[[nodiscard]] bool mentions_guard(const Tokens& toks, std::size_t begin, std::size_t end) {
-  for (std::size_t i = begin; i < end && i < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::Identifier) continue;
-    const std::string_view t = toks[i].text;
-    if (t == "require_finalized" || t == "finalized_" || t == "finalized" ||
-        t == "logic_error") {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Finds `Class::name(` definitions in `toks` and returns true when any
-/// such definition's body mentions the guard vocabulary.  `found` reports
-/// whether a definition exists at all.
-[[nodiscard]] bool out_of_class_guarded(const Tokens& toks, std::string_view cls,
-                                        std::string_view name, bool& found) {
-  found = false;
-  for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
-    if (!is_ident(toks[i], cls) || !is_punct(toks[i + 1], "::") ||
-        !is_ident(toks[i + 2], name) || !is_punct(toks[i + 3], "(")) {
-      continue;
-    }
-    const std::size_t params_close = matching_close(toks, i + 3);
-    if (params_close >= toks.size()) continue;
-    // Skip to the body (over const/noexcept/member-init lists).
-    std::size_t body_open = toks.size();
-    for (std::size_t k = params_close + 1; k < toks.size(); ++k) {
-      if (is_punct(toks[k], "{")) {
-        body_open = k;
-        break;
-      }
-      if (is_punct(toks[k], ";")) break;  // a declaration, not a definition
-    }
-    if (body_open == toks.size()) continue;
-    found = true;
-    const std::size_t body_close = matching_close(toks, body_open);
-    if (mentions_guard(toks, body_open, std::min(body_close + 1, toks.size()))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void finalize_protocol_for_class(SourceTree& tree, const char* cls, const char* hpp_path,
-                                 std::initializer_list<const char*> cpp_paths,
-                                 Report& report) {
-  const std::string check = "finalize-protocol";
-  const SourceFile* hpp = tree.source(hpp_path);
-  if (hpp == nullptr) return;  // fixture trees carry only the classes they exercise
-  // A class's out-of-line members may be split across several .cpp files
-  // (LogStore's persistence lives in store_snapshot.cpp); a guard in any of
-  // them counts.
-  std::vector<const Tokens*> cpp_tokens;
-  for (const char* cpp_path : cpp_paths) {
-    const SourceFile* cpp = tree.source(cpp_path);
-    if (cpp != nullptr) cpp_tokens.push_back(&cpp->tokens);
-  }
-  const Tokens& toks = hpp->tokens;
-
-  // Locate `class <cls> ... {`.
-  std::size_t body_open = toks.size();
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!is_ident(toks[i], "class") || !is_ident(toks[i + 1], cls)) continue;
-    for (std::size_t j = i + 2; j < toks.size(); ++j) {
-      if (is_punct(toks[j], "{")) {
-        body_open = j;
-        break;
-      }
-      if (is_punct(toks[j], ";")) break;  // forward declaration
-    }
-    if (body_open != toks.size()) break;
-  }
-  if (body_open == toks.size()) return;
-  const std::size_t body_close = matching_close(toks, body_open);
-  if (body_close >= toks.size()) return;
-  const int member_depth = toks[body_open].depth + 1;
-
-  // The established alternative to per-accessor guards: a constructor that
-  // fails loud (std::logic_error) on a non-finalized store at construction —
-  // AnalysisContext's protocol.  Such a class needs no per-member guards.
-  // Merely touching finalized_ in the constructor (LogStore's does, to reset
-  // the flag) is not a guard: the throw is what makes it one.
-  {
-    for (const Tokens* file_toks : cpp_tokens) {
-      const Tokens& cpp_toks = *file_toks;
-      for (std::size_t i = 0; i + 3 < cpp_toks.size(); ++i) {
-        if (!is_ident(cpp_toks[i], cls) || !is_punct(cpp_toks[i + 1], "::") ||
-            !is_ident(cpp_toks[i + 2], cls) || !is_punct(cpp_toks[i + 3], "(")) {
-          continue;
-        }
-        const std::size_t params_close = matching_close(cpp_toks, i + 3);
-        if (params_close >= cpp_toks.size()) continue;
-        for (std::size_t k = params_close + 1; k < cpp_toks.size(); ++k) {
-          if (is_punct(cpp_toks[k], ";")) break;
-          if (is_punct(cpp_toks[k], "{")) {
-            const std::size_t ctor_close = matching_close(cpp_toks, k);
-            for (std::size_t g = k; g < ctor_close && g < cpp_toks.size(); ++g) {
-              if (is_ident(cpp_toks[g], "logic_error")) return;
-            }
-            break;
-          }
-        }
-      }
-    }
-    // Inline constructor bodies in the header count too.
-    for (std::size_t i = body_open + 1; i + 1 < body_close; ++i) {
-      if (toks[i].depth != member_depth || !is_ident(toks[i], cls) ||
-          !is_punct(toks[i + 1], "(")) {
-        continue;
-      }
-      if (i >= 1 && is_punct(toks[i - 1], "~")) continue;
-      const std::size_t params_close = matching_close(toks, i + 1);
-      if (params_close >= toks.size()) continue;
-      for (std::size_t k = params_close + 1; k < body_close; ++k) {
-        if (is_punct(toks[k], ";")) break;
-        if (is_punct(toks[k], "{")) {
-          const std::size_t ctor_close = matching_close(toks, k);
-          if (mentions_guard(toks, k, std::min(ctor_close + 1, toks.size())) &&
-              ctor_close < toks.size()) {
-            // Guarding at construction requires the throw, not just the flag.
-            for (std::size_t g = k; g < ctor_close; ++g) {
-              if (is_ident(toks[g], "logic_error")) return;
-            }
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  // Keywords that look like `name(` but are not member declarations.
-  static const std::set<std::string_view> kNotMembers = {
-      "if", "for", "while", "switch", "return", "static_assert",
-      "sizeof", "decltype", "noexcept", "alignof", "catch", "throw"};
-
-  bool is_public = false;  // class scope defaults private
-  for (std::size_t i = body_open + 1; i < body_close; ++i) {
-    const Token& t = toks[i];
-    if (t.depth != member_depth) continue;
-    if (t.kind == Token::Kind::Identifier && i + 1 < body_close &&
-        is_punct(toks[i + 1], ":") &&
-        (t.text == "public" || t.text == "private" || t.text == "protected")) {
-      is_public = (t.text == "public");
-      ++i;
-      continue;
-    }
-    if (!is_public) continue;
-    if (t.kind != Token::Kind::Identifier || i + 1 >= body_close) continue;
-
-    // Member-function declaration: `name(` at member depth.
-    std::string name(t.text);
-    std::size_t paren = i + 1;
-    if (name == "operator") {  // operator[]/operator== etc: puncts up to '('
-      while (paren < body_close && !is_punct(toks[paren], "(")) {
-        name += toks[paren].text;
-        ++paren;
-      }
-      if (paren >= body_close) continue;
-    }
-    if (!is_punct(toks[paren], "(")) continue;
-    if (kNotMembers.count(name) != 0) continue;
-    if (name == cls) {  // constructor (handled above)
-      i = matching_close(toks, paren);
-      continue;
-    }
-    if (i >= 1 && is_punct(toks[i - 1], "~")) {  // destructor
-      i = matching_close(toks, paren);
-      continue;
-    }
-    const std::size_t params_close = matching_close(toks, paren);
-    if (params_close >= toks.size()) continue;
-
-    // Classify the declaration tail: deleted/defaulted, inline body, or `;`.
-    bool guarded = false;
-    bool skip = false;
-    std::size_t tail_end = params_close;
-    for (std::size_t k = params_close + 1; k < body_close; ++k) {
-      if (is_punct(toks[k], "=") && k + 1 < body_close &&
-          (is_ident(toks[k + 1], "delete") || is_ident(toks[k + 1], "default"))) {
-        skip = true;
-      }
-      if (is_punct(toks[k], "{")) {
-        const std::size_t inline_close = matching_close(toks, k);
-        guarded = mentions_guard(toks, k, std::min(inline_close + 1, toks.size()));
-        tail_end = inline_close;
-        break;
-      }
-      if (is_punct(toks[k], ";")) {
-        for (const Tokens* file_toks : cpp_tokens) {
-          bool found = false;
-          if (out_of_class_guarded(*file_toks, cls, name, found)) {
-            guarded = true;
-            break;
-          }
-        }
-        tail_end = k;
-        break;
-      }
-    }
-    if (!skip && !guarded) {
-      emit(*hpp, t.line, check,
-           "public " + std::string(cls) + "::" + std::string(name) +
-               "() reads store state without a require_finalized()/finalized() "
-               "guard and " + std::string(cls) +
-               " does not fail loud at construction; throw std::logic_error on "
-               "non-finalized access or justify with allow(finalize-protocol)",
-           report);
-    }
-    i = tail_end;
   }
 }
 
@@ -545,15 +323,6 @@ void check_dangling_view(SourceTree& tree, Report& report) {
       scan_temporary_view_bindings(*file, report);
     }
   }
-}
-
-void check_finalize_protocol(SourceTree& tree, Report& report) {
-  finalize_protocol_for_class(tree, "LogStore", "src/logmodel/log_store.hpp",
-                              {"src/logmodel/log_store.cpp",
-                               "src/logmodel/store_snapshot.cpp"},
-                              report);
-  finalize_protocol_for_class(tree, "AnalysisContext", "src/core/analysis_context.hpp",
-                              {"src/core/analysis_context.cpp"}, report);
 }
 
 void check_raw_sync(SourceTree& tree, Report& report) {

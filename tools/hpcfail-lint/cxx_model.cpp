@@ -71,12 +71,11 @@ void lex(SourceFile& file) {
   const std::string_view s = file.content;
   std::size_t i = 0;
   std::size_t line = 1;
-  int depth = 0;
   bool line_start = true;  ///< only whitespace seen since the last newline
 
   const auto push = [&](Token::Kind kind, std::size_t begin, std::size_t end,
                         std::size_t tok_line) {
-    file.tokens.push_back(Token{kind, s.substr(begin, end - begin), tok_line, depth});
+    file.tokens.push_back(Token{kind, s.substr(begin, end - begin), tok_line});
   };
 
   while (i < s.size()) {
@@ -207,20 +206,7 @@ void lex(SourceFile& file) {
       continue;
     }
 
-    // Punctuation; braces adjust nesting depth.  A '{' token reports the
-    // depth outside it, matching '}' reports the depth inside restored.
-    if (c == '{') {
-      push(Token::Kind::Punct, i, i + 1, line);
-      ++depth;
-      ++i;
-      continue;
-    }
-    if (c == '}') {
-      depth = std::max(0, depth - 1);
-      push(Token::Kind::Punct, i, i + 1, line);
-      ++i;
-      continue;
-    }
+    // Punctuation.
     const std::size_t len = punct_len(s.substr(i));
     push(Token::Kind::Punct, i, i + len, line);
     i += len;

@@ -1,16 +1,16 @@
 // Shared C++ source model for hpcfail-lint.
 //
 // The doc-consistency checks of PR 1 worked line-by-line with regexes; the
-// semantic checks added since (capture-lifetime, dangling-view,
-// finalize-protocol, raw-sync) need to know what regexes cannot: whether a
-// `&` sits inside a lambda capture list or an `if`, whether `new` appears in
-// code or in a comment quoting dmesg, where a class body begins and ends.
+// semantic checks added since (capture-lifetime, dangling-view, raw-sync)
+// need to know what regexes cannot: whether a `&` sits inside a lambda
+// capture list or an `if`, whether `new` appears in code or in a comment
+// quoting dmesg, where a function body begins and ends.
 // This header provides the shared substrate:
 //
 //   - Lexer: a tolerant C++ tokenizer (line comments, block comments,
 //     ordinary/raw string literals, char literals, numbers with digit
 //     separators, preprocessor directives with continuations) producing a
-//     token stream with 1-based line numbers and brace-nesting depth.
+//     token stream with 1-based line numbers.
 //   - SourceFile: one loaded file — raw text, split lines (for the legacy
 //     regex checks), tokens, and parsed inline suppressions.
 //   - SourceTree: the per-run cache.  Every check (legacy and token-level)
@@ -50,7 +50,6 @@ struct Token {
   Kind kind = Kind::Punct;
   std::string_view text;  ///< view into SourceFile::content
   std::size_t line = 0;   ///< 1-based line of the token's first character
-  int depth = 0;          ///< brace-nesting depth before this token
 };
 
 /// One `hpcfail-lint: allow(<check>)` comment.  `reason` is what follows

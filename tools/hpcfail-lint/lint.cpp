@@ -997,10 +997,6 @@ const std::vector<CheckDef>& registry() {
         "No std::span/std::string_view derived from locals or temporaries (PR 5 "
         "dangling-view class)"},
        &check_dangling_view},
-      {{"finalize-protocol", Severity::Error,
-        "Public LogStore/AnalysisContext accessors guard non-finalized state with "
-        "std::logic_error or carry a reasoned allow"},
-       &check_finalize_protocol},
       {{"raw-sync", Severity::Error,
         "No bare std::thread/detach()/raw new/const_cast outside src/util; "
         "concurrency goes through util::ThreadPool"},

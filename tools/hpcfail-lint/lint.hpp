@@ -13,8 +13,6 @@
 //  token-level passes over the C++ sources:
 //    - capture-lifetime: the PR 1 ThreadPool use-after-scope class,
 //    - dangling-view:    the PR 5 span/string_view-of-temporary class,
-//    - finalize-protocol: the fail-loud std::logic_error contract added in
-//      PR 2/3 for non-finalized LogStore/AnalysisContext access,
 //    - raw-sync:         bare std::thread/detach()/new/const_cast that
 //      bypass the instrumented util::ThreadPool and ownership rules.
 //
@@ -150,14 +148,6 @@ void check_capture_lifetime(SourceTree& tree, Report& report);
 /// members off temporary LogStore/SymbolTable expressions — both dangle (the
 /// PR 5 hazard class introduced with the columnar accessors).
 void check_dangling_view(SourceTree& tree, Report& report);
-
-/// Public LogStore/AnalysisContext member functions must either guard
-/// non-finalized state (require_finalized()/finalized() + std::logic_error
-/// in their own body), belong to a class that fails loud at construction
-/// (AnalysisContext's constructor throws on a non-finalized store), or carry
-/// an explicit reasoned allow — so new accessors cannot silently read
-/// unsorted records or stale indexes.
-void check_finalize_protocol(SourceTree& tree, Report& report);
 
 /// Concurrency and ownership primitives stay behind src/util: bare
 /// std::thread/std::jthread/std::async construction, detach(), raw `new`

@@ -23,8 +23,8 @@ void usage(std::FILE* to) {
       "Statically cross-checks the emitter templates, parser tables and\n"
       "FORMATS.md schemas of an hpcfail tree, plus repo invariants and\n"
       "token-level lifetime/concurrency checks (capture-lifetime,\n"
-      "dangling-view, finalize-protocol, raw-sync).  Prints gcc-style\n"
-      "file:line diagnostics and exits non-zero when the tree has drifted.\n"
+      "dangling-view, raw-sync).  Prints gcc-style file:line diagnostics\n"
+      "and exits non-zero when the tree has drifted.\n"
       "\n"
       "  --sarif-out FILE       also write the report as SARIF 2.1.0 for\n"
       "                         code-scanning upload.\n"
