@@ -13,7 +13,7 @@ int main() {
   util::TextTable table({"System", "Month", "Failures", "on faulty blade", "on faulty cabinet"});
   for (const auto sys : {platform::SystemName::S1, platform::SystemName::S2}) {
     const auto p = bench::run_system(sys, 60, 707);
-    const core::SpatialAnalyzer spatial(p.parsed.store, p.parsed.topology);
+    const core::SpatialAnalyzer spatial(p.parsed.store);
     for (int month = 0; month < 2; ++month) {
       const util::TimePoint begin = p.sim.config.begin + util::Duration::days(month * 30);
       const auto attribution =

@@ -15,7 +15,7 @@ int main() {
   util::TextTable table({"System", "Week", "blade groups", "same-reason fraction"});
   for (const auto sys : {platform::SystemName::S1, platform::SystemName::S2}) {
     const auto p = bench::run_system(sys, 49, 1818);
-    const core::SpatialAnalyzer spatial(p.parsed.store, p.parsed.topology);
+    const core::SpatialAnalyzer spatial(p.parsed.store);
 
     stats::StreamingStats weekly;
     for (int week = 0; week < 7; ++week) {

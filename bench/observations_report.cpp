@@ -48,7 +48,7 @@ int main() {
                  0.75);
 
   // --- Observation 3: blade/cabinet signals are not primary causes ---
-  const core::SpatialAnalyzer spatial(p.parsed.store, p.parsed.topology);
+  const core::SpatialAnalyzer spatial(p.parsed.store);
   const auto attribution = spatial.attribute(p.failures, begin, end);
   check.in_range("O3: failures on 'faulty' blades stay a weak minority-to-half",
                  attribution.blade_fraction(), 0.10, 0.70);

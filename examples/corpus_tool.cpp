@@ -18,6 +18,7 @@
 // (suitably formatted) logs: it never touches the simulator.
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include <fstream>
@@ -33,6 +34,8 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
+#include "platform/system_config.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -50,15 +53,6 @@ int usage() {
   return 2;
 }
 
-std::optional<platform::SystemName> parse_system(const std::string& s) {
-  for (const auto name : {platform::SystemName::S1, platform::SystemName::S2,
-                          platform::SystemName::S3, platform::SystemName::S4,
-                          platform::SystemName::S5}) {
-    if (platform::to_string(name) == s) return name;
-  }
-  return std::nullopt;
-}
-
 int cmd_generate(int argc, char** argv) {
   platform::SystemName system = platform::SystemName::S1;
   int days = 7;
@@ -69,23 +63,33 @@ int cmd_generate(int argc, char** argv) {
     const std::string flag = argv[i];
     const std::string value = argv[i + 1];
     if (flag == "--system") {
-      const auto parsed = parse_system(value);
+      const auto parsed = platform::system_from_string(value);
       if (!parsed) {
         std::cerr << "unknown system " << value << "\n";
         return 2;
       }
       system = *parsed;
     } else if (flag == "--days") {
-      days = std::atoi(value.c_str());
+      const auto n = util::parse_u64(value);
+      if (!n || *n < 1 || *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        std::cerr << "--days expects a positive integer, got '" << value << "'\n";
+        return 2;
+      }
+      days = static_cast<int>(*n);
     } else if (flag == "--seed") {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
+      const auto n = util::parse_u64(value);
+      if (!n) {
+        std::cerr << "--seed expects a non-negative integer, got '" << value << "'\n";
+        return 2;
+      }
+      seed = *n;
     } else if (flag == "--out") {
       out = value;
     } else if (flag == "--config") {
       config_path = value;
     }
   }
-  if (out.empty() || days <= 0) return usage();
+  if (out.empty()) return usage();
 
   faultsim::ScenarioConfig scenario = faultsim::scenario_preset(system, days, seed);
   if (!config_path.empty()) {
@@ -232,7 +236,7 @@ int main(int argc, char** argv) {
       return cmd_report(argv[2], argc >= 4 ? argv[3] : nullptr);
     }
     if (cmd == "dump-scenario" && argc >= 3) {
-      const auto system = parse_system(argv[2]);
+      const auto system = platform::system_from_string(argv[2]);
       if (!system) {
         std::cerr << "unknown system " << argv[2] << "\n";
         return 2;

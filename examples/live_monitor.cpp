@@ -89,9 +89,7 @@ int main(int argc, char** argv) {
   // The advisor wants the full multi-source window, so analyze the parsed
   // corpus directly (the daemon above only followed the console stream).
   const auto parsed = parsers::parse_corpus(corpus);
-  const core::AnalysisContext analysis_ctx(
-      parsed.store, &parsed.jobs, parsed.store.first_time(),
-      parsed.store.last_time() + util::Duration::microseconds(1));
+  const core::AnalysisContext analysis_ctx(parsed.store, &parsed.jobs);
   const auto& failures = analysis_ctx.failures();
   const core::MitigationAdvisor advisor;
   const auto recommendations = advisor.advise(failures, &parsed.jobs);

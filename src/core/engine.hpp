@@ -5,22 +5,19 @@
 //   core::AnalysisResult r = engine.analyze(parsed);
 //   // r.failures, r.breakdown, r.lead_time_summary, r.clusters, r.nvf ...
 //
-// The engine builds one AnalysisContext (memoized detection + diagnosis +
-// joins, see analysis_context.hpp) and runs the registered analyzers
-// against it.  The built-in analyzers fill the AnalysisResult sections;
-// `register_analyzer` appends extension stages that run after them and may
-// read everything the built-ins produced.  Per-failure stages (root-cause
-// evidence collection, lead-time attribution) shard over
+// The engine builds one AnalysisContext (memoized detection + diagnosis,
+// see analysis_context.hpp) and runs five fixed stages against it, in
+// order: cause aggregates, lead times, external correlation, benign faults
+// and clusters.  Each stage fills its AnalysisResult sections under the
+// `hpcfail.engine.analyzer_<stage>` trace span.  Per-failure stages
+// (root-cause evidence collection, lead-time attribution) shard over
 // `AnalysisConfig::pool` with deterministic index-ordered assembly — an
 // engine run with N threads is byte-identical to the serial run.
 #pragma once
 
-#include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "core/analysis_context.hpp"
 #include "core/benign_faults.hpp"
 #include "core/clusters.hpp"
 #include "core/external_correlator.hpp"
@@ -28,6 +25,7 @@
 #include "core/leadtime.hpp"
 #include "core/report.hpp"
 #include "core/root_cause.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpcfail::parsers {
 struct ParsedCorpus;
@@ -83,23 +81,10 @@ struct AnalysisResult {
 
 class AnalysisEngine {
  public:
-  /// An analyzer reads the shared context (and anything earlier stages
-  /// wrote to the result) and fills its result section.
-  using Analyzer = std::function<void(const AnalysisContext&, AnalysisResult&)>;
-
-  explicit AnalysisEngine(AnalysisConfig config = {});
-
-  /// Appends an extension stage after the built-in analyzers.  Stages run
-  /// in registration order; `name` labels the stage for introspection.
-  void register_analyzer(std::string name, Analyzer fn);
-
-  /// Registered stage names, built-ins first, in execution order.
-  [[nodiscard]] std::vector<std::string> analyzer_names() const;
-
-  [[nodiscard]] const AnalysisConfig& config() const noexcept { return config_; }
+  explicit AnalysisEngine(AnalysisConfig config = {}) : config_(std::move(config)) {}
 
   /// Analyzes `store` over [begin, end): builds the context once, runs
-  /// every analyzer.
+  /// the five stages.
   [[nodiscard]] AnalysisResult analyze(const logmodel::LogStore& store,
                                        const jobs::JobTable* jobs,
                                        util::TimePoint begin,
@@ -110,7 +95,6 @@ class AnalysisEngine {
 
  private:
   AnalysisConfig config_;
-  std::vector<std::pair<std::string, Analyzer>> analyzers_;
 };
 
 }  // namespace hpcfail::core

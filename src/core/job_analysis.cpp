@@ -105,14 +105,4 @@ std::vector<OverallocationRow> JobAnalyzer::overallocation_report() const {
   return out;
 }
 
-std::vector<AnalyzedFailure> JobAnalyzer::job_triggered_failures() const {
-  std::vector<AnalyzedFailure> out;
-  for (const auto& f : failures_) {
-    if (f.event.job_id != logmodel::kNoJob && f.inference.application_triggered) {
-      out.push_back(f);
-    }
-  }
-  return out;
-}
-
 }  // namespace hpcfail::core

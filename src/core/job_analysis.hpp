@@ -66,10 +66,6 @@ class JobAnalyzer {
   /// start order.
   [[nodiscard]] std::vector<OverallocationRow> overallocation_report() const;
 
-  /// Failures attributed to jobs, for MTBF-of-job-triggered analysis
-  /// (Fig 19).
-  [[nodiscard]] std::vector<AnalyzedFailure> job_triggered_failures() const;
-
  private:
   const jobs::JobTable& table_;
   const std::vector<AnalyzedFailure>& failures_;

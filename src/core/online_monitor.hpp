@@ -60,8 +60,6 @@ class OnlineMonitor {
   /// Convenience: feed a whole time-sorted store.
   [[nodiscard]] std::vector<Alert> ingest_all(const logmodel::LogStore& store);
 
-  [[nodiscard]] std::size_t nodes_tracked() const noexcept { return nodes_.size(); }
-
  private:
   struct RememberedEvent {
     util::TimePoint time;

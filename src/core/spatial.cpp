@@ -84,18 +84,4 @@ double SpatialAnalyzer::same_reason_fraction(
   return same / static_cast<double>(groups.size());
 }
 
-double SpatialAnalyzer::mean_cabinet_distance_of_close_failures(
-    const std::vector<AnalyzedFailure>& failures, util::Duration within) const {
-  double total = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 1; i < failures.size(); ++i) {
-    const auto& a = failures[i - 1].event;
-    const auto& b = failures[i].event;
-    if (b.time - a.time > within) continue;
-    total += topo_.cabinet_distance(a.node, b.node);
-    ++pairs;
-  }
-  return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
-}
-
 }  // namespace hpcfail::core

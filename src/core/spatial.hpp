@@ -7,7 +7,7 @@
 
 #include "core/root_cause.hpp"
 #include "logmodel/log_store.hpp"
-#include "platform/topology.hpp"
+#include "platform/ids.hpp"
 
 namespace hpcfail::core {
 
@@ -41,9 +41,8 @@ struct BladeFailureGroup {
 
 class SpatialAnalyzer {
  public:
-  SpatialAnalyzer(const logmodel::LogStore& store, const platform::Topology& topo,
-                  SpatialConfig config = {})
-      : store_(store), topo_(topo), config_(config) {}
+  explicit SpatialAnalyzer(const logmodel::LogStore& store, SpatialConfig config = {})
+      : store_(store), config_(config) {}
 
   /// Fig 7: how many failures sit on blades/cabinets that showed controller
   /// faults or warnings around the failure time.
@@ -60,18 +59,11 @@ class SpatialAnalyzer {
   [[nodiscard]] static double same_reason_fraction(
       const std::vector<BladeFailureGroup>& groups) noexcept;
 
-  /// Mean cabinet (Manhattan) distance between failures less than
-  /// `within` apart in time — the "spatially distant yet temporally close"
-  /// measurement backing Observation 8.
-  [[nodiscard]] double mean_cabinet_distance_of_close_failures(
-      const std::vector<AnalyzedFailure>& failures, util::Duration within) const;
-
  private:
   [[nodiscard]] bool blade_faulty_near(platform::BladeId blade, util::TimePoint t) const;
   [[nodiscard]] bool cabinet_faulty_near(platform::CabinetId cabinet, util::TimePoint t) const;
 
   const logmodel::LogStore& store_;
-  const platform::Topology& topo_;
   SpatialConfig config_;
 };
 

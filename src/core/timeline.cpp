@@ -9,13 +9,6 @@ namespace hpcfail::core {
 using logmodel::EventType;
 using logmodel::LogRecord;
 
-NodeState NodeTimeline::state_at(util::TimePoint t) const noexcept {
-  for (const auto& iv : intervals) {
-    if (iv.begin <= t && t < iv.end) return iv.state;
-  }
-  return NodeState::Up;
-}
-
 util::Duration NodeTimeline::time_in(NodeState state) const noexcept {
   util::Duration total{};
   for (const auto& iv : intervals) {

@@ -35,7 +35,6 @@ struct NodeTimeline {
   /// Contiguous, non-overlapping intervals covering the analysis window.
   std::vector<StateInterval> intervals;
 
-  [[nodiscard]] NodeState state_at(util::TimePoint t) const noexcept;
   [[nodiscard]] util::Duration time_in(NodeState state) const noexcept;
 };
 

@@ -114,15 +114,6 @@ const std::vector<DoubleKey>& double_keys() {
   return keys;
 }
 
-std::optional<platform::SystemName> system_from_label(std::string_view label) {
-  for (const auto name : {platform::SystemName::S1, platform::SystemName::S2,
-                          platform::SystemName::S3, platform::SystemName::S4,
-                          platform::SystemName::S5}) {
-    if (platform::to_string(name) == label) return name;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::string scenario_to_string(const ScenarioConfig& config) {
@@ -173,7 +164,7 @@ void apply_scenario_overrides(ScenarioConfig& config, const std::string& text) {
     };
 
     if (key == "system") {
-      const auto name = system_from_label(value);
+      const auto name = platform::system_from_string(value);
       if (!name) throw bad_value();
       config.system = platform::system_preset(*name);
       continue;
@@ -286,7 +277,7 @@ ScenarioConfig scenario_from_string(const std::string& text) {
     const auto key = util::trim(line.substr(0, eq));
     const auto value = util::trim(line.substr(eq + 1));
     if (key == "system") {
-      const auto name = system_from_label(value);
+      const auto name = platform::system_from_string(value);
       if (name) {
         system = *name;
         system_seen = true;

@@ -54,18 +54,4 @@ std::vector<platform::NodeId> NodeAllocator::allocate(std::uint32_t count,
   return picked;
 }
 
-void NodeAllocator::release(platform::NodeId node, util::TimePoint at) noexcept {
-  if (node.valid() && node.value < free_at_.size()) {
-    free_at_[node.value] = std::min(free_at_[node.value], at);
-  }
-}
-
-std::uint32_t NodeAllocator::free_count(util::TimePoint t) const noexcept {
-  std::uint32_t n = 0;
-  for (const auto f : free_at_) {
-    if (f <= t) ++n;
-  }
-  return n;
-}
-
 }  // namespace hpcfail::jobs

@@ -30,12 +30,6 @@ class NodeAllocator {
                                                        util::TimePoint end,
                                                        AllocPolicy policy, util::Rng& rng);
 
-  /// Releases a node early (e.g. the node failed and was rebooted).
-  void release(platform::NodeId node, util::TimePoint at) noexcept;
-
-  /// Number of nodes free at `t`.
-  [[nodiscard]] std::uint32_t free_count(util::TimePoint t) const noexcept;
-
  private:
   const platform::Topology& topo_;
   std::vector<util::TimePoint> free_at_;  ///< per node: when it becomes free

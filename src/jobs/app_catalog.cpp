@@ -49,11 +49,4 @@ const AppProfile& AppCatalog::sample(util::Rng& rng) const {
   return apps_[rng.weighted_index(weights_)];
 }
 
-const AppProfile* AppCatalog::find(std::string_view name) const noexcept {
-  for (const auto& a : apps_) {
-    if (a.name == name) return &a;
-  }
-  return nullptr;
-}
-
 }  // namespace hpcfail::jobs

@@ -42,9 +42,6 @@ class AppCatalog {
   [[nodiscard]] std::size_t size() const noexcept { return apps_.size(); }
   [[nodiscard]] std::span<const AppProfile> apps() const noexcept { return apps_; }
 
-  /// Looks an app up by name; nullptr when absent.
-  [[nodiscard]] const AppProfile* find(std::string_view name) const noexcept;
-
  private:
   std::vector<AppProfile> apps_;
   std::vector<double> weights_;

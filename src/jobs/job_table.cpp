@@ -228,14 +228,6 @@ const JobInfo* JobTable::job_on_node_at(platform::NodeId node, util::TimePoint t
   return nullptr;
 }
 
-std::vector<const JobInfo*> JobTable::running_at(util::TimePoint t) const {
-  std::vector<const JobInfo*> out;
-  for (const auto& j : jobs_) {
-    if (j.start <= t && t < j.end) out.push_back(&j);
-  }
-  return out;
-}
-
 void JobTable::append_sections(util::Sections& out, const std::string& prefix) const {
   if (!finalized_) {
     throw std::logic_error("JobTable::append_sections: table is not finalized");

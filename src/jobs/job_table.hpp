@@ -63,9 +63,6 @@ class JobTable {
   [[nodiscard]] const JobInfo* job_on_node_at(platform::NodeId node, util::TimePoint t,
                                               util::Duration slack = {}) const noexcept;
 
-  /// All jobs whose [start, end) contains `t`.
-  [[nodiscard]] std::vector<const JobInfo*> running_at(util::TimePoint t) const;
-
   /// Registers the table as flat sections under `prefix`: fixed-width
   /// 64-byte job rows, an interned string pool for user/app/reason texts,
   /// the job -> nodes lists as a CSR, and `by_node_` exactly as built

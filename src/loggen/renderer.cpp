@@ -97,23 +97,6 @@ void internal_payload(std::string& out, const LogRecord& r,
   out += suffix;
 }
 
-std::string_view erd_event_name(EventType t) noexcept {
-  switch (t) {
-    case EventType::NodeHeartbeatFault: return "ec_node_failed";
-    case EventType::NodeVoltageFault: return "ec_node_voltage_fault";
-    case EventType::BladeHeartbeatFault: return "ec_bc_heartbeat_fault";
-    case EventType::EcHeartbeatStop: return "ec_heartbeat_stop";
-    case EventType::EcL0Failed: return "ec_l0_failed";
-    case EventType::EcHwError: return "ec_hw_error";
-    case EventType::LinkError: return "ec_link_error";
-    case EventType::LaneDegrade: return "ec_lane_degrade";
-    case EventType::LinkFailover: return "ec_link_failover";
-    case EventType::LinkFailoverFailed: return "ec_failover_failed";
-    case EventType::GetSensorReadingFailed: return "ec_get_sensor_failed";
-    default: return "ec_event";
-  }
-}
-
 namespace {
 
 /// Appends the controller payload for controller-scoped event types.
@@ -237,7 +220,7 @@ void LogRenderer::append_controller(std::string& out, const LogRecord& r) const 
 void LogRenderer::append_erd(std::string& out, const LogRecord& r) const {
   util::append_iso(out, r.time);
   out += " erd ev=";
-  out += erd_event_name(r.type);
+  out += logmodel::erd_event_name(r.type);
   out += " src=";
   append_component(out, r, "c0-0");
   if (r.has_node()) {

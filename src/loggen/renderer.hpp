@@ -87,7 +87,4 @@ class LogRenderer {
 void internal_payload(std::string& out, const logmodel::LogRecord& r,
                       const logmodel::SymbolTable& symbols);
 
-/// ERD event name for an external event type (e.g. "ec_node_failed").
-[[nodiscard]] std::string_view erd_event_name(logmodel::EventType t) noexcept;
-
 }  // namespace hpcfail::loggen

@@ -64,14 +64,43 @@ constexpr std::array<std::string_view, kEventTypeCount> kEventNames = {
     "NhcSuspectMode",
 };
 
-}  // namespace
+struct ErdEvent {
+  EventType type;
+  std::string_view name;
+};
 
-EventClass event_class(EventType t) noexcept {
-  const auto v = static_cast<std::uint8_t>(t);
-  if (v <= static_cast<std::uint8_t>(EventType::NodeBoot)) return EventClass::Internal;
-  if (v <= static_cast<std::uint8_t>(EventType::SedcReading)) return EventClass::External;
-  return EventClass::Job;
+/// The ERD vocabulary: the renderer emits these names and the ERD parser
+/// maps them back.  FORMATS.md's erd section lists the same names
+/// (hpcfail-lint's formats-doc check compares the two).
+constexpr std::array<ErdEvent, 11> kErdEvents = {{
+    {EventType::NodeHeartbeatFault, "ec_node_failed"},
+    {EventType::NodeVoltageFault, "ec_node_voltage_fault"},
+    {EventType::BladeHeartbeatFault, "ec_bc_heartbeat_fault"},
+    {EventType::EcHeartbeatStop, "ec_heartbeat_stop"},
+    {EventType::EcL0Failed, "ec_l0_failed"},
+    {EventType::EcHwError, "ec_hw_error"},
+    {EventType::LinkError, "ec_link_error"},
+    {EventType::LaneDegrade, "ec_lane_degrade"},
+    {EventType::LinkFailover, "ec_link_failover"},
+    {EventType::LinkFailoverFailed, "ec_failover_failed"},
+    {EventType::GetSensorReadingFailed, "ec_get_sensor_failed"},
+}};
+
+/// One row per type and per name, so the two lookups are inverses.
+constexpr bool erd_rows_unique() {
+  for (std::size_t i = 0; i < kErdEvents.size(); ++i) {
+    for (std::size_t j = i + 1; j < kErdEvents.size(); ++j) {
+      if (kErdEvents[i].type == kErdEvents[j].type ||
+          kErdEvents[i].name == kErdEvents[j].name) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
+static_assert(erd_rows_unique(), "kErdEvents repeats a type or a name");
+
+}  // namespace
 
 bool is_health_fault(EventType t) noexcept {
   switch (t) {
@@ -170,17 +199,6 @@ std::string_view to_string(EventType t) noexcept {
   return v < kEventNames.size() ? kEventNames[v] : std::string_view{"?"};
 }
 
-std::string_view to_string(Severity s) noexcept {
-  switch (s) {
-    case Severity::Info: return "INFO";
-    case Severity::Warning: return "WARN";
-    case Severity::Error: return "ERROR";
-    case Severity::Critical: return "CRIT";
-    case Severity::Fatal: return "FATAL";
-  }
-  return "?";
-}
-
 std::string_view to_string(LogSource s) noexcept {
   switch (s) {
     case LogSource::Console: return "console";
@@ -194,9 +212,16 @@ std::string_view to_string(LogSource s) noexcept {
   return "?";
 }
 
-std::optional<EventType> event_type_from_string(std::string_view s) noexcept {
-  for (std::size_t i = 0; i < kEventNames.size(); ++i) {
-    if (kEventNames[i] == s) return static_cast<EventType>(i);
+std::string_view erd_event_name(EventType t) noexcept {
+  for (const auto& e : kErdEvents) {
+    if (e.type == t) return e.name;
+  }
+  return "ec_event";
+}
+
+std::optional<EventType> erd_event_type(std::string_view name) noexcept {
+  for (const auto& e : kErdEvents) {
+    if (e.name == name) return e.type;
   }
   return std::nullopt;
 }

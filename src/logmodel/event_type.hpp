@@ -95,11 +95,6 @@ enum class LogSource : std::uint8_t {
 
 inline constexpr std::size_t kLogSourceCount = static_cast<std::size_t>(LogSource::kCount);
 
-/// Event universes used throughout the analysis.
-enum class EventClass : std::uint8_t { Internal, External, Job };
-
-[[nodiscard]] EventClass event_class(EventType t) noexcept;
-
 /// True for external events in the "health fault" column of Table III.
 [[nodiscard]] bool is_health_fault(EventType t) noexcept;
 
@@ -118,10 +113,14 @@ enum class EventClass : std::uint8_t { Internal, External, Job };
 [[nodiscard]] bool is_external_indicator(EventType t) noexcept;
 
 [[nodiscard]] std::string_view to_string(EventType t) noexcept;
-[[nodiscard]] std::string_view to_string(Severity s) noexcept;
 [[nodiscard]] std::string_view to_string(LogSource s) noexcept;
 
-/// Inverse of to_string(EventType).
-[[nodiscard]] std::optional<EventType> event_type_from_string(std::string_view s) noexcept;
+/// Event-router name of `t`, the `ev=` field of erd.log (e.g.
+/// "ec_node_failed"); "ec_event" for types outside the ERD vocabulary.
+[[nodiscard]] std::string_view erd_event_name(EventType t) noexcept;
+
+/// Inverse of erd_event_name over the ERD vocabulary; nullopt for
+/// "ec_event" and any other unknown name.
+[[nodiscard]] std::optional<EventType> erd_event_type(std::string_view name) noexcept;
 
 }  // namespace hpcfail::logmodel

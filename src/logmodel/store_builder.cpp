@@ -43,12 +43,6 @@ void StoreBuilder::seal_current() {
   current_ = {};
 }
 
-void StoreBuilder::append(LogRecord r) {
-  current_.push_back(r);
-  ++count_;
-  if (current_.size() >= shard_records_) seal_current();
-}
-
 void StoreBuilder::append_batch(std::vector<LogRecord> batch,
                                 const SymbolTable& batch_symbols) {
   if (HPCFAIL_FAULT_SITE("store.append_batch.bad_alloc")) throw std::bad_alloc{};

@@ -5,9 +5,9 @@
 // merges the natural time-ordered runs (one per source, give or take
 // chunk seams) into the final record vector.
 //
-// Ordering contract: append() calls must arrive in the canonical global
-// sequence (per-source line order, sources in parse order).  The merge
-// then breaks time ties by append order, which reproduces a global
+// Ordering contract: append_batch() calls must arrive in the canonical
+// global sequence (per-source line order, sources in parse order).  The
+// merge then breaks time ties by append order, which reproduces a global
 // stable_sort of that sequence byte for byte — logmodel_test pins this.
 //
 // Detail strings: parse workers intern into chunk-local SymbolTables;
@@ -32,20 +32,18 @@ class StoreBuilder {
 
   static constexpr std::size_t kDefaultShardRecords = 1 << 16;
 
-  /// Appends a record whose detail Symbol was interned via symbols().
-  void append(LogRecord r);
-  /// Moves a whole parsed chunk in (cheaper than record-at-a-time).
-  /// `batch_symbols` is the chunk-local table the batch's detail Symbols
-  /// point into; they are remapped into the builder's table here.  Chunks
-  /// retire in FIFO order, so for a fixed chunk size the merged ids are
-  /// deterministic regardless of worker-thread count.
+  /// Moves a whole parsed chunk in.  `batch_symbols` is the chunk-local
+  /// table the batch's detail Symbols point into; they are remapped into
+  /// the builder's table here.  Chunks retire in FIFO order, so for a fixed
+  /// chunk size the merged ids are deterministic regardless of worker-thread
+  /// count.
   void append_batch(std::vector<LogRecord> batch, const SymbolTable& batch_symbols);
   /// Batch variant for records whose detail Symbols are already valid in
   /// this builder's table (default-constructed, or interned via symbols()).
   void append_batch(std::vector<LogRecord> batch);
 
   /// The builder's own table, for sequential producers that intern
-  /// directly (e.g. the stateful scheduler parser) before append().
+  /// directly (e.g. the stateful scheduler parser) before append_batch().
   [[nodiscard]] SymbolTable& symbols() noexcept { return symbols_; }
 
   [[nodiscard]] std::size_t record_count() const noexcept { return count_; }

@@ -214,7 +214,7 @@ void ingest_scheduler_source(std::istream& in, const ParseContext& ctx,
                              std::size_t& skipped) {
   util::ChunkedLineReader reader(in, options.chunk_bytes);
   // The scheduler parser is stateful and sequential; it interns directly
-  // into the builder's table, so append() needs no remap.
+  // into the builder's table, so append_batch() needs no remap.
   ParseContext sched_ctx = ctx;
   sched_ctx.symbols = &builder.symbols();
   SchedulerLogParser sched(sched_ctx, jobs);

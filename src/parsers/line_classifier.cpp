@@ -299,19 +299,4 @@ std::optional<Classified> classify_controller_payload_ref(std::string_view paylo
   return resolve_controller(payload, controller_set().match_ref(payload));
 }
 
-std::optional<EventType> erd_event_type(std::string_view name) noexcept {
-  if (name == "ec_node_failed") return EventType::NodeHeartbeatFault;
-  if (name == "ec_node_voltage_fault") return EventType::NodeVoltageFault;
-  if (name == "ec_bc_heartbeat_fault") return EventType::BladeHeartbeatFault;
-  if (name == "ec_heartbeat_stop") return EventType::EcHeartbeatStop;
-  if (name == "ec_l0_failed") return EventType::EcL0Failed;
-  if (name == "ec_hw_error") return EventType::EcHwError;
-  if (name == "ec_link_error") return EventType::LinkError;
-  if (name == "ec_lane_degrade") return EventType::LaneDegrade;
-  if (name == "ec_link_failover") return EventType::LinkFailover;
-  if (name == "ec_failover_failed") return EventType::LinkFailoverFailed;
-  if (name == "ec_get_sensor_failed") return EventType::GetSensorReadingFailed;
-  return std::nullopt;
-}
-
 }  // namespace hpcfail::parsers

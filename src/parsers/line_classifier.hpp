@@ -49,9 +49,6 @@ struct Classified {
 [[nodiscard]] std::optional<Classified> classify_controller_payload_ref(
     std::string_view payload) noexcept;
 
-/// Maps an ERD event name (ec_*) to its event type.
-[[nodiscard]] std::optional<logmodel::EventType> erd_event_type(std::string_view name) noexcept;
-
 /// Extracts the leading module of a rendered call-trace frame
 /// (" [<addr>] module+0x..." -> "module").
 [[nodiscard]] std::optional<std::string_view> call_trace_module(std::string_view payload) noexcept;

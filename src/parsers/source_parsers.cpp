@@ -198,7 +198,7 @@ std::optional<LogRecord> parse_erd_line(std::string_view line,
   const auto ev = util::find_kv(rest, "ev");
   const auto src = util::find_kv(rest, "src");
   if (!ev || !src) return std::nullopt;
-  const auto type = erd_event_type(*ev);
+  const auto type = logmodel::erd_event_type(*ev);
   if (!type) return std::nullopt;
   const auto cname = platform::parse_cname(*src);
   if (!cname) return std::nullopt;
@@ -384,8 +384,8 @@ std::optional<LogRecord> SchedulerLogParser::parse_torque_line(std::string_view 
   const auto time = util::parse_torque(line.substr(0, 19));
   if (!time) return std::nullopt;
   // ;<code>;PBS_Server;Job;<id>.sdb;<payload> — split into the five fixed
-  // fields in place (the payload keeps any further ';') without the
-  // per-line vector a split_n() call would allocate.
+  // fields in place (the payload keeps any further ';'), with no per-line
+  // vector.
   std::array<std::string_view, 5> fields;
   {
     std::string_view rest = line.substr(20);

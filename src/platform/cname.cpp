@@ -86,12 +86,6 @@ void append_nid(std::string& out, std::uint32_t node_index) {
   util::append_padded(out, node_index, 5);
 }
 
-std::string format_nid(std::uint32_t node_index) {
-  std::string out;
-  append_nid(out, node_index);
-  return out;
-}
-
 std::optional<std::uint32_t> parse_nid(std::string_view s) noexcept {
   if (s.size() < 6 || s.size() > 11 || s.substr(0, 3) != "nid") return std::nullopt;
   std::uint32_t value = 0;
@@ -105,12 +99,6 @@ std::optional<std::uint32_t> parse_nid(std::string_view s) noexcept {
 void append_hostname(std::string& out, std::uint32_t node_index) {
   out += "node";
   util::append_padded(out, node_index, 4);
-}
-
-std::string format_hostname(std::uint32_t node_index) {
-  std::string out;
-  append_hostname(out, node_index);
-  return out;
 }
 
 std::optional<std::uint32_t> parse_hostname(std::string_view s) noexcept {

@@ -48,14 +48,12 @@ struct Cname {
 /// Formats a dense node index as a Cray nid hostname, e.g. nid00042
 /// (`nid%05u`: wider indices keep all their digits).
 void append_nid(std::string& out, std::uint32_t node_index);
-[[nodiscard]] std::string format_nid(std::uint32_t node_index);
 
 /// Parses "nid00042" -> 42. Accepts 3..8 digits.
 [[nodiscard]] std::optional<std::uint32_t> parse_nid(std::string_view s) noexcept;
 
 /// Institutional-cluster hostname, e.g. node0042 (`node%04u`).
 void append_hostname(std::string& out, std::uint32_t node_index);
-[[nodiscard]] std::string format_hostname(std::uint32_t node_index);
 
 /// Parses "node0042" -> 42.
 [[nodiscard]] std::optional<std::uint32_t> parse_hostname(std::string_view s) noexcept;

@@ -32,6 +32,14 @@ std::string to_string(SystemName name) {
   return "?";
 }
 
+std::optional<SystemName> system_from_string(std::string_view label) {
+  for (const auto name : {SystemName::S1, SystemName::S2, SystemName::S3, SystemName::S4,
+                          SystemName::S5}) {
+    if (to_string(name) == label) return name;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 /// Smallest cabinet grid (as square as possible) covering `nodes` nodes for

@@ -4,7 +4,9 @@
 // profile to synthesize) and the Table I bench.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "platform/topology.hpp"
@@ -46,5 +48,8 @@ struct SystemConfig {
 [[nodiscard]] std::vector<SystemConfig> all_system_presets();
 
 [[nodiscard]] std::string to_string(SystemName name);
+
+/// Inverse of to_string(SystemName): "S1".."S5", nullopt for anything else.
+[[nodiscard]] std::optional<SystemName> system_from_string(std::string_view label);
 
 }  // namespace hpcfail::platform

@@ -54,11 +54,6 @@ std::vector<NodeId> Topology::nodes_on_blade(BladeId b) const {
   return out;
 }
 
-NodeId Topology::first_node(BladeId b) const noexcept {
-  if (!b.valid() || b.value >= blade_count_) return NodeId{};
-  return NodeId{b.value * nodes_per_blade_};
-}
-
 Cname Topology::cname_of(NodeId n) const noexcept {
   Cname c = cname_of_blade(blade_of(n));
   if (n.valid() && n.value < node_count_) {
@@ -149,12 +144,6 @@ std::optional<NodeId> Topology::node_from_name(std::string_view name) const noex
                                                              : parse_hostname(name);
   if (!idx || *idx >= node_count_) return std::nullopt;
   return NodeId{*idx};
-}
-
-int Topology::cabinet_distance(NodeId a, NodeId b) const noexcept {
-  const Cname ca = cname_of_cabinet(cabinet_of(a));
-  const Cname cb = cname_of_cabinet(cabinet_of(b));
-  return std::abs(ca.cab_x - cb.cab_x) + std::abs(ca.cab_y - cb.cab_y);
 }
 
 }  // namespace hpcfail::platform

@@ -59,9 +59,6 @@ class Topology {
   /// Nodes on a blade, clipped to node_count for a partial machine.
   [[nodiscard]] std::vector<NodeId> nodes_on_blade(BladeId b) const;
 
-  /// First node index on a blade (the blade may be partially populated).
-  [[nodiscard]] NodeId first_node(BladeId b) const noexcept;
-
   [[nodiscard]] Cname cname_of(NodeId n) const noexcept;
   [[nodiscard]] Cname cname_of_blade(BladeId b) const noexcept;
   [[nodiscard]] Cname cname_of_cabinet(CabinetId c) const noexcept;
@@ -76,10 +73,6 @@ class Topology {
 
   /// Inverse of node_name; validates against node_count.
   [[nodiscard]] std::optional<NodeId> node_from_name(std::string_view name) const noexcept;
-
-  /// Manhattan distance between the cabinets of two nodes; a coarse
-  /// physical-distance proxy used by the spatial analyzer.
-  [[nodiscard]] int cabinet_distance(NodeId a, NodeId b) const noexcept;
 
  private:
   TopologyConfig config_;

@@ -5,17 +5,6 @@
 
 namespace hpcfail::sensors {
 
-std::string_view to_string(SensorKind k) noexcept {
-  switch (k) {
-    case SensorKind::CpuTemperature: return "CpuTemperature";
-    case SensorKind::Voltage: return "Voltage";
-    case SensorKind::FanSpeed: return "FanSpeed";
-    case SensorKind::AirVelocity: return "AirVelocity";
-    case SensorKind::kCount: break;
-  }
-  return "?";
-}
-
 double OuProcess::step(util::Rng& rng, double dt_minutes) noexcept {
   // Exact discretization: X(t+dt) = mean + (X - mean) e^{-a dt} + noise,
   // noise ~ N(0, sigma^2 (1 - e^{-2 a dt}) / (2a)).
@@ -62,21 +51,13 @@ BladeSensors::BladeSensors(util::Rng rng, bool deviant) : rng_(rng), deviant_(de
 }
 
 void BladeSensors::step(double dt_minutes) noexcept {
-  if (powered_off_) return;
   for (auto& s : state_) (void)s.step(rng_, dt_minutes);
 }
 
 bool BladeSensors::violates(SensorKind k) const noexcept {
-  if (powered_off_) return false;
   const auto i = static_cast<std::size_t>(k);
   const double v = state_[i].value;
   return v < specs_[i].warn_low || v > specs_[i].warn_high;
-}
-
-double FailSlowRamp::offset_at(double t) const noexcept {
-  if (t <= start_minute) return 0.0;
-  const double frac = std::clamp((t - start_minute) / std::max(1e-9, duration_min), 0.0, 1.0);
-  return terminal_offset * frac;
 }
 
 }  // namespace hpcfail::sensors

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -24,8 +23,6 @@ enum class SensorKind : std::uint8_t {
 };
 
 inline constexpr std::size_t kSensorKindCount = static_cast<std::size_t>(SensorKind::kCount);
-
-[[nodiscard]] std::string_view to_string(SensorKind k) noexcept;
 
 /// Mean-reverting process: dX = reversion * (mean - X) dt + sigma dW.
 struct OuProcess {
@@ -51,8 +48,8 @@ struct SensorSpec {
 /// per Fig 11).
 [[nodiscard]] SensorSpec default_spec(SensorKind kind) noexcept;
 
-/// The sensors of one blade. Blades can be healthy, "deviant" (persistent
-/// benign threshold violations, the Fig 9 warning storms) or powered off.
+/// The sensors of one blade. Blades are healthy or "deviant" (persistent
+/// benign threshold violations, the Fig 9 warning storms).
 class BladeSensors {
  public:
   BladeSensors() = default;
@@ -62,14 +59,12 @@ class BladeSensors {
   void step(double dt_minutes) noexcept;
 
   [[nodiscard]] double reading(SensorKind k) const noexcept {
-    return powered_off_ ? 0.0 : state_[static_cast<std::size_t>(k)].value;
+    return state_[static_cast<std::size_t>(k)].value;
   }
 
   /// True when the current reading is outside [warn_low, warn_high].
   [[nodiscard]] bool violates(SensorKind k) const noexcept;
 
-  void set_powered_off(bool off) noexcept { powered_off_ = off; }
-  [[nodiscard]] bool powered_off() const noexcept { return powered_off_; }
   [[nodiscard]] bool deviant() const noexcept { return deviant_; }
 
   [[nodiscard]] const SensorSpec& spec(SensorKind k) const noexcept {
@@ -81,21 +76,6 @@ class BladeSensors {
   std::array<SensorSpec, kSensorKindCount> specs_{};
   std::array<OuProcess, kSensorKindCount> state_{};
   bool deviant_ = false;
-  bool powered_off_ = false;
-};
-
-/// Degradation ramp applied to fail-slow hardware: over the ramp window the
-/// affected metric drifts linearly from its nominal value toward
-/// `terminal_offset` away from nominal.  Used to raise voltage-fault and
-/// ec_hw_error emission rates ahead of the eventual failure (Section III-D).
-struct FailSlowRamp {
-  double start_minute = 0.0;   ///< simulation minute the drift begins
-  double duration_min = 60.0;  ///< ramp length
-  double terminal_offset = 0.0;
-
-  /// Offset to add at simulation minute `t`; 0 before the ramp, clamped to
-  /// terminal_offset after it completes.
-  [[nodiscard]] double offset_at(double t) const noexcept;
 };
 
 }  // namespace hpcfail::sensors

@@ -1,7 +1,6 @@
 #include "stats/ecdf.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hpcfail::stats {
 
@@ -24,17 +23,6 @@ double Ecdf::quantile(double q) const noexcept {
   const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = h - static_cast<double>(lo);
   return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
-}
-
-double Ecdf::ks_distance(const Ecdf& other) const noexcept {
-  double sup = 0.0;
-  for (double x : sorted_) {
-    sup = std::max(sup, std::abs(fraction_at_or_below(x) - other.fraction_at_or_below(x)));
-  }
-  for (double x : other.sorted_) {
-    sup = std::max(sup, std::abs(fraction_at_or_below(x) - other.fraction_at_or_below(x)));
-  }
-  return sup;
 }
 
 }  // namespace hpcfail::stats

@@ -29,9 +29,6 @@ class Ecdf {
   /// Evaluation points (the sorted sample) for plotting.
   [[nodiscard]] const std::vector<double>& sorted_sample() const noexcept { return sorted_; }
 
-  /// Kolmogorov-Smirnov distance to another ECDF (sup over both samples).
-  [[nodiscard]] double ks_distance(const Ecdf& other) const noexcept;
-
  private:
   std::vector<double> sorted_;
 };

@@ -16,28 +16,7 @@ std::vector<double> positive_sorted(std::span<const double> sample) {
   std::sort(v.begin(), v.end());
   return v;
 }
-
-double ks_distance(const std::vector<double>& sorted, const auto& cdf) {
-  const auto n = static_cast<double>(sorted.size());
-  double sup = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const double model = cdf(sorted[i]);
-    const double lo = static_cast<double>(i) / n;
-    const double hi = static_cast<double>(i + 1) / n;
-    sup = std::max({sup, std::abs(model - lo), std::abs(model - hi)});
-  }
-  return sup;
-}
 }  // namespace
-
-std::optional<ExponentialFit> fit_exponential(std::span<const double> sample) {
-  const auto v = positive_sorted(sample);
-  if (v.empty()) return std::nullopt;
-  double sum = 0.0;
-  for (double x : v) sum += x;
-  if (sum <= 0.0) return std::nullopt;
-  return ExponentialFit{static_cast<double>(v.size()) / sum};
-}
 
 std::optional<WeibullFit> fit_weibull(std::span<const double> sample) {
   const auto v = positive_sorted(sample);
@@ -76,35 +55,6 @@ std::optional<WeibullFit> fit_weibull(std::span<const double> sample) {
   for (double x : v) sk += std::pow(x, k);
   const double lambda = std::pow(sk / static_cast<double>(v.size()), 1.0 / k);
   return WeibullFit{k, lambda};
-}
-
-std::optional<LogNormalFit> fit_lognormal(std::span<const double> sample) {
-  const auto v = positive_sorted(sample);
-  if (v.size() < 2) return std::nullopt;
-  double mu = 0.0;
-  for (double x : v) mu += std::log(x);
-  mu /= static_cast<double>(v.size());
-  double var = 0.0;
-  for (double x : v) {
-    const double d = std::log(x) - mu;
-    var += d * d;
-  }
-  var /= static_cast<double>(v.size());
-  return LogNormalFit{mu, std::sqrt(var)};
-}
-
-double ks_statistic_exponential(std::span<const double> sample, const ExponentialFit& fit) {
-  const auto v = positive_sorted(sample);
-  if (v.empty()) return 0.0;
-  return ks_distance(v, [&fit](double x) { return 1.0 - std::exp(-fit.rate * x); });
-}
-
-double ks_statistic_weibull(std::span<const double> sample, const WeibullFit& fit) {
-  const auto v = positive_sorted(sample);
-  if (v.empty()) return 0.0;
-  return ks_distance(v, [&fit](double x) {
-    return 1.0 - std::exp(-std::pow(x / fit.scale, fit.shape));
-  });
 }
 
 }  // namespace hpcfail::stats

@@ -1,44 +1,20 @@
-// Parametric fits for time-between-failure distributions.  The paper reports
-// MTBFs per window; fitting exponential / Weibull / log-normal models lets
-// the benches characterize burstiness (Weibull shape < 1 indicates the
-// clustered failures of Observation 1).
+// Parametric fit for time-between-failure distributions.  The paper reports
+// MTBFs per window; a Weibull fit lets the benches characterize burstiness
+// (Weibull shape < 1 indicates the clustered failures of Observation 1).
 #pragma once
 
 #include <optional>
 #include <span>
-#include <string>
 
 namespace hpcfail::stats {
-
-struct ExponentialFit {
-  double rate = 0.0;  ///< 1 / mean
-  [[nodiscard]] double mean() const noexcept { return rate > 0 ? 1.0 / rate : 0.0; }
-};
 
 struct WeibullFit {
   double shape = 1.0;  ///< k; < 1 means bursty (decreasing hazard)
   double scale = 1.0;  ///< lambda
 };
 
-struct LogNormalFit {
-  double mu = 0.0;
-  double sigma = 1.0;
-};
-
-/// MLE; requires at least one strictly positive sample.
-[[nodiscard]] std::optional<ExponentialFit> fit_exponential(std::span<const double> sample);
-
 /// MLE via Newton iteration on the shape profile likelihood; requires at
 /// least two strictly positive, non-identical samples.
 [[nodiscard]] std::optional<WeibullFit> fit_weibull(std::span<const double> sample);
-
-/// MLE of the log-transformed sample; requires positive samples.
-[[nodiscard]] std::optional<LogNormalFit> fit_lognormal(std::span<const double> sample);
-
-/// One-sample Kolmogorov-Smirnov distance between the sample and a model CDF.
-[[nodiscard]] double ks_statistic_exponential(std::span<const double> sample,
-                                              const ExponentialFit& fit);
-[[nodiscard]] double ks_statistic_weibull(std::span<const double> sample,
-                                          const WeibullFit& fit);
 
 }  // namespace hpcfail::stats

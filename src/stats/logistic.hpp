@@ -49,9 +49,6 @@ struct BinaryMetrics {
     const auto total = tp + fp + tn + fn;
     return total ? static_cast<double>(tp + tn) / static_cast<double>(total) : 0.0;
   }
-  [[nodiscard]] double false_positive_rate() const noexcept {
-    return fp + tn ? static_cast<double>(fp) / static_cast<double>(fp + tn) : 0.0;
-  }
 };
 
 /// Evaluates a model at the given probability threshold.

@@ -61,21 +61,6 @@ double KaplanMeier::median() const noexcept {
   return std::numeric_limits<double>::infinity();
 }
 
-double KaplanMeier::restricted_mean(double horizon) const noexcept {
-  double area = 0.0;
-  double prev_time = 0.0;
-  double prev_survival = 1.0;
-  for (const auto& p : curve_) {
-    const double t = std::min(p.time, horizon);
-    if (t > prev_time) area += prev_survival * (t - prev_time);
-    if (p.time >= horizon) return area;
-    prev_time = p.time;
-    prev_survival = p.survival;
-  }
-  if (horizon > prev_time) area += prev_survival * (horizon - prev_time);
-  return area;
-}
-
 std::vector<HazardBin> discrete_hazard(std::span<const double> durations,
                                        std::span<const double> edges) {
   if (edges.size() < 2) throw std::invalid_argument("discrete_hazard: need >=2 edges");

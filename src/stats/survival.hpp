@@ -35,9 +35,6 @@ class KaplanMeier {
   /// Median survival time; infinity if S never drops below 0.5.
   [[nodiscard]] double median() const noexcept;
 
-  /// Restricted mean survival time up to `horizon` (area under S(t)).
-  [[nodiscard]] double restricted_mean(double horizon) const noexcept;
-
  private:
   std::vector<SurvivalPoint> curve_;
 };

@@ -31,20 +31,4 @@ double index_of_dispersion(std::span<const double> counts) {
   return var / mean;
 }
 
-double autocorrelation(std::span<const double> series, std::size_t lag) {
-  if (series.size() <= lag + 1) return 0.0;
-  double mean = 0.0;
-  for (const double x : series) mean += x;
-  mean /= static_cast<double>(series.size());
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    den += (series[i] - mean) * (series[i] - mean);
-  }
-  if (den <= 0.0) return 0.0;
-  for (std::size_t i = 0; i + lag < series.size(); ++i) {
-    num += (series[i] - mean) * (series[i + lag] - mean);
-  }
-  return num / den;
-}
-
 }  // namespace hpcfail::stats

@@ -1,7 +1,6 @@
-// Point-process burstiness measures over event timestamps: the index of
-// dispersion (Fano factor) of windowed counts and the lag autocorrelation
-// of the count series.  A Poisson process has dispersion ~1; the clustered
-// failure arrivals of Observation 1 give dispersion >> 1.
+// Point-process burstiness over event timestamps: the index of dispersion
+// (Fano factor) of windowed counts.  A Poisson process has dispersion ~1;
+// the clustered failure arrivals of Observation 1 give dispersion >> 1.
 #pragma once
 
 #include <span>
@@ -17,8 +16,5 @@ namespace hpcfail::stats {
 /// Index of dispersion (variance / mean) of a count series; 0 when the
 /// series is empty or has zero mean.
 [[nodiscard]] double index_of_dispersion(std::span<const double> counts);
-
-/// Lag-k autocorrelation of a series; 0 for degenerate input.
-[[nodiscard]] double autocorrelation(std::span<const double> series, std::size_t lag);
 
 }  // namespace hpcfail::stats

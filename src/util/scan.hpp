@@ -319,8 +319,8 @@ class SignatureSet {
 // Character classes
 // ---------------------------------------------------------------------------
 
-/// ASCII whitespace, branch-free (one table load): the class util::trim,
-/// split_ws and find_kv agree on (' ', \t, \n, \v, \f, \r).
+/// ASCII whitespace, branch-free (one table load): the class util::trim
+/// and find_kv agree on (' ', \t, \n, \v, \f, \r).
 inline constexpr auto kWsTable = [] {
   std::array<bool, 256> t{};
   for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'})
@@ -330,13 +330,6 @@ inline constexpr auto kWsTable = [] {
 
 [[nodiscard]] inline bool is_ws(char c) noexcept {
   return kWsTable[static_cast<unsigned char>(c)];
-}
-
-/// Branchless ASCII lower-casing: 'A'..'Z' gain 0x20, every other byte —
-/// including non-ASCII — passes through unchanged (no locale).
-[[nodiscard]] inline char to_lower_ascii(char c) noexcept {
-  const auto u = static_cast<unsigned char>(c);
-  return static_cast<char>(u | ((static_cast<unsigned>(u) - 'A' < 26u) << 5));
 }
 
 }  // namespace hpcfail::util::scan

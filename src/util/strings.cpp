@@ -43,40 +43,6 @@ std::vector<std::string_view> split_lines(std::string_view text) {
   return lines;
 }
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_ws(s[i])) ++i;
-    const std::size_t start = i;
-    while (i < s.size() && !is_ws(s[i])) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-std::vector<std::string_view> split_n(std::string_view s, char sep, std::size_t max_fields) {
-  std::vector<std::string_view> out;
-  if (max_fields == 0) return out;
-  std::size_t start = 0;
-  while (out.size() + 1 < max_fields) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) break;
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  out.push_back(s.substr(start));
-  return out;
-}
-
-std::string to_lower(std::string_view s) {
-  // Branchless ASCII transform: locale-independent by construction, so a
-  // host with e.g. a Turkish locale can't change how classifiers compare.
-  std::string out(s);
-  for (char& c : out) c = scan::to_lower_ascii(c);
-  return out;
-}
-
 std::optional<std::int64_t> parse_i64(std::string_view s) noexcept {
   // Fast path: a bare run of <= 18 digits cannot overflow int64 and needs
   // no trim (digits are not whitespace); everything else — signs, spaces,
@@ -108,29 +74,10 @@ std::optional<double> parse_double(std::string_view s) noexcept {
   return value;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::optional<std::string_view> strip_prefix(std::string_view s,
                                              std::string_view prefix) noexcept {
   if (!starts_with(s, prefix)) return std::nullopt;
   return s.substr(prefix.size());
-}
-
-std::optional<std::string_view> extract_between(std::string_view s, std::string_view open,
-                                                std::string_view close) noexcept {
-  const std::size_t b = s.find(open);
-  if (b == std::string_view::npos) return std::nullopt;
-  const std::size_t start = b + open.size();
-  const std::size_t e = s.find(close, start);
-  if (e == std::string_view::npos) return std::nullopt;
-  return s.substr(start, e - start);
 }
 
 std::optional<std::string_view> find_kv(std::string_view line, std::string_view key) noexcept {

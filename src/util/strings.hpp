@@ -33,30 +33,13 @@ namespace hpcfail::util {
 /// '\r' from each line (CRLF corpora parse identically to LF ones).
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text);
 
-/// Splits on runs of ASCII whitespace; empty fields are dropped.
-[[nodiscard]] std::vector<std::string_view> split_ws(std::string_view s);
-
-/// Splits into at most `max_fields` pieces; the last piece keeps the rest.
-[[nodiscard]] std::vector<std::string_view> split_n(std::string_view s, char sep,
-                                                    std::size_t max_fields);
-
-[[nodiscard]] std::string to_lower(std::string_view s);
-
 [[nodiscard]] std::optional<std::int64_t> parse_i64(std::string_view s) noexcept;
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept;
 [[nodiscard]] std::optional<double> parse_double(std::string_view s) noexcept;
 
-[[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// If `s` starts with `prefix`, returns the remainder; otherwise nullopt.
 [[nodiscard]] std::optional<std::string_view> strip_prefix(std::string_view s,
                                                            std::string_view prefix) noexcept;
-
-/// Returns the text between the first occurrences of `open` then `close`
-/// after it, e.g. extract_between("a [b] c", "[", "]") == "b".
-[[nodiscard]] std::optional<std::string_view> extract_between(std::string_view s,
-                                                              std::string_view open,
-                                                              std::string_view close) noexcept;
 
 /// Value of a "key=value" token in a whitespace-separated line; the value
 /// ends at the next whitespace.

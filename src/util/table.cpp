@@ -67,28 +67,4 @@ std::string TextTable::render() const {
   return out;
 }
 
-std::string TextTable::render_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char c : s) {
-      if (c == '"') q += '"';
-      q += c;
-    }
-    q += '"';
-    return q;
-  };
-  std::string out;
-  auto emit = [&out, &quote](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i > 0) out += ',';
-      out += quote(cells[i]);
-    }
-    out += '\n';
-  };
-  if (!headers_.empty()) emit(headers_);
-  for (const auto& r : rows_) emit(r);
-  return out;
-}
-
 }  // namespace hpcfail::util

@@ -1,4 +1,4 @@
-// Plain-text and CSV table rendering for the benchmark harnesses.
+// Plain-text table rendering for the benchmark harnesses.
 //
 // Every figure/table bench prints a "paper vs measured" table; this class
 // keeps those outputs aligned and uniform.
@@ -15,8 +15,6 @@ class TextTable {
  public:
   TextTable() = default;
   explicit TextTable(std::vector<std::string> headers) : headers_(std::move(headers)) {}
-
-  void set_headers(std::vector<std::string> headers) { headers_ = std::move(headers); }
 
   /// Optional title printed above the table.
   void set_title(std::string title) { title_ = std::move(title); }
@@ -49,13 +47,8 @@ class TextTable {
 
   [[nodiscard]] RowBuilder row() { return RowBuilder{*this}; }
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
   /// Renders the table with aligned columns and a header rule.
   [[nodiscard]] std::string render() const;
-
-  /// Renders as RFC-4180-ish CSV (quotes fields containing comma/quote/NL).
-  [[nodiscard]] std::string render_csv() const;
 
  private:
   std::string title_;

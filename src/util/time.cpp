@@ -162,14 +162,6 @@ std::string format_iso(TimePoint t) {
   return out;
 }
 
-std::string format_sql(TimePoint t) {
-  const CivilTime c = civil_time(t);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02d %02d:%02d:%02d", c.year, c.month,
-                c.day, c.hour, c.minute, c.second);
-  return buf;
-}
-
 void append_syslog(std::string& out, TimePoint t) {
   const CivilTime c = civil_time(t);
   char buf[15];  // Mmm DD HH:MM:SS, the day space-padded
@@ -184,12 +176,6 @@ void append_syslog(std::string& out, TimePoint t) {
   *p++ = ':';
   put2(p, c.second);
   out.append(buf, sizeof buf);
-}
-
-std::string format_syslog(TimePoint t) {
-  std::string out;
-  append_syslog(out, t);
-  return out;
 }
 
 std::optional<TimePoint> parse_iso(std::string_view s) noexcept {
@@ -273,12 +259,6 @@ void append_torque(std::string& out, TimePoint t) {
   *p++ = ':';
   p = put2(p, c.second);
   out.append(buf, static_cast<std::size_t>(p - buf));
-}
-
-std::string format_torque(TimePoint t) {
-  std::string out;
-  append_torque(out, t);
-  return out;
 }
 
 std::optional<TimePoint> parse_torque(std::string_view s) noexcept {

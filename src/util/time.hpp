@@ -2,10 +2,12 @@
 //
 // All timestamps are UTC microseconds since the Unix epoch, wrapped in a
 // strong type so that raw integers cannot be confused with durations or
-// counts.  Formatting/parsing covers the two formats the synthetic corpora
-// use: ISO-8601 ("2015-03-02T14:05:01.123456") as written by Cray console
-// logs, and classic syslog ("Mar  2 14:05:01") as written by /var/log style
-// messages files.
+// counts.  The renderers write ISO-8601 ("2015-03-02T14:05:01.123456", Cray
+// console logs), classic syslog ("Mar  2 14:05:01", /var/log style messages
+// files) and Torque ("03/02/2015 14:05:01") stamps with the append_*
+// writers, straight onto the line being built; format_iso is the one
+// string-returning formatter.  The parsers read those three plus the
+// scheduler's SQL-style "2015-03-02 14:05:01".
 #pragma once
 
 #include <cstdint>
@@ -94,17 +96,14 @@ void civil_from_days(std::int64_t z, int& y, int& m, int& d) noexcept;
 /// "2015-03-02T14:05:01.123456" (`%04d-%02d-%02dT%02d:%02d:%02d.%06d`)
 void append_iso(std::string& out, TimePoint t);
 [[nodiscard]] std::string format_iso(TimePoint t);
-/// "2015-03-02 14:05:01" (scheduler-log style, seconds precision)
-[[nodiscard]] std::string format_sql(TimePoint t);
 /// "Mar  2 14:05:01" (syslog style; day is space-padded)
 void append_syslog(std::string& out, TimePoint t);
-[[nodiscard]] std::string format_syslog(TimePoint t);
 
 /// Parses the ISO format produced by format_iso. Fractional seconds of any
 /// length 0..6 and an optional trailing 'Z' are accepted.
 [[nodiscard]] std::optional<TimePoint> parse_iso(std::string_view s) noexcept;
 
-/// Parses format_sql output.
+/// Parses "2015-03-02 14:05:01" (scheduler-log style, seconds precision).
 [[nodiscard]] std::optional<TimePoint> parse_sql(std::string_view s) noexcept;
 
 /// Parses syslog timestamps. Syslog lines carry no year, so the caller
@@ -121,7 +120,6 @@ void append_syslog(std::string& out, TimePoint t);
 
 /// "03/02/2015 14:05:01" (Torque/PBS server-log style).
 void append_torque(std::string& out, TimePoint t);
-[[nodiscard]] std::string format_torque(TimePoint t);
 [[nodiscard]] std::optional<TimePoint> parse_torque(std::string_view s) noexcept;
 
 /// Human-readable duration, e.g. "2.5 min", "3.1 h", "45 s".

@@ -31,9 +31,7 @@ CorpusRun run_s1(std::uint64_t seed) {
         {}, {}, {}};
   r.corpus = loggen::build_corpus(r.sim);
   r.parsed = parsers::parse_corpus(r.corpus);
-  const core::AnalysisContext ctx(
-      r.parsed.store, &r.parsed.jobs, r.parsed.store.first_time(),
-      r.parsed.store.last_time() + util::Duration::microseconds(1));
+  const core::AnalysisContext ctx(r.parsed.store, &r.parsed.jobs);
   r.failures = ctx.failures();
   return r;
 }
@@ -134,17 +132,6 @@ TEST(TimeseriesTest, WindowedCountsAndDispersion) {
   // Degenerate inputs.
   EXPECT_EQ(stats::index_of_dispersion({}), 0.0);
   EXPECT_TRUE(stats::windowed_counts(events, 0.0, 0.0, 1.0).empty());
-}
-
-TEST(TimeseriesTest, Autocorrelation) {
-  // Perfectly periodic series: strong positive correlation at the period.
-  std::vector<double> series;
-  for (int i = 0; i < 100; ++i) series.push_back(i % 2 == 0 ? 1.0 : -1.0);
-  EXPECT_GT(stats::autocorrelation(series, 2), 0.9);
-  EXPECT_LT(stats::autocorrelation(series, 1), -0.9);
-  EXPECT_EQ(stats::autocorrelation(series, 200), 0.0);  // lag too large
-  const std::vector<double> constant(10, 3.0);
-  EXPECT_EQ(stats::autocorrelation(constant, 1), 0.0);
 }
 
 }  // namespace

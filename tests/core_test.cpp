@@ -30,9 +30,7 @@ using logmodel::Severity;
 std::vector<AnalyzedFailure> analyze_all(const logmodel::LogStore& store,
                                          const jobs::JobTable* jobs,
                                          util::ThreadPool* pool = nullptr) {
-  const AnalysisContext ctx(store, jobs, store.first_time(),
-                            store.last_time() + util::Duration::microseconds(1), {}, {},
-                            pool);
+  const AnalysisContext ctx(store, jobs, {}, {}, pool);
   return ctx.failures();
 }
 
@@ -291,8 +289,7 @@ TEST(SpatialTest, AttributionFindsPlantedBladeFault) {
   cab_fault.cabinet = platform::CabinetId{1};
   records.push_back(cab_fault);
   const logmodel::LogStore store{std::move(records), test_symbols()};
-  const platform::Topology topo;
-  const SpatialAnalyzer spatial(store, topo);
+  const SpatialAnalyzer spatial(store);
 
   auto failures = synthetic_failures(
       {{90, RootCause::HardwareMce}, {95, RootCause::HardwareMce}});
@@ -317,8 +314,7 @@ TEST(SpatialTest, BladeGroupsSameReason) {
   failures[0].event.blade = failures[1].event.blade = platform::BladeId{0};
   failures[2].event.blade = failures[3].event.blade = platform::BladeId{1};
   const logmodel::LogStore store{std::vector<LogRecord>{}};
-  const platform::Topology topo;
-  const SpatialAnalyzer spatial(store, topo);
+  const SpatialAnalyzer spatial(store);
   const auto groups = spatial.blade_groups(failures, 2);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_TRUE(groups[0].same_reason);

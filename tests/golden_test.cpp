@@ -60,9 +60,7 @@ TEST_F(GoldenCorpus, ParseCountsPinned) {
 }
 
 TEST_F(GoldenCorpus, DiagnosisPinned) {
-  const core::AnalysisContext ctx(
-      parsed_->store, &parsed_->jobs, parsed_->store.first_time(),
-      parsed_->store.last_time() + util::Duration::microseconds(1));
+  const core::AnalysisContext ctx(parsed_->store, &parsed_->jobs);
   const auto& failures = ctx.failures();
   ASSERT_EQ(failures.size(), 8u);
   const auto breakdown = core::cause_breakdown(failures);

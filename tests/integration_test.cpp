@@ -29,9 +29,7 @@ Pipeline run_pipeline(platform::SystemName system, int days, std::uint64_t seed)
              {}, {}, {}};
   p.corpus = loggen::build_corpus(p.sim);
   p.parsed = parsers::parse_corpus(p.corpus);
-  const core::AnalysisContext ctx(
-      p.parsed.store, &p.parsed.jobs, p.parsed.store.first_time(),
-      p.parsed.store.last_time() + util::Duration::microseconds(1));
+  const core::AnalysisContext ctx(p.parsed.store, &p.parsed.jobs);
   p.failures = ctx.failures();
   return p;
 }

@@ -34,11 +34,13 @@ TEST(AppCatalogTest, SamplingRespectsPopularity) {
   EXPECT_GT(counts["devcode_x"], 0);
 }
 
-TEST(AppCatalogTest, FindByName) {
+TEST(AppCatalogTest, GenomicsAppRisksOom) {
   const AppCatalog catalog = AppCatalog::standard();
-  ASSERT_NE(catalog.find("genomics_mem"), nullptr);
-  EXPECT_GT(catalog.find("genomics_mem")->p_oom, 0.01);
-  EXPECT_EQ(catalog.find("nonexistent"), nullptr);
+  const auto apps = catalog.apps();
+  const auto it = std::find_if(apps.begin(), apps.end(),
+                               [](const AppProfile& a) { return a.name == "genomics_mem"; });
+  ASSERT_NE(it, apps.end());
+  EXPECT_GT(it->p_oom, 0.01);
 }
 
 TEST(AppCatalogTest, EmptyCatalogRejected) {
@@ -83,19 +85,6 @@ TEST(AllocatorTest, BladePackedIsContiguous) {
   for (const auto n : nodes) blades.insert(topo.blade_of(n).value);
   // 16 nodes over 4-node blades: exactly 4 whole blades.
   EXPECT_EQ(blades.size(), 4u);
-}
-
-TEST(AllocatorTest, ReleaseFreesEarly) {
-  const auto topo = small_topology();
-  NodeAllocator alloc(topo);
-  util::Rng rng(4);
-  const util::TimePoint t0 = util::make_time(2015, 1, 1);
-  const util::TimePoint t1 = t0 + util::Duration::hours(10);
-  const auto nodes = alloc.allocate(topo.node_count(), t0, t1, AllocPolicy::Scattered, rng);
-  ASSERT_EQ(nodes.size(), topo.node_count());
-  EXPECT_EQ(alloc.free_count(t0 + util::Duration::hours(1)), 0u);
-  alloc.release(nodes[0], t0 + util::Duration::hours(1));
-  EXPECT_EQ(alloc.free_count(t0 + util::Duration::hours(1)), 1u);
 }
 
 TEST(AllocatorTest, ImpossibleRequests) {
@@ -151,19 +140,13 @@ class ModuloAllocator {
     return picked;
   }
 
-  void release(platform::NodeId node, util::TimePoint at) {
-    if (node.valid() && node.value < free_at_.size()) {
-      free_at_[node.value] = std::min(free_at_[node.value], at);
-    }
-  }
-
  private:
   const platform::Topology& topo_;
   std::vector<util::TimePoint> free_at_;
 };
 
 /// Seeded random call sequences (both policies, non-monotonic starts,
-/// early releases, requests from 0 to n + 1 nodes) must give the same picks
+/// requests from 0 to n + 1 nodes) must give the same picks
 /// and leave the caller's RNG at the same next draw.  Only machines where
 /// the oracle's `offset + step * stride` fits in 32 bits qualify: above
 /// ~16.6M nodes it wraps and can probe a node twice, which add-and-wrap
@@ -192,13 +175,6 @@ TEST(AllocatorTest, WalkMatchesModuloReference) {
         for (int call = 0; call < 300; ++call) {
           const util::TimePoint start =
               base + util::Duration::minutes(script.uniform_int(-600, 6000));
-          if (script.bernoulli(0.1)) {
-            const platform::NodeId node{static_cast<std::uint32_t>(
-                script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
-            fast.release(node, start);
-            oracle.release(node, start);
-            continue;
-          }
           const auto count = static_cast<std::uint32_t>(
               script.bernoulli(0.2) ? script.uniform_int(0, std::int64_t{n} + 1)
                                     : script.uniform_int(1, max_small));
@@ -312,8 +288,6 @@ TEST(JobTableTest, FromJobsAndQueries) {
   EXPECT_NE(table.job_on_node_at(platform::NodeId{1}, util::make_time(2015, 3, 2, 12, 1),
                                  util::Duration::minutes(5)),
             nullptr);
-  EXPECT_EQ(table.running_at(util::make_time(2015, 3, 2, 11)).size(), 1u);
-  EXPECT_TRUE(table.running_at(util::make_time(2015, 3, 2, 13)).empty());
 }
 
 TEST(JobTableTest, IncrementalConstruction) {

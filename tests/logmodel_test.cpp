@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 
@@ -29,34 +30,58 @@ TEST(TaxonomyTest, EveryTypeHasUniqueName) {
     const auto name = to_string(type);
     EXPECT_NE(name, "?");
     EXPECT_TRUE(names.insert(name).second) << name;
-    EXPECT_EQ(event_type_from_string(name), type);
   }
-  EXPECT_FALSE(event_type_from_string("NoSuchEvent").has_value());
 }
 
 class TaxonomyClassification : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TaxonomyClassification, ClassesAreConsistent) {
   const auto type = static_cast<EventType>(GetParam());
-  const EventClass cls = event_class(type);
+  // The enum lists internal events through NodeBoot, then external events
+  // through SedcReading, then job events.
+  const bool internal = type <= EventType::NodeBoot;
+  const bool external = !internal && type <= EventType::SedcReading;
   // Health faults and SEDC warnings are external; they never overlap.
   if (is_health_fault(type) || is_sedc_warning(type)) {
-    EXPECT_EQ(cls, EventClass::External) << to_string(type);
+    EXPECT_TRUE(external) << to_string(type);
     EXPECT_FALSE(is_health_fault(type) && is_sedc_warning(type)) << to_string(type);
   }
   // Failure markers and internal indicators are internal and disjoint.
   if (is_failure_marker(type) || is_internal_indicator(type)) {
-    EXPECT_EQ(cls, EventClass::Internal) << to_string(type);
+    EXPECT_TRUE(internal) << to_string(type);
     EXPECT_FALSE(is_failure_marker(type) && is_internal_indicator(type)) << to_string(type);
   }
   // External lead-time indicators are external events.
   if (is_external_indicator(type)) {
-    EXPECT_EQ(cls, EventClass::External) << to_string(type);
+    EXPECT_TRUE(external) << to_string(type);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTypes, TaxonomyClassification,
                          ::testing::Range<std::size_t>(0, kEventTypeCount));
+
+TEST(ErdTableTest, NamesAndTypesAreInverse) {
+  // Every type in the ERD table has its own name and maps back from it.
+  std::set<std::string_view> names;
+  std::size_t in_table = 0;
+  for (std::size_t i = 0; i < kEventTypeCount; ++i) {
+    const auto type = static_cast<EventType>(i);
+    const std::string_view name = erd_event_name(type);
+    if (name == "ec_event") continue;  // every type outside the table
+    ++in_table;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate ERD name " << name;
+    EXPECT_EQ(erd_event_type(name), type) << name;
+  }
+  EXPECT_EQ(in_table, 11u);  // the 11 names FORMATS.md documents
+  EXPECT_EQ(erd_event_type("ec_node_failed"), EventType::NodeHeartbeatFault);
+  EXPECT_EQ(erd_event_type("ec_hw_error"), EventType::EcHwError);
+  EXPECT_EQ(erd_event_type("ec_link_error"), EventType::LinkError);
+  EXPECT_EQ(erd_event_name(EventType::KernelPanic), "ec_event");
+  EXPECT_EQ(erd_event_name(EventType::SedcReading), "ec_event");
+  EXPECT_FALSE(erd_event_type("ec_event").has_value());
+  EXPECT_FALSE(erd_event_type("ec_unknown_event").has_value());
+  EXPECT_FALSE(erd_event_type("").has_value());
+}
 
 TEST(CauseTest, LayersAndStrings) {
   EXPECT_EQ(layer_of(RootCause::HardwareMce), CauseLayer::Hardware);
@@ -232,17 +257,13 @@ TEST(StoreBuilderTest, MatchesGlobalStableSort) {
   util::Rng rng(32);
   std::size_t i = 0;
   while (i < sequence.size()) {
-    // Mixed single appends and batches of arbitrary size, like the
-    // ingestion pipeline's chunk retirement produces.
+    // Batches of arbitrary size, down to one record, like the ingestion
+    // pipeline's chunk retirement produces.
     const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 150));
-    if (batch == 1) {
-      builder.append(sequence[i++]);
-    } else {
-      const std::size_t hi = std::min(sequence.size(), i + batch);
-      builder.append_batch({sequence.begin() + static_cast<std::ptrdiff_t>(i),
-                            sequence.begin() + static_cast<std::ptrdiff_t>(hi)});
-      i = hi;
-    }
+    const std::size_t hi = std::min(sequence.size(), i + batch);
+    builder.append_batch({sequence.begin() + static_cast<std::ptrdiff_t>(i),
+                          sequence.begin() + static_cast<std::ptrdiff_t>(hi)});
+    i = hi;
   }
   EXPECT_EQ(builder.record_count(), sequence.size());
   EXPECT_GT(builder.shard_count(), 1u);
@@ -262,15 +283,15 @@ TEST(StoreBuilderTest, RemappedBatchMatchesGlobalStableSort) {
 
 TEST(StoreBuilderTest, OversizedBatchKeepsContiguity) {
   // A batch larger than shard_records becomes its own shard; interleaving
-  // with single appends must still reproduce the stable order.
+  // with one-record batches must still reproduce the stable order.
   SymbolTable symbols;
   const auto sequence = tied_sequence(300, 5, symbols);
   const LogStore reference{std::vector<LogRecord>(sequence), symbols};
   StoreBuilder builder(16);
   builder.symbols() = symbols;
-  builder.append(sequence[0]);
+  builder.append_batch({sequence[0]});
   builder.append_batch({sequence.begin() + 1, sequence.begin() + 200});
-  for (std::size_t i = 200; i < sequence.size(); ++i) builder.append(sequence[i]);
+  for (std::size_t i = 200; i < sequence.size(); ++i) builder.append_batch({sequence[i]});
   expect_same_order(reference, builder.build());
 }
 

@@ -412,13 +412,13 @@ TEST(PipelineObservability, TraceCoversSimulatorEngineAndContextPhases) {
   const std::set<std::string> names = validate_chrome_trace(parse_json(rec.to_chrome_json()));
   EXPECT_TRUE(names.count("hpcfail.sim.run"));
   EXPECT_TRUE(names.count("hpcfail.engine.run"));
-  EXPECT_TRUE(names.count("hpcfail.context.type_histogram"));
   EXPECT_TRUE(names.count("hpcfail.context.detect"));
   EXPECT_TRUE(names.count("hpcfail.context.diagnose"));
-  EXPECT_TRUE(names.count("hpcfail.context.joins"));
-  for (const std::string& analyzer : engine.analyzer_names()) {
-    const std::string span =
-        "hpcfail.engine.analyzer_" + hpcfail::util::trace_name_segment(analyzer);
+  for (const char* span : {"hpcfail.engine.analyzer_cause_aggregates",
+                           "hpcfail.engine.analyzer_lead_times",
+                           "hpcfail.engine.analyzer_external_correlation",
+                           "hpcfail.engine.analyzer_benign_faults",
+                           "hpcfail.engine.analyzer_clusters"}) {
     EXPECT_TRUE(names.count(span)) << "missing analyzer span " << span;
   }
 

@@ -135,9 +135,7 @@ TEST(MonitorTest, AgreesWithOfflinePipeline) {
     warnings += a.kind == AlertKind::PatternWarning ||
                 a.kind == AlertKind::ExternalEarlyWarning;
   }
-  const AnalysisContext offline_ctx(
-      store, nullptr, store.first_time(),
-      store.last_time() + util::Duration::microseconds(1));
+  const AnalysisContext offline_ctx(store, nullptr);
   const auto& offline = offline_ctx.failures();
   // Streaming confirmations track offline detections (SWO exclusion is an
   // offline-only post-pass, so allow a margin).

@@ -109,13 +109,6 @@ TEST(ClassifierTest, ControllerPayloads) {
   EXPECT_FALSE(classify_controller_payload("hello world").has_value());
 }
 
-TEST(ClassifierTest, ErdEventNames) {
-  EXPECT_EQ(erd_event_type("ec_node_failed"), EventType::NodeHeartbeatFault);
-  EXPECT_EQ(erd_event_type("ec_hw_error"), EventType::EcHwError);
-  EXPECT_EQ(erd_event_type("ec_link_error"), EventType::LinkError);
-  EXPECT_FALSE(erd_event_type("ec_unknown_event").has_value());
-}
-
 // --------------------------------------------------------- line parsers ----
 
 TEST(ConsoleParserTest, ParsesFullLine) {

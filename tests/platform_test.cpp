@@ -40,7 +40,10 @@ TEST(CnameTest, RejectsMalformed) {
 }
 
 TEST(CnameTest, NidRoundTrip) {
-  EXPECT_EQ(format_nid(42), "nid00042");
+  std::string nid;
+  append_nid(nid, 42);
+  EXPECT_EQ(nid, "nid00042");
+  EXPECT_EQ(parse_nid(nid), 42u);
   EXPECT_EQ(parse_nid("nid00042"), 42u);
   EXPECT_EQ(parse_nid("nid123456"), 123456u);
   EXPECT_FALSE(parse_nid("nid").has_value());
@@ -49,8 +52,10 @@ TEST(CnameTest, NidRoundTrip) {
 }
 
 TEST(CnameTest, HostnameRoundTrip) {
-  EXPECT_EQ(format_hostname(7), "node0007");
-  EXPECT_EQ(parse_hostname("node0007"), 7u);
+  std::string hostname;
+  append_hostname(hostname, 7);
+  EXPECT_EQ(hostname, "node0007");
+  EXPECT_EQ(parse_hostname(hostname), 7u);
   EXPECT_FALSE(parse_hostname("nid00007").has_value());
 }
 
@@ -136,15 +141,18 @@ TEST(TopologyTest, OutOfRangeRejected) {
   EXPECT_EQ(topo.blade_of(NodeId{}).valid(), false);
 }
 
-TEST(TopologyTest, CabinetDistance) {
+TEST(TopologyTest, CabinetGridFillsRowsFirst) {
   TopologyConfig cfg;
   cfg.cabinet_cols = 3;
   cfg.cabinet_rows = 2;
   const Topology topo(cfg);
   const std::uint32_t per_cab = 192;
-  EXPECT_EQ(topo.cabinet_distance(NodeId{0}, NodeId{0}), 0);
-  EXPECT_EQ(topo.cabinet_distance(NodeId{0}, NodeId{per_cab * 2}), 2);     // c2-0
-  EXPECT_EQ(topo.cabinet_distance(NodeId{0}, NodeId{per_cab * 5}), 3);     // c2-1
+  const auto cabinet_name = [&topo](std::uint32_t node) {
+    return topo.cname_of_cabinet(topo.cabinet_of(NodeId{node})).to_string();
+  };
+  EXPECT_EQ(cabinet_name(0), "c0-0");
+  EXPECT_EQ(cabinet_name(per_cab * 2), "c2-0");
+  EXPECT_EQ(cabinet_name(per_cab * 5), "c2-1");
 }
 
 TEST(TopologyTest, InvalidConfigThrows) {

@@ -15,8 +15,7 @@ namespace {
 
 /// Detection + diagnosis over the store's full extent.
 std::vector<core::AnalyzedFailure> diagnose_all(const logmodel::LogStore& store) {
-  const core::AnalysisContext ctx(store, nullptr, store.first_time(),
-                                  store.last_time() + util::Duration::microseconds(1));
+  const core::AnalysisContext ctx(store, nullptr);
   return ctx.failures();
 }
 
@@ -76,14 +75,6 @@ TEST(SurvivalTest, CensoringRaisesSurvival) {
     EXPECT_NE(p.time, 2.0);
     EXPECT_NE(p.time, 4.0);
   }
-}
-
-TEST(SurvivalTest, RestrictedMean) {
-  const std::vector<double> durations = {2.0, 2.0};
-  const stats::KaplanMeier km(durations);
-  // S=1 until t=2 then 0: RMST(4) == 2.
-  EXPECT_NEAR(km.restricted_mean(4.0), 2.0, 1e-12);
-  EXPECT_NEAR(km.restricted_mean(1.0), 1.0, 1e-12);
 }
 
 TEST(SurvivalTest, DiscreteHazardDecreasingForBurstyData) {

@@ -20,9 +20,7 @@ namespace {
 
 /// Detection + diagnosis over the parsed corpus's full extent.
 std::vector<core::AnalyzedFailure> diagnose_all(const parsers::ParsedCorpus& parsed) {
-  const core::AnalysisContext ctx(
-      parsed.store, &parsed.jobs, parsed.store.first_time(),
-      parsed.store.last_time() + util::Duration::microseconds(1));
+  const core::AnalysisContext ctx(parsed.store, &parsed.jobs);
   return ctx.failures();
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for src/sensors: OU processes, blade sensors, fail-slow ramps.
+// Unit tests for src/sensors: OU processes and blade sensors.
 #include <gtest/gtest.h>
 
 #include "sensors/sensor_model.hpp"
@@ -54,14 +54,6 @@ TEST(BladeSensorsTest, DeviantBladeViolatesOften) {
   EXPECT_TRUE(blade.deviant());
 }
 
-TEST(BladeSensorsTest, PoweredOffReadsZero) {
-  BladeSensors blade(util::Rng(11), false);
-  blade.set_powered_off(true);
-  blade.step(10.0);
-  EXPECT_EQ(blade.reading(SensorKind::CpuTemperature), 0.0);
-  EXPECT_FALSE(blade.violates(SensorKind::CpuTemperature));
-}
-
 TEST(BladeSensorsTest, TemperatureNearNominal) {
   BladeSensors blade(util::Rng(13), false);
   stats::StreamingStats temps;
@@ -75,19 +67,10 @@ TEST(BladeSensorsTest, TemperatureNearNominal) {
 TEST(DefaultSpecTest, BandsContainNominal) {
   for (std::size_t k = 0; k < kSensorKindCount; ++k) {
     const SensorSpec spec = default_spec(static_cast<SensorKind>(k));
-    EXPECT_LT(spec.warn_low, spec.nominal) << to_string(spec.kind);
-    EXPECT_GT(spec.warn_high, spec.nominal) << to_string(spec.kind);
+    EXPECT_LT(spec.warn_low, spec.nominal) << k;
+    EXPECT_GT(spec.warn_high, spec.nominal) << k;
     EXPECT_GT(spec.sigma, 0.0);
   }
-}
-
-TEST(FailSlowRampTest, OffsetsClampAndRamp) {
-  const FailSlowRamp ramp{100.0, 50.0, -3.0};
-  EXPECT_EQ(ramp.offset_at(50.0), 0.0);
-  EXPECT_EQ(ramp.offset_at(100.0), 0.0);
-  EXPECT_NEAR(ramp.offset_at(125.0), -1.5, 1e-12);
-  EXPECT_NEAR(ramp.offset_at(150.0), -3.0, 1e-12);
-  EXPECT_NEAR(ramp.offset_at(1000.0), -3.0, 1e-12);
 }
 
 }  // namespace

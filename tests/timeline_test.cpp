@@ -3,6 +3,10 @@
 // recognized and excluded).
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <tuple>
+#include <vector>
+
 #include "core/failure_detector.hpp"
 #include "core/timeline.hpp"
 #include "faultsim/simulator.hpp"
@@ -32,6 +36,18 @@ LogRecord rec(util::Duration offset, EventType type, std::uint32_t node,
   return r;
 }
 
+/// (begin hour, end hour, state) of one interval, relative to kBase.
+using Row = std::tuple<double, double, std::string_view>;
+
+std::vector<Row> hours_of(const NodeTimeline& timeline) {
+  std::vector<Row> out;
+  for (const auto& iv : timeline.intervals) {
+    out.emplace_back((iv.begin - kBase).to_hours(), (iv.end - kBase).to_hours(),
+                     to_string(iv.state));
+  }
+  return out;
+}
+
 TEST(TimelineTest, StatesFollowMarkers) {
   std::vector<LogRecord> records;
   records.push_back(rec(util::Duration::hours(2), EventType::KernelPanic, 1));
@@ -43,11 +59,11 @@ TEST(TimelineTest, StatesFollowMarkers) {
   const auto timeline =
       builder.build(platform::NodeId{1}, kBase, kBase + util::Duration::hours(10));
 
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::hours(1)), NodeState::Up);
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::minutes(150)), NodeState::Down);
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::hours(4)), NodeState::Up);
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::minutes(330)), NodeState::Suspect);
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::hours(7)), NodeState::Up);
+  EXPECT_EQ(hours_of(timeline), (std::vector<Row>{{0.0, 2.0, "Up"},
+                                                  {2.0, 3.0, "Down"},
+                                                  {3.0, 5.0, "Up"},
+                                                  {5.0, 6.0, "Suspect"},
+                                                  {6.0, 10.0, "Up"}}));
   EXPECT_DOUBLE_EQ(timeline.time_in(NodeState::Down).to_hours(), 1.0);
   EXPECT_DOUBLE_EQ(timeline.time_in(NodeState::Suspect).to_hours(), 1.0);
   EXPECT_DOUBLE_EQ(timeline.time_in(NodeState::Up).to_hours(), 8.0);
@@ -89,9 +105,10 @@ TEST(TimelineTest, SuspectThenDownThenRecovered) {
   const TimelineBuilder builder(store, 4);
   const auto timeline =
       builder.build(platform::NodeId{1}, kBase, kBase + util::Duration::hours(4));
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::minutes(90)), NodeState::Suspect);
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::minutes(150)), NodeState::Down);
-  EXPECT_EQ(timeline.state_at(kBase + util::Duration::minutes(210)), NodeState::Up);
+  EXPECT_EQ(hours_of(timeline), (std::vector<Row>{{0.0, 1.0, "Up"},
+                                                  {1.0, 2.0, "Suspect"},
+                                                  {2.0, 3.0, "Down"},
+                                                  {3.0, 4.0, "Up"}}));
   EXPECT_DOUBLE_EQ(timeline.time_in(NodeState::Suspect).to_hours(), 1.0);
   EXPECT_DOUBLE_EQ(timeline.time_in(NodeState::Down).to_hours(), 1.0);
 }

@@ -12,6 +12,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -20,8 +21,10 @@
 #include "loggen/corpus.hpp"
 #include "parsers/ingest.hpp"
 #include "parsers/snapshot.hpp"
+#include "platform/system_config.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -58,15 +61,6 @@ void usage(std::FILE* to) {
       "A faulted run that ends in a structured ingest error exits 3 (the\n"
       "partial-result accounting is still printed).\n",
       to);
-}
-
-std::optional<platform::SystemName> preset_of(std::string_view name) {
-  if (name == "S1") return platform::SystemName::S1;
-  if (name == "S2") return platform::SystemName::S2;
-  if (name == "S3") return platform::SystemName::S3;
-  if (name == "S4") return platform::SystemName::S4;
-  if (name == "S5") return platform::SystemName::S5;
-  return std::nullopt;
 }
 
 double peak_rss_mb() {
@@ -111,25 +105,40 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags parse strictly: a malformed or out-of-range value is
+    // a usage error, reported before anything runs.
+    const auto number = [&](std::uint64_t min,
+                            std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+      const char* flag = argv[i];
+      const char* text = value();
+      const auto n = util::parse_u64(text);
+      if (!n || *n < min || *n > max) {
+        std::fprintf(stderr, "hpcfail-ingest: %s expects an integer in [%llu, %llu], got '%s'\n",
+                     flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), text);
+        std::exit(2);
+      }
+      return *n;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
     } else if (arg == "--dir") {
       dir = value();
     } else if (arg == "--preset") {
-      preset = preset_of(value());
+      preset = platform::system_from_string(value());
       if (!preset) {
         std::fputs("hpcfail-ingest: --preset expects S1..S5\n", stderr);
         return 2;
       }
     } else if (arg == "--days") {
-      days = std::atoi(value());
+      days = static_cast<int>(number(1, std::numeric_limits<int>::max()));
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(value()));
+      seed = number(0);
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atoll(value()));
+      threads = static_cast<std::size_t>(number(0));
     } else if (arg == "--chunk-bytes") {
-      options.chunk_bytes = static_cast<std::size_t>(std::atoll(value()));
+      options.chunk_bytes = static_cast<std::size_t>(number(1));
     } else if (arg == "--keep") {
       keep = true;
     } else if (arg == "--snapshot-out") {

@@ -186,72 +186,6 @@ void cross_check(const std::vector<TableEntry>& ours, const std::string& our_fil
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Check: erd-table
-// ---------------------------------------------------------------------------
-
-void check_erd_tables(SourceTree& tree, Report& report) {
-  const std::string check = "erd-table";
-  const auto* renderer = load(tree, kRendererCpp, check, report);
-  const auto* classifier = load(tree, kClassifierCpp, check, report);
-  if (renderer == nullptr || classifier == nullptr) return;
-
-  const auto rbody = body_of(*renderer, "erd_event_name(");
-  const auto cbody = body_of(*classifier, "erd_event_type(");
-  if (!rbody) {
-    report.add(kRendererCpp, 0, check, "no erd_event_name() definition found");
-  }
-  if (!cbody) {
-    report.add(kClassifierCpp, 0, check, "no erd_event_type() definition found");
-  }
-  if (!rbody || !cbody) return;
-
-  // case EventType::NodeHeartbeatFault: return "ec_node_failed";
-  static const std::regex rrex(
-      R"(case\s+EventType::(\w+)\s*:\s*return\s+\"([a-z0-9_]+)\";)");
-  // if (name == "ec_node_failed") return EventType::NodeHeartbeatFault;
-  static const std::regex crex(
-      R"(if\s*\(name\s*==\s*\"([a-z0-9_]+)\"\)\s*return\s+EventType::(\w+);)");
-
-  // Normalize both to name -> EventType.
-  std::vector<TableEntry> emit;
-  for (auto& e : scan(*renderer, *rbody, rrex)) {
-    emit.push_back(TableEntry{e.value, e.key, e.line});
-  }
-  const auto parse = scan(*classifier, *cbody, crex);
-
-  if (emit.empty()) {
-    report.add(kRendererCpp, rbody->begin, check,
-               "erd_event_name() has no `case EventType::X: return \"name\";` entries");
-  }
-  if (parse.empty()) {
-    report.add(kClassifierCpp, cbody->begin, check,
-               "erd_event_type() has no `if (name == \"...\") return EventType::X;` entries");
-  }
-
-  cross_check(emit, kRendererCpp, parse, kClassifierCpp, check,
-              "(emitted ERD event name)", report);
-  cross_check(parse, kClassifierCpp, emit, kRendererCpp, check,
-              "(parsed ERD event name)", report);
-
-  // Every EventType referenced must exist in the enum.
-  std::set<std::string> enum_names;
-  for (const auto& e : enum_entries(tree, check, report)) enum_names.insert(e.key);
-  if (enum_names.empty()) return;
-  for (const auto& e : emit) {
-    if (enum_names.count(e.value) == 0) {
-      report.add(kRendererCpp, e.line, check,
-                 "EventType::" + e.value + " is not an enumerator of EventType");
-    }
-  }
-  for (const auto& e : parse) {
-    if (enum_names.count(e.value) == 0) {
-      report.add(kClassifierCpp, e.line, check,
-                 "EventType::" + e.value + " is not an enumerator of EventType");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Check: event-names
 // ---------------------------------------------------------------------------
 
@@ -273,7 +207,7 @@ void check_event_names(SourceTree& tree, Report& report) {
     report.add(kEventTypeCpp, body->begin, check,
                "kEventNames has " + std::to_string(names.size()) + " entries but EventType has " +
                    std::to_string(enums.size()) +
-                   " enumerators (to_string/event_type_from_string will misreport)");
+                   " enumerators (to_string will misreport)");
   }
   const std::size_t n = std::min(names.size(), enums.size());
   for (std::size_t i = 0; i < n; ++i) {
@@ -426,13 +360,14 @@ void check_formats_doc(SourceTree& tree, Report& report) {
       break;
     }
   }
-  const auto rbody = body_of(*renderer, "erd_event_name(");
-  if (erd_begin != 0 && rbody) {
+  const auto* event_cpp = load(tree, kEventTypeCpp, check, report);
+  const auto ebody = event_cpp ? body_of(*event_cpp, "kErdEvents") : std::nullopt;
+  if (erd_begin != 0 && ebody) {
     static const std::regex doc_name_re(R"(`(ec_\w+)`)");
     const auto doc_names = scan(*doc, LineRange{erd_begin, erd_end}, doc_name_re);
-    static const std::regex rrex(
-        R"(case\s+EventType::(\w+)\s*:\s*return\s+\"([a-z0-9_]+)\";)");
-    const auto table = scan(*renderer, *rbody, rrex);
+    // {EventType::NodeHeartbeatFault, "ec_node_failed"},
+    static const std::regex row_rex(R"(\{EventType::(\w+),\s*\"([a-z0-9_]+)\"\})");
+    const auto table = scan(*event_cpp, *ebody, row_rex);
     std::set<std::string> in_code;
     for (const auto& e : table) in_code.insert(e.value);
     std::set<std::string> in_doc;
@@ -441,12 +376,12 @@ void check_formats_doc(SourceTree& tree, Report& report) {
       if (in_code.count(e.key) == 0) {
         report.add(kFormatsMd, e.line, check,
                    "erd section documents event name '" + e.key + "' which " +
-                       kRendererCpp + " erd_event_name() never emits");
+                       kEventTypeCpp + " kErdEvents does not list");
       }
     }
     for (const auto& e : table) {
       if (in_doc.count(e.value) == 0) {
-        report.add(kRendererCpp, e.line, check,
+        report.add(kEventTypeCpp, e.line, check,
                    "ERD event name '" + e.value +
                        "' is not documented in the FORMATS.md erd section");
       }
@@ -952,10 +887,6 @@ struct CheckDef {
 
 const std::vector<CheckDef>& registry() {
   static const std::vector<CheckDef> defs = {
-      {{"erd-table", Severity::Error,
-        "Renderer erd_event_name() and classifier erd_event_type() must be exact "
-        "inverses"},
-       &check_erd_tables},
       {{"event-names", Severity::Error,
         "kEventNames must list the EventType enumerators in declaration order"},
        &check_event_names},

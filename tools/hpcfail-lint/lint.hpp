@@ -47,7 +47,7 @@ enum class Severity { Error, Warning, Note };
 struct Diagnostic {
   std::string file;     ///< path relative to the repo root
   std::size_t line;     ///< 1-based; 0 means "whole file"
-  std::string check;    ///< check name, e.g. "erd-table"
+  std::string check;    ///< check name, e.g. "event-names"
   std::string message;
   Severity severity = Severity::Error;
 
@@ -68,10 +68,6 @@ struct Report {
 // Consistency checks (line/regex level)
 // ---------------------------------------------------------------------------
 
-/// ERD event-name table: renderer's erd_event_name() and the classifier's
-/// erd_event_type() must be exact inverses (same names, same EventTypes).
-void check_erd_tables(SourceTree& tree, Report& report);
-
 /// kEventNames in event_type.cpp must list exactly the EventType enumerators
 /// of event_type.hpp, in declaration order (to_string indexes by value).
 void check_event_names(SourceTree& tree, Report& report);
@@ -82,7 +78,7 @@ void check_payload_coverage(SourceTree& tree, Report& report);
 
 /// FORMATS.md tables must match the code: console signature table rows are
 /// real EventTypes covered by renderer+classifier, and the documented ERD
-/// event-name vocabulary equals the renderer's table.
+/// event-name vocabulary equals the kErdEvents table of event_type.cpp.
 void check_formats_doc(SourceTree& tree, Report& report);
 
 /// Corpus directory layout: the kFileNames table in src/loggen/corpus.cpp
