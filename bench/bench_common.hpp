@@ -21,7 +21,6 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
-#include "parsers/snapshot.hpp"
 #include "util/metrics.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
@@ -95,39 +94,6 @@ inline Pipeline run_pipeline(faultsim::SimulationResult sim,
   return p;
 }
 
-/// A persisted hpcfail.store.v1 snapshot as a pipeline source: skips
-/// simulate/render/parse entirely and analyzes the loaded store over the
-/// corpus window recorded in the snapshot.  `sim` and `corpus` stay empty,
-/// so only benches that consume `parsed`/`analysis` can use this source.
-struct SnapshotSource {
-  std::string path;
-};
-
-inline Pipeline run_pipeline(const SnapshotSource& source,
-                             const core::AnalysisConfig& config = {}) {
-  detail::observability_bootstrap();
-  Pipeline p{{}, {}, {}, {}, {}};
-  {
-    util::TraceSpan span("hpcfail.bench.snapshot_load");
-    auto loaded = parsers::load_snapshot(source.path);
-    if (!loaded.ok()) {
-      std::cerr << "bench: snapshot load failed: " << loaded.error->to_string()
-                << '\n';
-      std::exit(1);
-    }
-    p.parsed = std::move(static_cast<parsers::ParsedCorpus&>(loaded));
-  }
-  {
-    util::TraceSpan span("hpcfail.bench.analyze");
-    const auto begin = p.parsed.begin;
-    const auto end = begin + util::Duration::days(p.parsed.days);
-    p.analysis =
-        core::AnalysisEngine(config).analyze(p.parsed.store, &p.parsed.jobs, begin, end);
-  }
-  p.failures = p.analysis.failures;
-  return p;
-}
-
 /// Runs the canonical path on a scenario.
 inline Pipeline run_pipeline(faultsim::ScenarioConfig scenario,
                              const core::AnalysisConfig& config = {}) {
@@ -189,7 +155,6 @@ class ShapeCheck {
   }
 
   [[nodiscard]] int exit_code() const noexcept { return failed_ == 0 ? 0 : 1; }
-  [[nodiscard]] int failures() const noexcept { return failed_; }
 
  private:
   std::string experiment_;

@@ -75,8 +75,6 @@ class FailureDetector {
     return detect_full(store, jobs).failures;
   }
 
-  [[nodiscard]] const DetectorConfig& config() const noexcept { return config_; }
-
  private:
   DetectorConfig config_;
 };

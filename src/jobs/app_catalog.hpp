@@ -38,8 +38,6 @@ class AppCatalog {
   explicit AppCatalog(std::vector<AppProfile> apps);
 
   [[nodiscard]] const AppProfile& sample(util::Rng& rng) const;
-  [[nodiscard]] const AppProfile& at(std::size_t i) const { return apps_[i]; }
-  [[nodiscard]] std::size_t size() const noexcept { return apps_.size(); }
   [[nodiscard]] std::span<const AppProfile> apps() const noexcept { return apps_; }
 
  private:

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstring>
 #include <map>
-#include <stdexcept>
 
 namespace hpcfail::jobs {
 
@@ -94,12 +93,105 @@ struct StringPool {
   }
 };
 
+/// node -> indexes (into `jobs`) of jobs touching it, sorted by start.
+/// CSR build: count per node, prefix-sum into offsets, fill job indexes,
+/// then sort each node's run by start time (see util/csr.hpp).
+util::CsrIndex<std::uint32_t> node_index(const std::vector<JobInfo>& jobs) {
+  util::CsrIndex<std::uint32_t> by_node;
+  // Branch-free max pass first (it vectorizes), then the count pass against
+  // a correctly-sized table; fusing the two costs a data-dependent branch
+  // per (job, node) pair and measures slower.
+  std::uint32_t node_keys = 0;
+  for (const JobInfo& j : jobs) {
+    for (const auto node : j.nodes) node_keys = std::max(node_keys, node.value + 1);
+  }
+  if (node_keys == 0) return by_node;
+  by_node.offsets.assign(std::size_t{node_keys} + 1, 0);
+  for (const JobInfo& j : jobs) {
+    for (const auto node : j.nodes) ++by_node.offsets[node.value + 1];
+  }
+  for (std::size_t k = 1; k < by_node.offsets.size(); ++k) {
+    by_node.offsets[k] += by_node.offsets[k - 1];
+  }
+  by_node.entries.resize(by_node.offsets.back());
+  std::vector<std::uint32_t> cursor = by_node.offsets;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (const auto node : jobs[i].nodes) {
+      by_node.entries[cursor[node.value]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  // Scheduler logs are time-ordered, so the fill above (ascending job
+  // index) usually leaves every run already start-sorted; detecting that
+  // with one linear pass is far cheaper than 5k+ small sorts whose
+  // comparator chases cold JobInfo structs.  The flat starts array keeps
+  // the comparator on 8-byte rows when a sort IS needed.
+  std::vector<std::int64_t> starts;
+  starts.reserve(jobs.size());
+  for (const JobInfo& j : jobs) starts.push_back(j.start.usec);
+  // When the whole job list is start-ordered (the normal case: allocation
+  // records appear in the log at their start time), every run is sorted
+  // by construction, and one pass over the job list proves it without
+  // touching the (much larger) entries array at all.
+  if (std::is_sorted(starts.begin(), starts.end())) return by_node;
+  const auto start_less = [&starts](std::uint32_t a, std::uint32_t b) {
+    return starts[a] < starts[b];
+  };
+  for (std::uint32_t k = 0; k < node_keys; ++k) {
+    const auto begin = by_node.entries.begin() + by_node.offsets[k];
+    const auto end = by_node.entries.begin() + by_node.offsets[k + 1];
+    if (!std::is_sorted(begin, end, start_less)) std::sort(begin, end, start_less);
+  }
+  return by_node;
+}
+
 }  // namespace
 
+JobTable::JobTable(std::vector<JobUpdate> updates) {
+  const auto starts = static_cast<std::size_t>(
+      std::count_if(updates.begin(), updates.end(),
+                    [](const JobUpdate& u) { return u.kind == JobUpdate::Kind::Start; }));
+  jobs_.reserve(starts);
+  by_id_.reserve(starts);
+  for (JobUpdate& u : updates) {
+    if (u.kind == JobUpdate::Kind::Start) {
+      const auto [it, inserted] = by_id_.try_emplace(u.info.job_id, jobs_.size());
+      if (inserted) {
+        jobs_.push_back(std::move(u.info));
+      } else {
+        jobs_[it->second] = std::move(u.info);
+      }
+      continue;
+    }
+    const auto it = by_id_.find(u.info.job_id);
+    if (it == by_id_.end()) continue;
+    JobInfo& job = jobs_[it->second];
+    switch (u.kind) {
+      case JobUpdate::Kind::End:
+        job.end = u.info.end;
+        job.exit_code = u.info.exit_code;
+        job.end_reason = std::move(u.info.end_reason);
+        job.ended = true;
+        break;
+      case JobUpdate::Kind::Cancel:
+        job.cancelled = true;
+        break;
+      case JobUpdate::Kind::Overallocate:
+        job.overallocated = true;
+        job.overallocated_nodes = u.info.overallocated_nodes;
+        break;
+      case JobUpdate::Kind::Start:
+        break;
+    }
+  }
+  updates = {};  // release the folded list before the index allocates
+  by_node_ = node_index(jobs_);
+}
+
 JobTable JobTable::from_jobs(const std::vector<Job>& jobs) {
-  JobTable table;
-  for (const auto& j : jobs) {
-    JobInfo info;
+  std::vector<JobUpdate> starts(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& j = jobs[i];
+    JobInfo& info = starts[i].info;
     info.job_id = j.job_id;
     info.apid = j.apid;
     info.user = j.user;
@@ -114,103 +206,8 @@ JobTable JobTable::from_jobs(const std::vector<Job>& jobs) {
     info.overallocated = j.outcome == JobOutcome::Overallocated;
     info.overallocated_nodes = j.overallocated_nodes;
     info.cancelled = j.outcome == JobOutcome::UserCancelled;
-    table.add_start(std::move(info));
   }
-  table.finalize();
-  return table;
-}
-
-void JobTable::add_start(JobInfo info) {
-  finalized_ = false;
-  // A week of scheduler log holds thousands of jobs; pre-sizing the id map
-  // once is cheaper than letting it rehash its way up through every
-  // power-of-two bucket count.
-  if (by_id_.bucket_count() < 8192) by_id_.reserve(8192);
-  const auto it = by_id_.find(info.job_id);
-  if (it != by_id_.end()) {
-    jobs_[it->second] = std::move(info);
-    return;
-  }
-  by_id_[info.job_id] = jobs_.size();
-  jobs_.push_back(std::move(info));
-}
-
-void JobTable::add_end(std::int64_t job_id, util::TimePoint end, int exit_code,
-                       std::string reason) {
-  const auto it = by_id_.find(job_id);
-  if (it == by_id_.end()) return;
-  JobInfo& info = jobs_[it->second];
-  info.end = end;
-  info.exit_code = exit_code;
-  info.end_reason = std::move(reason);
-  info.ended = true;
-}
-
-void JobTable::mark_overallocated(std::int64_t job_id, std::uint32_t node_count) {
-  const auto it = by_id_.find(job_id);
-  if (it == by_id_.end()) return;
-  jobs_[it->second].overallocated = true;
-  jobs_[it->second].overallocated_nodes = node_count;
-}
-
-void JobTable::mark_cancelled(std::int64_t job_id) {
-  const auto it = by_id_.find(job_id);
-  if (it != by_id_.end()) jobs_[it->second].cancelled = true;
-}
-
-void JobTable::finalize() {
-  if (finalized_) return;
-  // CSR build: count per node, prefix-sum into offsets, fill job indexes,
-  // then sort each node's run by start time (see util/csr.hpp).
-  by_node_ = {};
-  // Branch-free max pass first (it vectorizes), then the count pass against
-  // a correctly-sized table; fusing the two costs a data-dependent branch
-  // per (job, node) pair and measures slower.
-  std::uint32_t node_keys = 0;
-  for (const JobInfo& j : jobs_) {
-    for (const auto node : j.nodes) node_keys = std::max(node_keys, node.value + 1);
-  }
-  if (node_keys != 0) {
-    by_node_.offsets.assign(std::size_t{node_keys} + 1, 0);
-    for (const JobInfo& j : jobs_) {
-      for (const auto node : j.nodes) ++by_node_.offsets[node.value + 1];
-    }
-    for (std::size_t k = 1; k < by_node_.offsets.size(); ++k) {
-      by_node_.offsets[k] += by_node_.offsets[k - 1];
-    }
-    by_node_.entries.resize(by_node_.offsets.back());
-    std::vector<std::uint32_t> cursor = by_node_.offsets;
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      for (const auto node : jobs_[i].nodes) {
-        by_node_.entries[cursor[node.value]++] = static_cast<std::uint32_t>(i);
-      }
-    }
-    // Scheduler logs are time-ordered, so the fill above (ascending job
-    // index) usually leaves every run already start-sorted; detecting that
-    // with one linear pass is far cheaper than 5k+ small sorts whose
-    // comparator chases cold JobInfo structs.  The flat starts array keeps
-    // the comparator on 8-byte rows when a sort IS needed.
-    std::vector<std::int64_t> starts;
-    starts.reserve(jobs_.size());
-    for (const JobInfo& j : jobs_) starts.push_back(j.start.usec);
-    const auto start_less = [&starts](std::uint32_t a, std::uint32_t b) {
-      return starts[a] < starts[b];
-    };
-    // When the whole job list is start-ordered (the normal case: allocation
-    // records appear in the log at their start time), every run is sorted
-    // by construction, and one pass over the job list proves it without
-    // touching the (much larger) entries array at all.
-    if (std::is_sorted(starts.begin(), starts.end())) {
-      finalized_ = true;
-      return;
-    }
-    for (std::uint32_t k = 0; k < node_keys; ++k) {
-      const auto begin = by_node_.entries.begin() + by_node_.offsets[k];
-      const auto end = by_node_.entries.begin() + by_node_.offsets[k + 1];
-      if (!std::is_sorted(begin, end, start_less)) std::sort(begin, end, start_less);
-    }
-  }
-  finalized_ = true;
+  return JobTable(std::move(starts));
 }
 
 const JobInfo* JobTable::find(std::int64_t job_id) const noexcept {
@@ -229,9 +226,6 @@ const JobInfo* JobTable::job_on_node_at(platform::NodeId node, util::TimePoint t
 }
 
 void JobTable::append_sections(util::Sections& out, const std::string& prefix) const {
-  if (!finalized_) {
-    throw std::logic_error("JobTable::append_sections: table is not finalized");
-  }
   StringPool pool;
   std::vector<JobFixed> fixed;
   fixed.reserve(jobs_.size());
@@ -339,7 +333,6 @@ JobTable JobTable::from_sections(const util::SectionMap& in, const std::string& 
                                    std::to_string(table.jobs_.size()) + " jobs");
     }
   }
-  table.finalized_ = true;
   return table;
 }
 

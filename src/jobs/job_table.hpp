@@ -1,8 +1,8 @@
 // Queryable job metadata table, the analysis-side view of the scheduler
-// logs.  Built either directly from simulated jobs or incrementally by the
-// scheduler-log parser; answers the correlation queries of Sections III-D/E:
-// "which job ran on this node when it failed?" and "which other nodes did
-// that job hold?".
+// logs.  Built once, from simulated jobs or from the scheduler log's job
+// updates folded in log order, and never mutated after; answers the
+// correlation queries of Sections III-D/E: "which job ran on this node
+// when it failed?" and "which other nodes did that job hold?".
 #pragma once
 
 #include <cstdint>
@@ -35,23 +35,31 @@ struct JobInfo {
   bool cancelled = false;
 };
 
+/// One job fact from one scheduler-log line.  `info.job_id` names the job;
+/// the other fields `kind` sets are the only ones read.
+struct JobUpdate {
+  enum class Kind : std::uint8_t {
+    Start,         ///< allocation: the whole JobInfo
+    End,           ///< end, exit_code, end_reason
+    Cancel,        ///< no field: sets cancelled
+    Overallocate,  ///< overallocated_nodes; sets overallocated
+  };
+  Kind kind = Kind::Start;
+  JobInfo info;
+};
+
 class JobTable {
  public:
   JobTable() = default;
 
-  /// Builds from fully-simulated jobs (the no-text path).
-  [[nodiscard]] static JobTable from_jobs(const std::vector<Job>& jobs);
+  /// Applies `updates` in order, then builds the per-node index.  A start
+  /// registers its job, replacing an earlier job with the same id in
+  /// place; every other kind changes the job registered under its id, and
+  /// is ignored when there is none.
+  explicit JobTable(std::vector<JobUpdate> updates);
 
-  // --- incremental construction (parser path) ---
-  /// Registers an allocation; replaces any previous entry with the id.
-  void add_start(JobInfo info);
-  /// Records the end of a job; ignored when the id is unknown.
-  void add_end(std::int64_t job_id, util::TimePoint end, int exit_code,
-               std::string reason);
-  void mark_overallocated(std::int64_t job_id, std::uint32_t node_count);
-  void mark_cancelled(std::int64_t job_id);
-  /// Builds the per-node interval index. Call once after construction.
-  void finalize();
+  /// Builds from fully-simulated jobs (the no-text path): one start each.
+  [[nodiscard]] static JobTable from_jobs(const std::vector<Job>& jobs);
 
   [[nodiscard]] std::size_t size() const noexcept { return jobs_.size(); }
   [[nodiscard]] const std::vector<JobInfo>& jobs() const noexcept { return jobs_; }
@@ -68,10 +76,9 @@ class JobTable {
   /// the job -> nodes lists as a CSR, and `by_node_` exactly as built
   /// (its per-node runs sort ties arbitrarily, so serializing the index
   /// rather than rebuilding it keeps loaded query results identical).
-  /// The table must be finalized.
   void append_sections(util::Sections& out, const std::string& prefix) const;
 
-  /// Rebuilds a finalized table from its sections (by_id_ is re-derived —
+  /// Rebuilds a table from its sections (by_id_ is re-derived —
   /// it is a plain inverse of the job rows).  Throws util::SectionError on
   /// out-of-range string ids, node lists or index entries.
   [[nodiscard]] static JobTable from_sections(const util::SectionMap& in,
@@ -84,7 +91,6 @@ class JobTable {
   /// One uint32 per (node, job) membership — a week of allocations holds
   /// hundreds of thousands, so this is RSS-sensitive.
   util::CsrIndex<std::uint32_t> by_node_;
-  bool finalized_ = false;
 };
 
 }  // namespace hpcfail::jobs

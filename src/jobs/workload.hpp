@@ -37,8 +37,6 @@ class WorkloadGenerator {
   /// non-zero exits, configuration errors, user cancels) per the catalog.
   [[nodiscard]] std::vector<Job> generate(util::TimePoint begin, util::TimePoint end);
 
-  [[nodiscard]] const AppCatalog& catalog() const noexcept { return catalog_; }
-
  private:
   [[nodiscard]] std::uint32_t sample_size(util::Rng& rng) const;
 

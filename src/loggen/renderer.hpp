@@ -62,8 +62,6 @@ class LogRenderer {
   /// scratch bitset.
   void append_job_line(std::string& out, const jobs::Job& job, JobLine line);
 
-  [[nodiscard]] const platform::Topology& topology() const noexcept { return topo_; }
-
  private:
   void append_console(std::string& out, const logmodel::LogRecord& r) const;
   void append_messages(std::string& out, const logmodel::LogRecord& r) const;

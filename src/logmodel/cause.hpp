@@ -79,14 +79,4 @@ enum class CauseLayer : std::uint8_t { Hardware, Software, Application, Unknown 
   return "?";
 }
 
-[[nodiscard]] constexpr std::string_view to_string(CauseLayer l) noexcept {
-  switch (l) {
-    case CauseLayer::Hardware: return "Hardware";
-    case CauseLayer::Software: return "Software";
-    case CauseLayer::Application: return "Application";
-    case CauseLayer::Unknown: return "Unknown";
-  }
-  return "?";
-}
-
 }  // namespace hpcfail::logmodel

@@ -51,11 +51,6 @@ void StoreBuilder::append_batch(std::vector<LogRecord> batch,
   // hash probe per *distinct* string, the remap a table lookup per record.
   const std::vector<Symbol> remap = symbols_.absorb(batch_symbols);
   for (LogRecord& r : batch) r.detail = remap[r.detail.id];
-  append_batch(std::move(batch));
-}
-
-void StoreBuilder::append_batch(std::vector<LogRecord> batch) {
-  if (batch.empty()) return;
   // count_ is bumped only after the records are in place, so a bad_alloc
   // from the insert can't leave record_count() claiming records the store
   // never received.

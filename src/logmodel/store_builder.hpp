@@ -10,11 +10,12 @@
 // merge then breaks time ties by append order, which reproduces a global
 // stable_sort of that sequence byte for byte — logmodel_test pins this.
 //
-// Detail strings: parse workers intern into chunk-local SymbolTables;
-// append_batch absorbs each chunk table into the builder's table (chunks
-// retire in FIFO order, so this is serialized) and rewrites the batch's
-// Symbols through the returned remap.  build() moves the merged table into
-// the LogStore, which owns it for the records' lifetime.
+// One way in: every record arrives through append_batch together with
+// the chunk-local SymbolTable its detail Symbols point into (parse workers
+// intern there).  append_batch absorbs each chunk table into the builder's
+// table (chunks retire in FIFO order, so this is serialized) and rewrites
+// the batch's Symbols through the returned remap.  build() moves the
+// merged table into the LogStore, which owns it for the records' lifetime.
 #pragma once
 
 #include <cstddef>
@@ -38,13 +39,6 @@ class StoreBuilder {
   /// chunk size the merged ids are deterministic regardless of worker-thread
   /// count.
   void append_batch(std::vector<LogRecord> batch, const SymbolTable& batch_symbols);
-  /// Batch variant for records whose detail Symbols are already valid in
-  /// this builder's table (default-constructed, or interned via symbols()).
-  void append_batch(std::vector<LogRecord> batch);
-
-  /// The builder's own table, for sequential producers that intern
-  /// directly (e.g. the stateful scheduler parser) before append_batch().
-  [[nodiscard]] SymbolTable& symbols() noexcept { return symbols_; }
 
   [[nodiscard]] std::size_t record_count() const noexcept { return count_; }
   /// Shards sealed so far (the open shard is not counted).

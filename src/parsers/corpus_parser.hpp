@@ -1,6 +1,6 @@
 // Whole-corpus ingestion of in-memory text: raw text of all sources ->
-// finalized LogStore + JobTable.  parse_corpus is a thin adapter that feeds
-// each source text to parsers::ingest_stream (parsers/ingest.hpp) as a
+// LogStore + JobTable.  parse_corpus is a thin adapter that feeds each
+// source text to parsers::ingest_stream (parsers/ingest.hpp) as a
 // zero-copy in-memory stream, so a corpus in RAM and the same corpus on
 // disk take one parse path and yield identical results.  Malformed or
 // irrelevant lines are counted, never fatal.

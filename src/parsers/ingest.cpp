@@ -27,18 +27,11 @@ using logmodel::LogSource;
 
 LineParseFn line_parser_for(LogSource source) noexcept {
   switch (source) {
-    case LogSource::Console:
-    case LogSource::Consumer:
-      return &parse_console_line;
-    case LogSource::Messages:
-      return &parse_messages_line;
-    case LogSource::Controller:
-      return &parse_controller_line;
-    case LogSource::Erd:
-      return &parse_erd_line;
-    case LogSource::Scheduler:
-    default:
-      return nullptr;
+    case LogSource::Messages: return &parse_messages_line;
+    case LogSource::Controller: return &parse_controller_line;
+    case LogSource::Erd: return &parse_erd_line;
+    case LogSource::Scheduler: return &parse_scheduler_line;
+    default: return &parse_console_line;  // console and consumer
   }
 }
 
@@ -66,10 +59,12 @@ namespace {
 
 /// Result of parsing one chunk's lines on a pool worker.  Detail Symbols
 /// point into the chunk-local table; append_batch remaps them into the
-/// builder's table at retire time.
+/// builder's table at retire time.  `job_updates` holds the chunk's job
+/// facts (scheduler chunks only), in line order.
 struct ChunkResult {
   std::vector<LogRecord> records;
   logmodel::SymbolTable symbols;
+  std::vector<jobs::JobUpdate> job_updates;
   std::size_t lines = 0;
   std::size_t skipped = 0;
 };
@@ -109,20 +104,22 @@ struct IngestInstruments {
   [[nodiscard]] bool on() const noexcept { return bytes_read != nullptr; }
 };
 
-/// Parallel sources retire in this fixed order whatever order the caller
-/// lists them in, so time-tied records always merge in the same order.
-constexpr LogSource kParallelOrder[] = {
-    LogSource::Console, LogSource::Consumer, LogSource::Messages,
-    LogSource::Controller, LogSource::Erd,
+/// Sources retire in this fixed order whatever order the caller lists
+/// them in, so time-tied records always merge in the same order.
+constexpr LogSource kSourceOrder[] = {
+    LogSource::Console,    LogSource::Consumer, LogSource::Messages,
+    LogSource::Controller, LogSource::Erd,      LogSource::Scheduler,
 };
 
 /// read -> parse -> shard pipeline over one source stream.  Chunks retire
-/// in submission order (FIFO), so the builder sees the file's line order
-/// no matter how the pool schedules the parse tasks.
-void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseContext& ctx,
-                            const IngestOptions& options, util::ThreadPool& pool,
-                            std::size_t inflight, logmodel::StoreBuilder& builder,
-                            std::size_t& total_lines, std::size_t& skipped) {
+/// in submission order (FIFO), so the builder sees the file's line order,
+/// and `job_updates` the scheduler's job facts in log order, no matter how
+/// the pool schedules the parse tasks.
+void ingest_source(std::istream& in, LineParseFn parse, const ParseContext& ctx,
+                   const IngestOptions& options, util::ThreadPool& pool,
+                   std::size_t inflight, logmodel::StoreBuilder& builder,
+                   std::vector<jobs::JobUpdate>& job_updates, std::size_t& total_lines,
+                   std::size_t& skipped) {
   util::ChunkedLineReader reader(in, options.chunk_bytes);
   std::deque<std::future<ChunkResult>> pending;
   const IngestInstruments m = IngestInstruments::bind();
@@ -141,11 +138,15 @@ void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseCont
     pending.pop_front();
     // append_batch throws (if at all) before touching the store, so counting
     // the chunk's lines only after it returns keeps the partial-result
-    // invariant total_lines == parsed + skipped when a retire fails.
+    // invariant total_lines == parsed + skipped when a retire fails.  The
+    // job facts follow the records, so a partial job table never holds a
+    // job whose JobStart record the partial store lacks.
     const std::size_t records = r.records.size();
     builder.append_batch(std::move(r.records), r.symbols);
     total_lines += r.lines;
     skipped += r.skipped;
+    job_updates.insert(job_updates.end(), std::make_move_iterator(r.job_updates.begin()),
+                       std::make_move_iterator(r.job_updates.end()));
     if (m.on()) {
       m.records_parsed->add(records);
       m.lines_skipped->add(r.skipped);
@@ -177,6 +178,7 @@ void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseCont
             ChunkResult r;
             ParseContext local = ctx;
             local.symbols = &r.symbols;  // intern straight from the chunk buffer
+            local.job_updates = &r.job_updates;
             // Zero-allocation line walk: the cursor hands out views into the
             // chunk buffer one at a time, so the per-chunk vector of line
             // views (and its resize churn) is gone from the hot loop.
@@ -205,52 +207,6 @@ void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseCont
       if (f.valid()) f.wait();
     }
     throw;
-  }
-}
-
-void ingest_scheduler_source(std::istream& in, const ParseContext& ctx,
-                             const IngestOptions& options, jobs::JobTable& jobs,
-                             logmodel::StoreBuilder& builder, std::size_t& total_lines,
-                             std::size_t& skipped) {
-  util::ChunkedLineReader reader(in, options.chunk_bytes);
-  // The scheduler parser is stateful and sequential; it interns directly
-  // into the builder's table, so append_batch() needs no remap.
-  ParseContext sched_ctx = ctx;
-  sched_ctx.symbols = &builder.symbols();
-  SchedulerLogParser sched(sched_ctx, jobs);
-  const IngestInstruments m = IngestInstruments::bind();
-  std::size_t parsed_here = 0;
-  std::size_t skipped_here = 0;
-  std::string chunk;
-  // Records collect into a chunk-local batch and retire through one
-  // append_batch per chunk: symbols already live in the builder's table, so
-  // no remap is needed, and the builder skips per-record shard checks.
-  std::vector<logmodel::LogRecord> batch;
-  while (reader.next(chunk)) {
-    util::TraceSpan span("hpcfail.ingest.parse_chunk");
-    if (m.on()) {
-      m.bytes_read->add(chunk.size());
-      m.chunks->increment();
-    }
-    util::scan::LineCursor cursor(chunk);
-    std::string_view line;
-    batch.clear();
-    while (cursor.next(line)) {
-      ++total_lines;
-      if (auto rec = sched.parse_line(line)) {
-        batch.push_back(*rec);
-        ++parsed_here;
-      } else {
-        ++skipped;
-        ++skipped_here;
-      }
-    }
-    builder.append_batch(std::move(batch));
-    batch = {};
-  }
-  if (m.on()) {
-    m.records_parsed->add(parsed_here);
-    m.lines_skipped->add(skipped_here);
   }
 }
 
@@ -301,30 +257,23 @@ IngestResult ingest_stream(const loggen::Corpus& header,
   };
 
   logmodel::StoreBuilder builder;
+  std::vector<jobs::JobUpdate> job_updates;
   std::size_t skipped = 0;
 
-  for (const LogSource source : kParallelOrder) {
+  for (const LogSource source : kSourceOrder) {
     std::istream* in = stream_of(source);
     if (in == nullptr) continue;
     util::TraceSpan span("hpcfail.ingest.source_" +
                          util::trace_name_segment(logmodel::to_string(source)));
     out.error = run_source_guarded(source, [&] {
-      ingest_parallel_source(*in, line_parser_for(source), ctx, options, pool, inflight,
-                             builder, out.total_lines, skipped);
+      ingest_source(*in, line_parser_for(source), ctx, options, pool, inflight, builder,
+                    job_updates, out.total_lines, skipped);
     });
     if (out.error) break;
   }
-
-  if (!out.error) {
-    if (std::istream* in = stream_of(LogSource::Scheduler)) {
-      util::TraceSpan span("hpcfail.ingest.source_scheduler");
-      out.error = run_source_guarded(LogSource::Scheduler, [&] {
-        ingest_scheduler_source(*in, ctx, options, out.jobs, builder, out.total_lines,
-                                skipped);
-      });
-    }
-  }
-  out.jobs.finalize();
+  // The table is built once, from the facts of every retired chunk, and
+  // before the store merge so the update list is gone by then.
+  out.jobs = jobs::JobTable(std::move(job_updates));
 
   // Build the store even after a failure: everything retired before the
   // error is a record-accurate partial result, and the line accounting

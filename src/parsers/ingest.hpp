@@ -1,11 +1,13 @@
 #pragma once
 // Streaming, bounded-memory corpus ingestion: per-source log files ->
-// finalized LogStore + JobTable, without ever holding a full source text
-// or a full line-view vector in memory.
+// LogStore + JobTable, without ever holding a full source text or a full
+// line-view vector in memory.
 //
-// The pipeline per non-scheduler source:
+// One pipeline serves all six sources, one source after another, the
+// scheduler last:
 //
 //   ChunkedLineReader --chunk--> ThreadPool parse task --records--> StoreBuilder
+//                                                     \--job updates--> JobTable
 //
 // The reader hands out fixed-size chunks split on line boundaries; up to
 // `max_inflight_chunks` chunks are being parsed concurrently while the
@@ -14,8 +16,11 @@
 // sharded builder is exactly the file's line order.  Peak text residency
 // is chunk_bytes x (inflight + 1) instead of the corpus size.
 //
-// The scheduler source is parsed sequentially (its lines mutate the
-// JobTable in order) but still streams chunk by chunk.
+// Every line parser is stateless (parsers/source_parsers.hpp).  The
+// scheduler parser appends each line's job fact to its chunk's list; a
+// chunk's facts retire with its records, right after them, so they reach
+// the one JobTable constructor in log order, and a partial result's table
+// never holds a job whose JobStart record its store lacks.
 //
 // Error surface: malformed *lines* are skipped and counted (never fatal),
 // and so are absent source files; *stream-level* failures — an I/O error
@@ -81,8 +86,8 @@ struct IngestError {
 };
 
 /// ParsedCorpus plus the explicit error surface.  When `error` is set the
-/// base holds the record-accurate partial result: every record retired
-/// before the failure, finalized and queryable, with total_lines /
+/// base holds the record-accurate partial result: every record and job
+/// retired before the failure, queryable, with total_lines /
 /// parsed_records / skipped_lines accounting for every line seen.
 struct IngestResult : ParsedCorpus {
   std::optional<IngestError> error;
@@ -105,8 +110,7 @@ struct IngestResult : ParsedCorpus {
                                          const std::vector<SourceStream>& sources,
                                          const IngestOptions& options = {});
 
-/// The stateless per-line parser the parallel path uses for `source`
-/// (nullptr for LogSource::Scheduler, which is stateful).
+/// The stateless per-line parser the pipeline uses for `source`.
 using LineParseFn = std::optional<logmodel::LogRecord> (*)(std::string_view,
                                                            const ParseContext&);
 [[nodiscard]] LineParseFn line_parser_for(logmodel::LogSource source) noexcept;

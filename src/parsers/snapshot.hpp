@@ -1,5 +1,5 @@
-// Corpus-level persistence: a whole ParsedCorpus — finalized LogStore,
-// JobTable, the machine/window manifest and the line accounting — as one
+// Corpus-level persistence: a whole ParsedCorpus — LogStore, JobTable,
+// the machine/window manifest and the line accounting — as one
 // hpcfail.store.v1 file.  This is what "parse once, analyze many times"
 // ships between runs: load_snapshot() yields a ParsedCorpus
 // indistinguishable from the text-ingest paths (enforced byte-for-byte
@@ -19,9 +19,8 @@
 
 namespace hpcfail::parsers {
 
-/// Writes `corpus` (which must hold a finalized store and job table — any
-/// ParsedCorpus returned by parse_corpus/ingest_files qualifies) to `path`
-/// as an hpcfail.store.v1 snapshot.
+/// Writes `corpus` (any ParsedCorpus, from parse_corpus, ingest_files or
+/// load_snapshot) to `path` as an hpcfail.store.v1 snapshot.
 [[nodiscard]] std::optional<util::SnapshotError> save_snapshot(
     const ParsedCorpus& corpus, const std::string& path);
 

@@ -63,7 +63,7 @@ double extract_reading(std::string_view payload) noexcept {
 }  // namespace
 
 std::optional<LogRecord> parse_console_line(std::string_view line,
-                                            const ParseContext& ctx) noexcept {
+                                            const ParseContext& ctx) {
   if (ctx.topo == nullptr || ctx.symbols == nullptr) return std::nullopt;
   std::string_view rest = line;
   const auto ts_token = take_token(rest);
@@ -105,7 +105,7 @@ std::optional<LogRecord> parse_console_line(std::string_view line,
 }
 
 std::optional<LogRecord> parse_messages_line(std::string_view line,
-                                             const ParseContext& ctx) noexcept {
+                                             const ParseContext& ctx) {
   if (ctx.topo == nullptr || ctx.symbols == nullptr || line.size() < 16) return std::nullopt;
   const auto time = util::parse_syslog(line.substr(0, 15), ctx.base_year, ctx.base_month);
   if (!time) return std::nullopt;
@@ -136,7 +136,7 @@ std::optional<LogRecord> parse_messages_line(std::string_view line,
 }
 
 std::optional<LogRecord> parse_controller_line(std::string_view line,
-                                               const ParseContext& ctx) noexcept {
+                                               const ParseContext& ctx) {
   if (ctx.topo == nullptr || ctx.symbols == nullptr) return std::nullopt;
   std::string_view rest = line;
   const auto ts_token = take_token(rest);
@@ -187,7 +187,7 @@ std::optional<LogRecord> parse_controller_line(std::string_view line,
 }
 
 std::optional<LogRecord> parse_erd_line(std::string_view line,
-                                        const ParseContext& ctx) noexcept {
+                                        const ParseContext& ctx) {
   if (ctx.topo == nullptr || ctx.symbols == nullptr) return std::nullopt;
   std::string_view rest = line;
   const auto ts_token = take_token(rest);
@@ -242,91 +242,62 @@ std::optional<LogRecord> parse_erd_line(std::string_view line,
   return r;
 }
 
-std::optional<LogRecord> SchedulerLogParser::parse_line(std::string_view line) {
-  if (ctx_.symbols == nullptr) return std::nullopt;
-  // Torque/PBS dialect: MM/DD/YYYY HH:MM:SS;0008;PBS_Server;Job;<id>.sdb;<payload>
-  if (line.size() > 20 && line[2] == '/' && line[19] == ';') {
-    return parse_torque_line(line);
-  }
-  std::string_view rest = line;
-  const auto ts_token = take_token(rest);
-  const auto time = util::parse_iso(ts_token);
-  if (!time) return std::nullopt;
-  const auto daemon = take_token(rest);
-  if (daemon != "slurmctld:" && daemon != "pbs_server:") return std::nullopt;
-  rest = util::trim(rest);
+namespace {
 
-  LogRecord r;
-  r.time = *time;
-  r.source = LogSource::Scheduler;
-  r.severity = Severity::Info;
-
-  auto kv_i64 = [&rest](std::string_view key) -> std::optional<std::int64_t> {
-    const auto v = util::find_kv(rest, key);
-    return v ? util::parse_i64(*v) : std::nullopt;
-  };
-
-  if (util::starts_with(rest, "sched: Allocate ")) {
-    const auto job_id = kv_i64("JobId");
-    if (!job_id) return std::nullopt;
-    return register_allocation(rest, *job_id, *time, r);
-  }
-  if (util::contains(rest, "Ended ExitCode=")) {
-    const auto job_id = kv_i64("JobId");
-    const auto exit_field = util::find_kv(rest, "ExitCode");
-    const auto reason = util::find_kv(rest, "Reason");
-    if (!job_id || !exit_field) return std::nullopt;
-    const auto colon = exit_field->find(':');
-    const int exit_code = static_cast<int>(
-        util::parse_i64(exit_field->substr(0, colon)).value_or(-1));
-    r.type = EventType::JobEnd;
-    r.job_id = *job_id;
-    r.value = exit_code;
-    const std::string_view reason_text = reason.value_or(std::string_view{});
-    r.detail = ctx_.symbols->intern(reason_text);
-    r.severity = exit_code == 0 ? Severity::Info : Severity::Error;
-    table_.add_end(*job_id, *time, exit_code, std::string(reason_text));
-    return r;
-  }
-  if (util::starts_with(rest, "scancel ")) {
-    const auto job_id = kv_i64("JobId");
-    if (!job_id) return std::nullopt;
-    r.type = EventType::JobCancelled;
-    r.job_id = *job_id;
-    r.detail = ctx_.symbols->intern(rest);
-    table_.mark_cancelled(*job_id);
-    return r;
-  }
-  if (util::contains(rest, "allocated memory exceeds node capacity")) {
-    const auto job_id = kv_i64("JobId");
-    if (!job_id) return std::nullopt;
-    r.type = EventType::JobOverallocation;
-    r.job_id = *job_id;
-    r.severity = Severity::Warning;
-    r.detail = ctx_.symbols->intern("allocated memory exceeds node capacity");
-    r.value = static_cast<double>(kv_i64("OverallocCnt").value_or(0));
-    table_.mark_overallocated(*job_id,
-                              static_cast<std::uint32_t>(kv_i64("OverallocCnt").value_or(0)));
-    return r;
-  }
-  if (util::starts_with(rest, "epilog complete ")) {
-    const auto job_id = kv_i64("JobId");
-    if (!job_id) return std::nullopt;
-    r.type = EventType::EpilogueRun;
-    r.job_id = *job_id;
-    r.detail = ctx_.symbols->intern("epilogue complete");
-    return r;
-  }
-  return std::nullopt;
+/// Appends the line's job update and returns its JobInfo to fill.
+jobs::JobInfo& push_update(const ParseContext& ctx, jobs::JobUpdate::Kind kind,
+                           std::int64_t job_id) {
+  jobs::JobUpdate& update = ctx.job_updates->emplace_back();
+  update.kind = kind;
+  update.info.job_id = job_id;
+  return update.info;
 }
 
-std::optional<LogRecord> SchedulerLogParser::register_allocation(std::string_view payload,
-                                                                 std::int64_t job_id,
-                                                                 util::TimePoint time,
-                                                                 LogRecord r) {
+// The job facts both dialects share: each completes the record (time,
+// source and severity already set) and appends the line's job update.
+
+LogRecord job_end(LogRecord r, std::int64_t job_id, int exit_code, std::string_view reason,
+                  const ParseContext& ctx) {
+  r.type = EventType::JobEnd;
+  r.job_id = job_id;
+  r.value = exit_code;
+  r.detail = ctx.symbols->intern(reason);
+  r.severity = exit_code == 0 ? Severity::Info : Severity::Error;
+  jobs::JobInfo& info = push_update(ctx, jobs::JobUpdate::Kind::End, job_id);
+  info.end = r.time;
+  info.exit_code = exit_code;
+  info.end_reason = std::string(reason);
+  return r;
+}
+
+LogRecord job_cancelled(LogRecord r, std::int64_t job_id, std::string_view detail,
+                        const ParseContext& ctx) {
+  r.type = EventType::JobCancelled;
+  r.job_id = job_id;
+  r.detail = ctx.symbols->intern(detail);
+  push_update(ctx, jobs::JobUpdate::Kind::Cancel, job_id);
+  return r;
+}
+
+LogRecord job_overallocated(LogRecord r, std::int64_t job_id, std::int64_t nodes,
+                            const ParseContext& ctx) {
+  r.type = EventType::JobOverallocation;
+  r.job_id = job_id;
+  r.severity = Severity::Warning;
+  r.detail = ctx.symbols->intern("allocated memory exceeds node capacity");
+  r.value = static_cast<double>(nodes);
+  push_update(ctx, jobs::JobUpdate::Kind::Overallocate, job_id).overallocated_nodes =
+      static_cast<std::uint32_t>(nodes);
+  return r;
+}
+
+/// An allocation's payload: the JobStart record, plus the start update
+/// carrying the whole job; nullopt without a valid node list.
+std::optional<LogRecord> job_started(LogRecord r, std::int64_t job_id,
+                                     std::string_view payload, const ParseContext& ctx) {
   // One left-to-right token walk instead of five find_kv() scans: the
   // NodeList value on wide allocations runs to kilobytes, and rescanning
-  // it per key dominated the sequential scheduler parse.
+  // it per key dominated the scheduler parse.
   std::string_view node_list, apid, user, app, mem;
   std::size_t pos = 0;
   while (pos < payload.size()) {
@@ -357,30 +328,87 @@ std::optional<LogRecord> SchedulerLogParser::register_allocation(std::string_vie
   if (!apid.empty()) info.apid = util::parse_i64(apid).value_or(0);
   if (!user.empty()) info.user = std::string(user);
   if (!app.empty()) info.app_name = std::string(app);
-  info.start = time;
-  info.end = time + util::Duration::days(36500);  // open until the end record
+  info.start = r.time;
+  info.end = r.time + util::Duration::days(36500);  // open until the end record
   if (!mem.empty()) {
     std::string_view m = mem;
     if (util::ends_with(m, "G")) m.remove_suffix(1);
     info.mem_per_node_gb = util::parse_double(m).value_or(0.0);
   }
   auto nodes = loggen::expand_node_list(node_list);
-  if (!nodes || ctx_.topo == nullptr) return std::nullopt;
-  // JobTable::finalize sizes its per-node index by the largest nid, so one
-  // corrupted nid outside the machine would ask for gigabytes.
-  const std::size_t node_count = ctx_.topo->node_count();
+  if (!nodes || ctx.topo == nullptr) return std::nullopt;
+  // JobTable sizes its per-node index by the largest nid, so one corrupted
+  // nid outside the machine would ask for gigabytes.
+  const std::size_t node_count = ctx.topo->node_count();
   for (const platform::NodeId node : *nodes) {
     if (node.value >= node_count) return std::nullopt;
   }
   info.nodes = std::move(*nodes);
   r.type = EventType::JobStart;
   r.job_id = info.job_id;
-  r.detail = ctx_.symbols->intern(info.app_name);
-  table_.add_start(std::move(info));
+  r.detail = ctx.symbols->intern(info.app_name);
+  ctx.job_updates->push_back({jobs::JobUpdate::Kind::Start, std::move(info)});
   return r;
 }
 
-std::optional<LogRecord> SchedulerLogParser::parse_torque_line(std::string_view line) {
+/// Slurm dialect: ISO_TS slurmctld: <payload> (pbs_server: is accepted too).
+std::optional<LogRecord> parse_slurm_line(std::string_view line, const ParseContext& ctx) {
+  std::string_view rest = line;
+  const auto ts_token = take_token(rest);
+  const auto time = util::parse_iso(ts_token);
+  if (!time) return std::nullopt;
+  const auto daemon = take_token(rest);
+  if (daemon != "slurmctld:" && daemon != "pbs_server:") return std::nullopt;
+  rest = util::trim(rest);
+
+  LogRecord r;
+  r.time = *time;
+  r.source = LogSource::Scheduler;
+  r.severity = Severity::Info;
+
+  auto kv_i64 = [&rest](std::string_view key) -> std::optional<std::int64_t> {
+    const auto v = util::find_kv(rest, key);
+    return v ? util::parse_i64(*v) : std::nullopt;
+  };
+
+  if (util::starts_with(rest, "sched: Allocate ")) {
+    const auto job_id = kv_i64("JobId");
+    if (!job_id) return std::nullopt;
+    return job_started(r, *job_id, rest, ctx);
+  }
+  if (util::contains(rest, "Ended ExitCode=")) {
+    const auto job_id = kv_i64("JobId");
+    const auto exit_field = util::find_kv(rest, "ExitCode");
+    const auto reason = util::find_kv(rest, "Reason");
+    if (!job_id || !exit_field) return std::nullopt;
+    const auto colon = exit_field->find(':');
+    const int exit_code = static_cast<int>(
+        util::parse_i64(exit_field->substr(0, colon)).value_or(-1));
+    return job_end(r, *job_id, exit_code, reason.value_or(std::string_view{}), ctx);
+  }
+  if (util::starts_with(rest, "scancel ")) {
+    const auto job_id = kv_i64("JobId");
+    if (!job_id) return std::nullopt;
+    return job_cancelled(r, *job_id, rest, ctx);
+  }
+  if (util::contains(rest, "allocated memory exceeds node capacity")) {
+    const auto job_id = kv_i64("JobId");
+    if (!job_id) return std::nullopt;
+    return job_overallocated(r, *job_id, kv_i64("OverallocCnt").value_or(0), ctx);
+  }
+  if (util::starts_with(rest, "epilog complete ")) {
+    const auto job_id = kv_i64("JobId");
+    if (!job_id) return std::nullopt;
+    r.type = EventType::EpilogueRun;
+    r.job_id = *job_id;
+    r.detail = ctx.symbols->intern("epilogue complete");
+    return r;
+  }
+  return std::nullopt;
+}
+
+/// Torque/PBS dialect: MM/DD/YYYY HH:MM:SS;0008;PBS_Server;Job;<id>.sdb;<payload>
+std::optional<LogRecord> parse_torque_line(std::string_view line, const ParseContext& ctx) {
   const auto time = util::parse_torque(line.substr(0, 19));
   if (!time) return std::nullopt;
   // ;<code>;PBS_Server;Job;<id>.sdb;<payload> — split into the five fixed
@@ -414,41 +442,35 @@ std::optional<LogRecord> SchedulerLogParser::parse_torque_line(std::string_view 
   r.job_id = *job_id;
 
   if (util::starts_with(payload, "Job Run ")) {
-    return register_allocation(payload, *job_id, *time, r);
+    return job_started(r, *job_id, payload, ctx);
   }
   if (const auto exit_field = util::find_kv(payload, "Exit_status")) {
     const int exit_code = static_cast<int>(util::parse_i64(*exit_field).value_or(-1));
     const auto reason = util::find_kv(payload, "Reason");
-    r.type = EventType::JobEnd;
-    r.value = exit_code;
-    const std::string_view reason_text = reason.value_or(std::string_view{});
-    r.detail = ctx_.symbols->intern(reason_text);
-    r.severity = exit_code == 0 ? Severity::Info : Severity::Error;
-    table_.add_end(*job_id, *time, exit_code, std::string(reason_text));
-    return r;
+    return job_end(r, *job_id, exit_code, reason.value_or(std::string_view{}), ctx);
   }
-  if (util::starts_with(payload, "Job deleted")) {
-    r.type = EventType::JobCancelled;
-    r.detail = ctx_.symbols->intern(payload);
-    table_.mark_cancelled(*job_id);
-    return r;
-  }
+  if (util::starts_with(payload, "Job deleted")) return job_cancelled(r, *job_id, payload, ctx);
   if (util::contains(payload, "allocated memory exceeds node capacity")) {
-    r.type = EventType::JobOverallocation;
-    r.severity = Severity::Warning;
-    r.detail = ctx_.symbols->intern("allocated memory exceeds node capacity");
     const auto count = util::find_kv(payload, "OverallocCnt");
-    const auto n = count ? util::parse_i64(*count).value_or(0) : 0;
-    r.value = static_cast<double>(n);
-    table_.mark_overallocated(*job_id, static_cast<std::uint32_t>(n));
-    return r;
+    return job_overallocated(r, *job_id, count ? util::parse_i64(*count).value_or(0) : 0, ctx);
   }
   if (util::starts_with(payload, "Epilogue complete")) {
     r.type = EventType::EpilogueRun;
-    r.detail = ctx_.symbols->intern("epilogue complete");
+    r.detail = ctx.symbols->intern("epilogue complete");
     return r;
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<LogRecord> parse_scheduler_line(std::string_view line, const ParseContext& ctx) {
+  if (ctx.symbols == nullptr || ctx.job_updates == nullptr) return std::nullopt;
+  // The Torque timestamp puts '/' at 2 and the first ';' at 19.
+  if (line.size() > 20 && line[2] == '/' && line[19] == ';') {
+    return parse_torque_line(line, ctx);
+  }
+  return parse_slurm_line(line, ctx);
 }
 
 }  // namespace hpcfail::parsers

@@ -1,10 +1,14 @@
 // Per-line parsers for each raw log source; exact inverses of the grammars
-// in loggen/renderer.cpp.  Every parser is total: any malformed line yields
-// nullopt, never an exception (the property suite fuzzes this).
+// in loggen/renderer.cpp.  Every parser is stateless, so the ingest
+// pipeline runs all six on pool workers, one chunk per task.  Every parser
+// is total: any malformed line yields nullopt (the property suite fuzzes
+// this).  None is noexcept: interning a detail allocates, and an
+// allocation failure must reach the pipeline as std::bad_alloc.
 #pragma once
 
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "jobs/job_table.hpp"
 #include "logmodel/record.hpp"
@@ -27,43 +31,33 @@ struct ParseContext {
   /// New Year dates its post-rollover lines correctly (valid for windows
   /// shorter than 12 months; stateless, hence shard-order independent).
   int base_month = 1;
+  /// Where the scheduler parser appends each line's job fact, in line
+  /// order.  Like `symbols`, an output the pipeline points at chunk-local
+  /// storage; the scheduler parser yields nullopt when unset.
+  std::vector<jobs::JobUpdate>* job_updates = nullptr;
 };
 
 /// console / consumer: ISO_TS <nodename> [<cname>] (kernel|hwerrd): <payload>
 [[nodiscard]] std::optional<logmodel::LogRecord> parse_console_line(
-    std::string_view line, const ParseContext& ctx) noexcept;
+    std::string_view line, const ParseContext& ctx);
 
 /// messages: SYSLOG_TS <nodename> nhc[pid]: <payload>
 [[nodiscard]] std::optional<logmodel::LogRecord> parse_messages_line(
-    std::string_view line, const ParseContext& ctx) noexcept;
+    std::string_view line, const ParseContext& ctx);
 
 /// controller: ISO_TS <cname> cc: <payload>
 [[nodiscard]] std::optional<logmodel::LogRecord> parse_controller_line(
-    std::string_view line, const ParseContext& ctx) noexcept;
+    std::string_view line, const ParseContext& ctx);
 
 /// erd: ISO_TS erd ev=<event> src=<cname> [node=<nodename>] <detail>
 [[nodiscard]] std::optional<logmodel::LogRecord> parse_erd_line(
-    std::string_view line, const ParseContext& ctx) noexcept;
+    std::string_view line, const ParseContext& ctx);
 
-/// Stateful scheduler-log parser: emits records and incrementally fills a
-/// JobTable (allocations, ends, cancellations, over-allocation marks).
-class SchedulerLogParser {
- public:
-  SchedulerLogParser(const ParseContext& ctx, jobs::JobTable& table)
-      : ctx_(ctx), table_(table) {}
-
-  /// Parses one line (Slurm or Torque dialect, auto-detected); updates the
-  /// table as a side effect.
-  [[nodiscard]] std::optional<logmodel::LogRecord> parse_line(std::string_view line);
-
- private:
-  [[nodiscard]] std::optional<logmodel::LogRecord> parse_torque_line(std::string_view line);
-  [[nodiscard]] std::optional<logmodel::LogRecord> register_allocation(
-      std::string_view payload, std::int64_t job_id, util::TimePoint time,
-      logmodel::LogRecord r);
-
-  ParseContext ctx_;
-  jobs::JobTable& table_;
-};
+/// scheduler: Slurm (ISO_TS slurmctld: <payload>) or Torque
+/// (MM/DD/YYYY HH:MM:SS;<code>;PBS_Server;Job;<id>.sdb;<payload>), auto-
+/// detected.  Allocation, end, cancel and over-allocation lines also append
+/// one update to ctx.job_updates; jobs::JobTable folds them in log order.
+[[nodiscard]] std::optional<logmodel::LogRecord> parse_scheduler_line(
+    std::string_view line, const ParseContext& ctx);
 
 }  // namespace hpcfail::parsers

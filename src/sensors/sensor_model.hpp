@@ -67,10 +67,6 @@ class BladeSensors {
 
   [[nodiscard]] bool deviant() const noexcept { return deviant_; }
 
-  [[nodiscard]] const SensorSpec& spec(SensorKind k) const noexcept {
-    return specs_[static_cast<std::size_t>(k)];
-  }
-
  private:
   util::Rng rng_{};
   std::array<SensorSpec, kSensorKindCount> specs_{};

@@ -30,8 +30,6 @@ constexpr VerbDef kVerbs[] = {
 
 }  // namespace
 
-std::span<const VerbDef> verbs() { return kVerbs; }
-
 bool known_verb(std::string_view verb) noexcept {
   return std::any_of(std::begin(kVerbs), std::end(kVerbs),
                      [verb](const VerbDef& def) { return def.verb == verb; });

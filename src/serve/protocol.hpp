@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -33,9 +32,6 @@ struct VerbDef {
   std::string_view verb;
   std::string_view summary;
 };
-
-/// The verb table, sorted by verb name.
-[[nodiscard]] std::span<const VerbDef> verbs();
 
 [[nodiscard]] bool known_verb(std::string_view verb) noexcept;
 

@@ -34,8 +34,7 @@ Server::Server(parsers::ParsedCorpus corpus, ServerConfig config)
       topology_(std::move(corpus.topology)),
       jobs_(std::move(corpus.jobs)),
       label_(corpus.system.label),
-      corpus_begin_(corpus.begin),
-      monitor_(config.monitor) {
+      corpus_begin_(corpus.begin) {
   util::TraceSpan span("hpcfail.serve.boot");
   parse_ctx_.topo = &topology_;
   const util::CivilTime civil = util::civil_time(corpus_begin_);
@@ -60,13 +59,13 @@ Server::Server(parsers::ParsedCorpus corpus, ServerConfig config)
 
 void Server::attach_tail(std::string path, logmodel::LogSource source,
                          std::uint64_t offset) {
-  parsers::LineParseFn parse = parsers::line_parser_for(source);
-  if (parse == nullptr) {
+  if (source == logmodel::LogSource::Scheduler) {
     throw std::invalid_argument(
-        "Server::attach_tail: source '" + std::string(logmodel::to_string(source)) +
-        "' has no stateless line parser (scheduler logs are not tailable)");
+        "Server::attach_tail: scheduler logs are not tailable (the job table is fixed "
+        "at boot)");
   }
-  tails_.push_back(AttachedTail{TailReader(std::move(path), source, offset), parse});
+  tails_.push_back(AttachedTail{TailReader(std::move(path), offset),
+                                parsers::line_parser_for(source)});
 }
 
 Server::TailPoll Server::poll_tail() {
@@ -219,8 +218,6 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
     computed = true;
     util::TraceSpan span("hpcfail.serve.analyze_epoch");
     core::AnalysisConfig cfg;
-    cfg.detector = config_.detector;
-    cfg.root_cause = config_.root_cause;
     cfg.pool = config_.pool;
     const core::AnalysisEngine engine(cfg);
     epoch.analysis = std::make_shared<const core::AnalysisResult>(

@@ -59,9 +59,6 @@ struct ServerConfig {
   /// Sliding analysis window: queries analyze [last record - window,
   /// last record], clipped to the store extent.
   util::Duration window = util::Duration::days(30);
-  core::DetectorConfig detector;
-  core::RootCauseConfig root_cause;
-  core::MonitorConfig monitor;
   /// Shards the per-failure analysis stages; null = serial (results are
   /// byte-identical either way, per the engine's determinism contract).
   util::ThreadPool* pool = nullptr;
@@ -75,8 +72,8 @@ class Server {
 
   /// Follows `path` as a live tail of `source` starting at `offset` (pass
   /// the ingested prefix size; 0 re-reads the whole file).  Scheduler
-  /// tails are rejected with std::invalid_argument — scheduler lines
-  /// mutate the JobTable statefully and are not tailable.
+  /// tails are rejected with std::invalid_argument: the job table is
+  /// fixed at boot, so tailed job facts would have nowhere to go.
   void attach_tail(std::string path, logmodel::LogSource source,
                    std::uint64_t offset = 0);
 

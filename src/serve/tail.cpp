@@ -13,9 +13,8 @@ std::string TailError::to_string() const {
   return file + " at offset " + std::to_string(offset) + ": " + message;
 }
 
-TailReader::TailReader(std::string path, logmodel::LogSource source,
-                       std::uint64_t offset)
-    : path_(std::move(path)), source_(source), offset_(offset) {}
+TailReader::TailReader(std::string path, std::uint64_t offset)
+    : path_(std::move(path)), offset_(offset) {}
 
 TailReader::Poll TailReader::poll() {
   Poll out;

@@ -23,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "logmodel/event_type.hpp"
-
 namespace hpcfail::serve {
 
 /// Why a tail poll failed; `offset` is where the read stopped.
@@ -39,9 +37,9 @@ struct TailError {
 
 class TailReader {
  public:
-  /// Follows `path` (parsed as `source` lines) starting at `offset` —
-  /// pass the size of the already-ingested prefix to skip it.
-  TailReader(std::string path, logmodel::LogSource source, std::uint64_t offset = 0);
+  /// Follows `path` starting at `offset` — pass the size of the
+  /// already-ingested prefix to skip it.
+  explicit TailReader(std::string path, std::uint64_t offset = 0);
 
   struct Poll {
     std::vector<std::string> lines;  ///< complete new lines, file order
@@ -54,14 +52,11 @@ class TailReader {
   /// (from byte 0 after a truncation).
   [[nodiscard]] Poll poll();
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] logmodel::LogSource source() const noexcept { return source_; }
   /// Byte offset of the first unconsumed byte.
   [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
 
  private:
   std::string path_;
-  logmodel::LogSource source_;
   std::uint64_t offset_ = 0;
 };
 

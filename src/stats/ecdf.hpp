@@ -14,7 +14,6 @@ class Ecdf {
   explicit Ecdf(std::span<const double> sample);
 
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
 
   /// P(X <= x); 0 for an empty sample.
   [[nodiscard]] double fraction_at_or_below(double x) const noexcept;
@@ -22,9 +21,6 @@ class Ecdf {
   /// q-quantile for q in [0, 1] via linear interpolation between order
   /// statistics (type-7, the numpy default). Requires a non-empty sample.
   [[nodiscard]] double quantile(double q) const noexcept;
-
-  [[nodiscard]] double min() const noexcept { return sorted_.front(); }
-  [[nodiscard]] double max() const noexcept { return sorted_.back(); }
 
   /// Evaluation points (the sorted sample) for plotting.
   [[nodiscard]] const std::vector<double>& sorted_sample() const noexcept { return sorted_; }

@@ -16,7 +16,6 @@ class StreamingStats {
     m2_ += delta * (x - mean_);
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
-    sum_ += x;
   }
 
   /// Chan et al. parallel merge; exact up to floating-point rounding.
@@ -33,13 +32,11 @@ class StreamingStats {
     m2_ += other.m2_ + delta * delta * n1 * n2 / n;
     mean_ = (n1 * mean_ + n2 * other.mean_) / n;
     count_ += other.count_;
-    sum_ += other.sum_;
     if (other.min_ < min_) min_ = other.min_;
     if (other.max_ > max_) max_ = other.max_;
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   [[nodiscard]] double variance() const noexcept {
@@ -53,7 +50,6 @@ class StreamingStats {
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

@@ -9,7 +9,7 @@
 // Building is the caller's job (count into offsets[key + 1], prefix-sum,
 // then fill entries through a cursor copy of offsets) because callers fuse
 // the counting passes of several indexes; see LogStore::build_indexes and
-// JobTable::finalize.
+// the JobTable constructor.
 #pragma once
 
 #include <cstdint>

@@ -134,10 +134,6 @@ void install_fault_injector(FaultInjector* injector) noexcept {
   g_injector.store(injector, std::memory_order_release);
 }
 
-FaultInjector* fault_injector() noexcept {
-  return g_injector.load(std::memory_order_relaxed);
-}
-
 bool fault_should_fire(const char* site) noexcept {
   FaultInjector* injector = g_injector.load(std::memory_order_relaxed);
   if (injector == nullptr) return false;

@@ -104,9 +104,6 @@ class FaultInjector {
 /// running instrumented tasks — until after uninstalling.
 void install_fault_injector(FaultInjector* injector) noexcept;
 
-/// The installed injector, or nullptr when fault injection is dark.
-[[nodiscard]] FaultInjector* fault_injector() noexcept;
-
 /// The macro body: one relaxed atomic load when dark; otherwise asks the
 /// injector and, on fire, bumps the fault metrics counters.
 [[nodiscard]] bool fault_should_fire(const char* site) noexcept;

@@ -79,23 +79,6 @@ std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counters() c
   return out;
 }
 
-std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::gauges() const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Histogram*>> MetricsRegistry::histograms()
-    const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
-}
-
 std::string MetricsRegistry::to_json() const {
   std::lock_guard lock(mutex_);
   std::string out = "{\"schema\":\"hpcfail.metrics.v1\",\"counters\":{";

@@ -106,8 +106,6 @@ class MetricsRegistry {
 
   /// Snapshot views for tests and reporting (name-sorted).
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> gauges() const;
-  [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>> histograms() const;
 
   /// {"schema":"hpcfail.metrics.v1","counters":{...},"gauges":{...},
   ///  "histograms":{name:{"bounds":[...],"counts":[...],"count":N,"sum":X}}}

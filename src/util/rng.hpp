@@ -34,8 +34,6 @@ namespace hpcfail::util {
 /// xoshiro256** by Blackman & Vigna: fast, 256-bit state, passes BigCrush.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   /// Seeds the four state words via splitmix64 so that any 64-bit seed
   /// (including 0) yields a valid, well-mixed state.
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept { reseed(seed); }
@@ -64,11 +62,6 @@ class Rng {
     state_[3] = rotl(state_[3], 45);
     return result;
   }
-
-  // UniformRandomBitGenerator interface.
-  static constexpr std::uint64_t min() noexcept { return 0; }
-  static constexpr std::uint64_t max() noexcept { return ~0ULL; }
-  std::uint64_t operator()() noexcept { return next_u64(); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   [[nodiscard]] double uniform() noexcept {

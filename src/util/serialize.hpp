@@ -130,10 +130,6 @@ class SectionMap {
     entries_.push_back({std::move(name), bytes});
   }
 
-  [[nodiscard]] bool contains(std::string_view name) const noexcept {
-    return find(name) != nullptr;
-  }
-
   /// The named section's bytes, or nullptr when absent.
   [[nodiscard]] const std::span<const std::byte>* find(std::string_view name) const noexcept {
     for (const auto& e : entries_) {
@@ -190,7 +186,6 @@ class SectionMap {
     std::string name;
     std::span<const std::byte> bytes;
   };
-  [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return entries_; }
 
  private:
   std::vector<Entry> entries_;

@@ -35,7 +35,6 @@ class TextTable {
     }
     RowBuilder& cell(double v, int precision = 2);
     RowBuilder& cell(std::int64_t v);
-    RowBuilder& cell(std::size_t v) { return cell(static_cast<std::int64_t>(v)); }
     RowBuilder& cell(int v) { return cell(static_cast<std::int64_t>(v)); }
     /// Percentage with a '%' suffix.
     RowBuilder& pct(double fraction, int precision = 2);

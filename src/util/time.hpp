@@ -36,7 +36,6 @@ struct Duration {
   constexpr Duration operator+(Duration o) const { return {usec + o.usec}; }
   constexpr Duration operator-(Duration o) const { return {usec - o.usec}; }
   constexpr Duration operator-() const { return {-usec}; }
-  constexpr Duration operator*(std::int64_t k) const { return {usec * k}; }
   constexpr Duration operator/(std::int64_t k) const { return {usec / k}; }
 };
 

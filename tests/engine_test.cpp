@@ -341,7 +341,7 @@ TEST(EngineMetricsEquivalence, InstrumentedOneVsManyThreadsIdentical) {
   EXPECT_GT(tasks_completed, 0u);
 }
 
-/// An empty (finalized) store analyzes to an all-empty result.
+/// An empty store analyzes to an all-empty result.
 TEST(EngineTest, EmptyStoreYieldsEmptyResult) {
   const logmodel::LogStore store;
   const core::AnalysisEngine engine;

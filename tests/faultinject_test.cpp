@@ -11,6 +11,7 @@
 #include <fstream>
 #include <map>
 #include <new>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -163,6 +164,54 @@ TEST(FaultInjectTest, MissingSourceFilesAreSkippedAndCounted) {
     EXPECT_GT(skipped.parsed_records, 0u);
   }
   util::install_metrics(nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+/// The scheduler log rides the chunk pipeline, so the parse and retire
+/// sites reach its chunks too.  A fault there must end in a structured
+/// Resource error naming the scheduler, and the partial job table must
+/// never hold a job whose JobStart record the partial store lacks.
+TEST(FaultInjectTest, SchedulerChunkFaultsLeaveConsistentPartials) {
+  const loggen::Corpus corpus = small_corpus();
+  const std::string dir = "/tmp/hpcfail_faultinject_scheduler";
+  std::filesystem::remove_all(dir);
+  loggen::write_corpus(corpus, dir);
+  for (std::size_t i = 0; i < logmodel::kLogSourceCount; ++i) {
+    const auto source = static_cast<logmodel::LogSource>(i);
+    if (source == logmodel::LogSource::Scheduler) continue;
+    std::filesystem::remove(std::filesystem::path(dir) / loggen::source_file_name(source));
+  }
+
+  for (const char* site : {"ingest.parse.bad_alloc", "store.append_batch.bad_alloc"}) {
+    SCOPED_TRACE(site);
+    FaultInjector inj;
+    inj.arm(site, 2);  // the second scheduler chunk
+    parsers::IngestResult result;
+    {
+      // One worker runs the parse tasks in chunk order, so hit 2 is
+      // always the second chunk and the first one always retires.
+      util::ThreadPool pool(1);
+      const ScopedInjector scope(inj);
+      parsers::IngestOptions options;
+      options.chunk_bytes = 4096;
+      options.pool = &pool;
+      result = parsers::ingest_files(dir, options);
+    }
+    EXPECT_EQ(inj.fires(site), 1u);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error->kind, parsers::IngestErrorKind::Resource);
+    EXPECT_EQ(result.error->source, logmodel::LogSource::Scheduler);
+    EXPECT_EQ(result.total_lines, result.parsed_records + result.skipped_lines);
+
+    std::set<std::int64_t> started;
+    for (const logmodel::LogRecord& r : result.store.records()) {
+      if (r.type == logmodel::EventType::JobStart) started.insert(r.job_id);
+    }
+    EXPECT_GT(result.jobs.size(), 0u);  // the first chunk retired
+    for (const jobs::JobInfo& job : result.jobs.jobs()) {
+      EXPECT_TRUE(started.contains(job.job_id)) << "job " << job.job_id;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -3,7 +3,9 @@
 // file-backed streams of ingest_files must match it byte for byte — same
 // records in the same order, same job table, same line accounting — for
 // every system preset, any chunk geometry (down to one-byte chunks), any
-// source order, and truncated or unterminated files.
+// source order, and truncated or unterminated files.  A snapshot of the
+// result, symbol ids included, is byte-identical for any pool size and
+// chunk size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <new>
@@ -21,9 +24,11 @@
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
+#include "parsers/snapshot.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpcfail {
 namespace {
@@ -144,6 +149,35 @@ TEST_P(FileVsMemoryStream, StreamEntryMatchesWithShuffledSourceOrder) {
     sources.push_back({static_cast<LogSource>(i), &streams[i]});
   }
   expect_equivalent(*reference_, parsers::ingest_stream(corpus_, sources));
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST_P(FileVsMemoryStream, SnapshotBytesIgnoreThreadsAndChunking) {
+  // The cases above compare resolved text; a snapshot also pins the symbol
+  // ids and the job rows.  Chunks intern into chunk-local tables that merge
+  // as they retire, in file order, so neither the pool size nor the chunk
+  // geometry may move a byte (S1 logs the Slurm dialect, S2 Torque).
+  dir_ = write_to_temp(corpus_, GetParam().tag);
+  std::array<std::string, 2> bytes;
+  for (std::size_t run = 0; run < bytes.size(); ++run) {
+    util::ThreadPool pool(run == 0 ? 1 : 4);
+    parsers::IngestOptions options;
+    options.pool = &pool;
+    if (run == 1) options.chunk_bytes = 777;
+    const auto parsed = parsers::ingest_files(dir_, options);
+    ASSERT_TRUE(parsed.ok()) << parsed.error->to_string();
+    ASSERT_GT(parsed.jobs.size(), 0u);
+    const std::string snap = dir_ + "/run" + std::to_string(run) + ".snap";
+    const auto error = parsers::save_snapshot(parsed, snap);
+    ASSERT_FALSE(error.has_value()) << error->to_string();
+    bytes[run] = file_bytes(snap);
+  }
+  EXPECT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "snapshots differ";  // no multi-MB diff dump
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -291,17 +291,26 @@ TEST(JobTableTest, FromJobsAndQueries) {
 }
 
 TEST(JobTableTest, IncrementalConstruction) {
-  JobTable table;
-  JobInfo info;
+  std::vector<JobUpdate> updates(5);
+  updates[0].kind = JobUpdate::Kind::Cancel;  // before its start: ignored
+  updates[0].info.job_id = 7;
+  JobInfo& info = updates[1].info;
+  updates[1].kind = JobUpdate::Kind::Start;
   info.job_id = 7;
   info.start = util::make_time(2015, 1, 1);
   info.end = info.start + util::Duration::days(9999);
   info.nodes = {platform::NodeId{5}};
-  table.add_start(std::move(info));
-  table.add_end(7, util::make_time(2015, 1, 1, 2), 137, "OomKilled");
-  table.mark_overallocated(7, 3);
-  table.mark_cancelled(8);  // unknown id: ignored
-  table.finalize();
+  updates[2].kind = JobUpdate::Kind::End;
+  updates[2].info.job_id = 7;
+  updates[2].info.end = util::make_time(2015, 1, 1, 2);
+  updates[2].info.exit_code = 137;
+  updates[2].info.end_reason = "OomKilled";
+  updates[3].kind = JobUpdate::Kind::Overallocate;
+  updates[3].info.job_id = 7;
+  updates[3].info.overallocated_nodes = 3;
+  updates[4].kind = JobUpdate::Kind::Cancel;
+  updates[4].info.job_id = 8;  // unknown id: ignored
+  const JobTable table(std::move(updates));
 
   const auto* job = table.find(7);
   ASSERT_NE(job, nullptr);
@@ -311,18 +320,17 @@ TEST(JobTableTest, IncrementalConstruction) {
   EXPECT_TRUE(job->overallocated);
   EXPECT_EQ(job->overallocated_nodes, 3u);
   EXPECT_FALSE(job->cancelled);
+  EXPECT_EQ(table.find(8), nullptr);
+  EXPECT_EQ(table.job_on_node_at(platform::NodeId{5}, util::make_time(2015, 1, 1, 1)), job);
 }
 
 TEST(JobTableTest, AddStartReplacesDuplicate) {
-  JobTable table;
-  JobInfo a;
-  a.job_id = 1;
-  a.app_name = "first";
-  table.add_start(a);
-  JobInfo b;
-  b.job_id = 1;
-  b.app_name = "second";
-  table.add_start(b);
+  std::vector<JobUpdate> updates(2);  // two starts
+  updates[0].info.job_id = 1;
+  updates[0].info.app_name = "first";
+  updates[1].info.job_id = 1;
+  updates[1].info.app_name = "second";
+  const JobTable table(std::move(updates));
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.find(1)->app_name, "second");
 }

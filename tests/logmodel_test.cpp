@@ -253,7 +253,6 @@ TEST(StoreBuilderTest, MatchesGlobalStableSort) {
   const LogStore reference{std::vector<LogRecord>(sequence), symbols};
 
   StoreBuilder builder(64);  // ~16 shards
-  builder.symbols() = symbols;  // sequence Symbols stay valid in the builder
   util::Rng rng(32);
   std::size_t i = 0;
   while (i < sequence.size()) {
@@ -261,8 +260,11 @@ TEST(StoreBuilderTest, MatchesGlobalStableSort) {
     // pipeline's chunk retirement produces.
     const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 150));
     const std::size_t hi = std::min(sequence.size(), i + batch);
+    // Every batch names the whole sequence table: absorbing it into the
+    // builder's table keeps every id, so the Symbols stay valid.
     builder.append_batch({sequence.begin() + static_cast<std::ptrdiff_t>(i),
-                          sequence.begin() + static_cast<std::ptrdiff_t>(hi)});
+                          sequence.begin() + static_cast<std::ptrdiff_t>(hi)},
+                         symbols);
     i = hi;
   }
   EXPECT_EQ(builder.record_count(), sequence.size());
@@ -275,8 +277,8 @@ TEST(StoreBuilderTest, RemappedBatchMatchesGlobalStableSort) {
   const auto sequence = tied_sequence(500, 77, symbols);
   const LogStore reference{std::vector<LogRecord>(sequence), symbols};
   StoreBuilder builder(32);
-  // The two-arg overload remaps through absorb(); ids differ but the
-  // resolved text must not.
+  // append_batch remaps through absorb(); ids may differ but the resolved
+  // text must not.
   builder.append_batch(std::vector<LogRecord>(sequence), symbols);
   expect_same_order(reference, builder.build());
 }
@@ -288,10 +290,11 @@ TEST(StoreBuilderTest, OversizedBatchKeepsContiguity) {
   const auto sequence = tied_sequence(300, 5, symbols);
   const LogStore reference{std::vector<LogRecord>(sequence), symbols};
   StoreBuilder builder(16);
-  builder.symbols() = symbols;
-  builder.append_batch({sequence[0]});
-  builder.append_batch({sequence.begin() + 1, sequence.begin() + 200});
-  for (std::size_t i = 200; i < sequence.size(); ++i) builder.append_batch({sequence[i]});
+  builder.append_batch({sequence[0]}, symbols);
+  builder.append_batch({sequence.begin() + 1, sequence.begin() + 200}, symbols);
+  for (std::size_t i = 200; i < sequence.size(); ++i) {
+    builder.append_batch({sequence[i]}, symbols);
+  }
   expect_same_order(reference, builder.build());
 }
 
@@ -516,10 +519,9 @@ TEST(LogStoreConstructionTest, EveryWayInBuildsTheSameStore) {
   EXPECT_EQ(section_bytes(LogStore::from_sorted(std::move(sorted), symbols)), want_bytes);
 
   StoreBuilder builder(64);
-  builder.symbols() = symbols;
   for (std::size_t i = 0; i < records.size(); i += 50) {  // unsorted chunks
     const auto lo = records.begin() + static_cast<std::ptrdiff_t>(i);
-    builder.append_batch({lo, lo + 50});
+    builder.append_batch({lo, lo + 50}, symbols);
   }
   EXPECT_EQ(section_bytes(builder.build()), want_bytes);
 

@@ -238,30 +238,32 @@ TEST(ErdParserTest, BladeScopedEvent) {
 TEST(SchedulerParserTest, BuildsJobTable) {
   const auto topo = s1_topology();
   logmodel::SymbolTable symbols;
-  const ParseContext ctx{&topo, &symbols, 2015};
-  jobs::JobTable table;
-  SchedulerLogParser parser(ctx, table);
+  std::vector<jobs::JobUpdate> updates;
+  const ParseContext ctx{&topo, &symbols, 2015, 1, &updates};
 
-  const auto start = parser.parse_line(
+  const auto start = parse_scheduler_line(
       "2015-03-02T08:00:00.000000 slurmctld: sched: Allocate JobId=100001 Apid=1000017 "
-      "User=alice App=vasp NodeList=nid[00000-00003] NodeCnt=4 MemPerNode=28.0G");
+      "User=alice App=vasp NodeList=nid[00000-00003] NodeCnt=4 MemPerNode=28.0G",
+      ctx);
   ASSERT_TRUE(start.has_value());
   EXPECT_EQ(start->type, EventType::JobStart);
 
-  const auto overalloc = parser.parse_line(
+  const auto overalloc = parse_scheduler_line(
       "2015-03-02T08:00:30.000000 slurmctld: error: JobId=100001 OverallocCnt=2 allocated "
-      "memory exceeds node capacity");
+      "memory exceeds node capacity",
+      ctx);
   ASSERT_TRUE(overalloc.has_value());
   EXPECT_EQ(overalloc->type, EventType::JobOverallocation);
 
-  const auto end = parser.parse_line(
+  const auto end = parse_scheduler_line(
       "2015-03-02T09:00:00.000000 slurmctld: JobId=100001 Ended ExitCode=137:0 "
-      "Reason=OomKilled");
+      "Reason=OomKilled",
+      ctx);
   ASSERT_TRUE(end.has_value());
   EXPECT_EQ(end->type, EventType::JobEnd);
   EXPECT_EQ(static_cast<int>(end->value), 137);
 
-  table.finalize();
+  const jobs::JobTable table(std::move(updates));
   const auto* job = table.find(100001);
   ASSERT_NE(job, nullptr);
   EXPECT_EQ(job->user, "alice");
@@ -278,35 +280,37 @@ TEST(SchedulerParserTest, BuildsJobTable) {
 TEST(SchedulerParserTest, TorqueDialectFullLifecycle) {
   const auto topo = s1_topology();
   logmodel::SymbolTable symbols;
-  const ParseContext ctx{&topo, &symbols, 2015};
-  jobs::JobTable table;
-  SchedulerLogParser parser(ctx, table);
+  std::vector<jobs::JobUpdate> updates;
+  const ParseContext ctx{&topo, &symbols, 2015, 1, &updates};
 
-  const auto run = parser.parse_line(
+  const auto run = parse_scheduler_line(
       "03/02/2015 08:00:00;0008;PBS_Server;Job;200001.sdb;Job Run Apid=2000017 User=bob "
-      "App=wrf NodeList=nid[00004-00007] NodeCnt=4 MemPerNode=24.0G");
+      "App=wrf NodeList=nid[00004-00007] NodeCnt=4 MemPerNode=24.0G",
+      ctx);
   ASSERT_TRUE(run.has_value());
   EXPECT_EQ(run->type, EventType::JobStart);
   EXPECT_EQ(run->job_id, 200001);
 
-  const auto overalloc = parser.parse_line(
+  const auto overalloc = parse_scheduler_line(
       "03/02/2015 08:00:30;0008;PBS_Server;Job;200001.sdb;OverallocCnt=3 allocated memory "
-      "exceeds node capacity");
+      "exceeds node capacity",
+      ctx);
   ASSERT_TRUE(overalloc.has_value());
   EXPECT_EQ(overalloc->type, EventType::JobOverallocation);
 
-  const auto exit = parser.parse_line(
-      "03/02/2015 09:30:00;0008;PBS_Server;Job;200001.sdb;Exit_status=137 Reason=OomKilled");
+  const auto exit = parse_scheduler_line(
+      "03/02/2015 09:30:00;0008;PBS_Server;Job;200001.sdb;Exit_status=137 Reason=OomKilled",
+      ctx);
   ASSERT_TRUE(exit.has_value());
   EXPECT_EQ(exit->type, EventType::JobEnd);
   EXPECT_EQ(static_cast<int>(exit->value), 137);
 
-  const auto epilogue = parser.parse_line(
-      "03/02/2015 09:30:05;0008;PBS_Server;Job;200001.sdb;Epilogue complete");
+  const auto epilogue = parse_scheduler_line(
+      "03/02/2015 09:30:05;0008;PBS_Server;Job;200001.sdb;Epilogue complete", ctx);
   ASSERT_TRUE(epilogue.has_value());
   EXPECT_EQ(epilogue->type, EventType::EpilogueRun);
 
-  table.finalize();
+  const jobs::JobTable table(std::move(updates));
   const auto* job = table.find(200001);
   ASSERT_NE(job, nullptr);
   EXPECT_EQ(job->user, "bob");
@@ -320,18 +324,17 @@ TEST(SchedulerParserTest, TorqueDialectFullLifecycle) {
 TEST(SchedulerParserTest, TorqueMalformedRejected) {
   const auto topo = s1_topology();
   logmodel::SymbolTable symbols;
-  const ParseContext ctx{&topo, &symbols, 2015};
-  jobs::JobTable table;
-  SchedulerLogParser parser(ctx, table);
-  EXPECT_FALSE(parser.parse_line("03/02/2015 08:00:00;0008;PBS_Server").has_value());
-  EXPECT_FALSE(parser.parse_line("13/40/2015 08:00:00;0008;PBS_Server;Job;1.sdb;x")
+  std::vector<jobs::JobUpdate> updates;
+  const ParseContext ctx{&topo, &symbols, 2015, 1, &updates};
+  EXPECT_FALSE(parse_scheduler_line("03/02/2015 08:00:00;0008;PBS_Server", ctx).has_value());
+  EXPECT_FALSE(
+      parse_scheduler_line("13/40/2015 08:00:00;0008;PBS_Server;Job;1.sdb;x", ctx).has_value());
+  EXPECT_FALSE(parse_scheduler_line(
+                   "03/02/2015 08:00:00;0008;NotPBS;Job;1.sdb;Epilogue complete", ctx)
                    .has_value());
-  EXPECT_FALSE(
-      parser.parse_line("03/02/2015 08:00:00;0008;NotPBS;Job;1.sdb;Epilogue complete")
-          .has_value());
-  EXPECT_FALSE(
-      parser.parse_line("03/02/2015 08:00:00;0008;PBS_Server;Job;abc.sdb;Epilogue complete")
-          .has_value());
+  EXPECT_FALSE(parse_scheduler_line(
+                   "03/02/2015 08:00:00;0008;PBS_Server;Job;abc.sdb;Epilogue complete", ctx)
+                   .has_value());
 }
 
 std::string allocate_line(const std::string& node_list) {
@@ -344,35 +347,46 @@ TEST(SchedulerParserTest, NidAboveUint32IsRejectedNotTruncated) {
   // A 32-bit cast used to turn nid4294967301 into nid 5, a valid node.
   const auto topo = s1_topology();
   logmodel::SymbolTable symbols;
-  const ParseContext ctx{&topo, &symbols, 2015};
-  jobs::JobTable table;
-  SchedulerLogParser parser(ctx, table);
+  std::vector<jobs::JobUpdate> updates;
+  const ParseContext ctx{&topo, &symbols, 2015, 1, &updates};
   for (const char* nodes :
        {"nid4294967301", "nid[00001,4294967301]", "nid[4294967295-4294967301]"}) {
-    EXPECT_FALSE(parser.parse_line(allocate_line(nodes)).has_value()) << nodes;
+    EXPECT_FALSE(parse_scheduler_line(allocate_line(nodes), ctx).has_value()) << nodes;
   }
-  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(jobs::JobTable(std::move(updates)).size(), 0u);
 }
 
 TEST(SchedulerParserTest, AllocationOutsideTopologyIsSkipped) {
-  // JobTable::finalize sizes its per-node index by the largest nid, so a
-  // corrupted nid must never reach the table.
+  // JobTable sizes its per-node index by the largest nid, so a corrupted
+  // nid must never reach the table.
   const auto topo = s1_topology();
   logmodel::SymbolTable symbols;
-  jobs::JobTable table;
-  SchedulerLogParser parser(ParseContext{&topo, &symbols, 2015}, table);
+  std::vector<jobs::JobUpdate> updates;
+  const ParseContext ctx{&topo, &symbols, 2015, 1, &updates};
   const std::string last = std::to_string(topo.node_count() - 1);
   const std::string past = std::to_string(topo.node_count());
-  EXPECT_FALSE(parser.parse_line(allocate_line("nid[00001," + past + "]")).has_value());
-  EXPECT_FALSE(parser.parse_line(allocate_line("nid4000000000")).has_value());
+  EXPECT_FALSE(parse_scheduler_line(allocate_line("nid[00001," + past + "]"), ctx).has_value());
+  EXPECT_FALSE(parse_scheduler_line(allocate_line("nid4000000000"), ctx).has_value());
   // Without a topology no nid can be checked, so nothing registers.
-  SchedulerLogParser blind(ParseContext{nullptr, &symbols, 2015}, table);
-  EXPECT_FALSE(blind.parse_line(allocate_line("nid[00001-00003]")).has_value());
-  EXPECT_EQ(table.size(), 0u);
+  const ParseContext blind{nullptr, &symbols, 2015, 1, &updates};
+  EXPECT_FALSE(parse_scheduler_line(allocate_line("nid[00001-00003]"), blind).has_value());
+  EXPECT_EQ(jobs::JobTable(updates).size(), 0u);
 
-  EXPECT_TRUE(parser.parse_line(allocate_line("nid[00001," + last + "]")).has_value());
-  EXPECT_EQ(table.size(), 1u);
+  EXPECT_TRUE(parse_scheduler_line(allocate_line("nid[00001," + last + "]"), ctx).has_value());
+  EXPECT_EQ(jobs::JobTable(updates).size(), 1u);
+  // Like `symbols`, the update list is an output the parser needs.
+  const ParseContext no_updates{&topo, &symbols, 2015};
+  EXPECT_FALSE(parse_scheduler_line(allocate_line("nid[00001-00003]"), no_updates).has_value());
 }
+
+// No parser is noexcept: interning a detail allocates, and a std::bad_alloc
+// must reach the pipeline as an IngestErrorKind::Resource error rather than
+// call std::terminate.
+static_assert(!noexcept(parse_console_line(std::string_view{}, ParseContext{})));
+static_assert(!noexcept(parse_messages_line(std::string_view{}, ParseContext{})));
+static_assert(!noexcept(parse_controller_line(std::string_view{}, ParseContext{})));
+static_assert(!noexcept(parse_erd_line(std::string_view{}, ParseContext{})));
+static_assert(!noexcept(parse_scheduler_line(std::string_view{}, ParseContext{})));
 
 // -------------------------------------------------------------- totality ----
 
@@ -383,9 +397,8 @@ class ParserTotality : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ParserTotality, MutatedLinesNeverThrow) {
   const auto topo = s1_topology();
   logmodel::SymbolTable symbols;
-  const ParseContext ctx{&topo, &symbols, 2015};
-  jobs::JobTable table;
-  SchedulerLogParser sched(ctx, table);
+  std::vector<jobs::JobUpdate> updates;
+  const ParseContext ctx{&topo, &symbols, 2015, 1, &updates};
   util::Rng rng(GetParam());
 
   const std::string templates[] = {
@@ -415,9 +428,11 @@ TEST_P(ParserTotality, MutatedLinesNeverThrow) {
       (void)parse_messages_line(line, ctx);
       (void)parse_controller_line(line, ctx);
       (void)parse_erd_line(line, ctx);
-      (void)sched.parse_line(line);
+      (void)parse_scheduler_line(line, ctx);
     }) << line;
   }
+  // Whatever job facts the mutants produced fold without throwing.
+  EXPECT_NO_THROW((void)jobs::JobTable(std::move(updates)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserTotality, ::testing::Values(11u, 22u, 33u, 44u));

@@ -470,7 +470,7 @@ TEST(ServeEpochTest, MultiTailEpochsMatchABatchParse) {
 
 TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
   const ScratchFile file("tail_partial.log");
-  serve::TailReader reader(file.path(), logmodel::LogSource::Console);
+  serve::TailReader reader(file.path());
 
   // Absent file: empty poll, no error.
   auto poll = reader.poll();
@@ -498,7 +498,7 @@ TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
 
 TEST(TailReaderTest, TruncationRestartsAtTheFirstByte) {
   const ScratchFile file("tail_truncate.log");
-  serve::TailReader reader(file.path(), logmodel::LogSource::Console);
+  serve::TailReader reader(file.path());
   ScopedMetrics metrics;
 
   file.append("line-one-aaaaaaaaaaaa\nline-two-bbbbbbbbbbbb\n");

@@ -87,8 +87,6 @@ class SourceTree {
   SourceTree(const SourceTree&) = delete;
   SourceTree& operator=(const SourceTree&) = delete;
 
-  [[nodiscard]] const std::filesystem::path& root() const noexcept { return root_; }
-
   /// Loads (once) and returns the file at `rel_path`, or nullptr when it
   /// cannot be read; the failure is cached too, so each missing file costs
   /// one stat per run.
