@@ -7,14 +7,13 @@ namespace hpcfail::core {
 AnalysisContext::AnalysisContext(const logmodel::LogStore& store,
                                  const jobs::JobTable* jobs,
                                  const DetectorConfig& detector_config,
-                                 const RootCauseConfig& root_cause_config,
                                  util::ThreadPool* pool) {
   // Memoized detection + diagnosis.  Evidence collection per failure is
-  // independent (immutable store/jobs/configs, disjoint output slots), so
+  // independent (immutable store/jobs/config, disjoint output slots), so
   // it shards over the pool with index-ordered assembly: the result is
   // byte-identical to the serial loop.
   const FailureDetector detector(detector_config);
-  const RootCauseEngine engine(root_cause_config);
+  const RootCauseEngine engine;
   {
     util::TraceSpan span("hpcfail.context.detect");
     detection_ = detector.detect_full(store, jobs);

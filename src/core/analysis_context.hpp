@@ -24,7 +24,6 @@ class AnalysisContext {
   /// result is identical to the serial path.
   AnalysisContext(const logmodel::LogStore& store, const jobs::JobTable* jobs,
                   const DetectorConfig& detector_config = {},
-                  const RootCauseConfig& root_cause_config = {},
                   util::ThreadPool* pool = nullptr);
 
   /// Memoized detector output: failures, SWO clusters, shutdown exclusions.

@@ -10,8 +10,7 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
                                        const jobs::JobTable* jobs,
                                        util::TimePoint begin, util::TimePoint end) const {
   util::TraceSpan run_span("hpcfail.engine.run");
-  const AnalysisContext ctx(store, jobs, config_.detector, config_.root_cause,
-                            config_.pool);
+  const AnalysisContext ctx(store, jobs, config_.detector, config_.pool);
   AnalysisResult out;
   out.begin = begin;
   out.end = end;
@@ -33,7 +32,7 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
   }
   {
     util::TraceSpan span("hpcfail.engine.analyzer_external_correlation");
-    const ExternalCorrelator correlator(store, failures, config_.correlator);
+    const ExternalCorrelator correlator(store, failures);
     out.nvf = correlator.correspondence(logmodel::EventType::NodeVoltageFault, begin, end);
     out.nhf = correlator.correspondence(logmodel::EventType::NodeHeartbeatFault, begin, end);
     out.nhf_breakdown = correlator.nhf_breakdown(begin, end);

@@ -35,9 +35,7 @@ namespace hpcfail::core {
 
 struct AnalysisConfig {
   DetectorConfig detector;
-  RootCauseConfig root_cause;
   LeadTimeConfig lead_time;
-  CorrelatorConfig correlator;
   /// Consecutive failures closer than this form one spatio-temporal cluster.
   util::Duration cluster_gap = util::Duration::minutes(30);
   /// When non-null the per-failure stages shard over this pool; results

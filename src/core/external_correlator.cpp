@@ -7,10 +7,18 @@ namespace hpcfail::core {
 using logmodel::EventType;
 using logmodel::LogRecord;
 
+namespace {
+
+/// An external fault corresponds to a failure on the same node within
+/// +/- this window (heartbeat faults typically trail the death by a minute
+/// or two; voltage faults can lead it).
+constexpr util::Duration kMatchWindow = util::Duration::minutes(30);
+
+}  // namespace
+
 ExternalCorrelator::ExternalCorrelator(const logmodel::LogStore& store,
-                                       const std::vector<AnalyzedFailure>& failures,
-                                       CorrelatorConfig config)
-    : store_(store), failures_(failures), config_(config) {
+                                       const std::vector<AnalyzedFailure>& failures)
+    : store_(store), failures_(failures) {
   for (std::size_t i = 0; i < failures_.size(); ++i) {
     const auto& f = failures_[i];
     if (f.event.node.valid()) failures_by_node_[f.event.node.value].push_back(i);
@@ -24,7 +32,7 @@ const AnalyzedFailure* ExternalCorrelator::match_failure(platform::NodeId node,
   for (const std::size_t i : it->second) {
     const auto& f = failures_[i];
     const util::Duration gap{std::abs((f.event.time - t).usec)};
-    if (gap <= config_.match_window) return &f;
+    if (gap <= kMatchWindow) return &f;
   }
   return nullptr;
 }

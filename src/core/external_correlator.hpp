@@ -10,13 +10,6 @@
 
 namespace hpcfail::core {
 
-struct CorrelatorConfig {
-  /// An external fault corresponds to a failure on the same node within
-  /// +/- this window (heartbeat faults typically trail the death by a
-  /// minute or two; voltage faults can lead it).
-  util::Duration match_window = util::Duration::minutes(30);
-};
-
 struct FaultCorrespondence {
   std::size_t faults = 0;          ///< external fault events observed
   std::size_t matched = 0;         ///< ... that correspond to a failure
@@ -40,8 +33,7 @@ class ExternalCorrelator {
   /// Keeps references to `store` and `failures`, which must outlive the
   /// correlator.
   ExternalCorrelator(const logmodel::LogStore& store,
-                     const std::vector<AnalyzedFailure>& failures,
-                     CorrelatorConfig config = {});
+                     const std::vector<AnalyzedFailure>& failures);
 
   /// Correspondence of a node-scoped external fault type with failures over
   /// [begin, end) (Fig 5, computed per month/week by the benches).
@@ -58,7 +50,6 @@ class ExternalCorrelator {
 
   const logmodel::LogStore& store_;
   const std::vector<AnalyzedFailure>& failures_;
-  CorrelatorConfig config_;
   /// Failure list indexes per node, time-ordered.
   std::unordered_map<std::uint32_t, std::vector<std::size_t>> failures_by_node_;
 };

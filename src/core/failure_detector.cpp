@@ -59,7 +59,7 @@ Detection FailureDetector::detect_full(const LogStore& store,
     // Indicative internal chain within the lookback window.
     ev.first_internal = ev.time;
     for (const std::uint32_t ci :
-         store.node_range(ev.node, ev.time - config_.lookback,
+         store.node_range(ev.node, ev.time - kInternalLookback,
                           ev.time + util::Duration::seconds(1))) {
       const LogRecord& c = store[ci];
       if (!logmodel::is_internal_indicator(c.type)) continue;

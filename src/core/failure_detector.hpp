@@ -33,9 +33,12 @@ struct FailureEvent {
   std::vector<std::uint32_t> chain;
 };
 
+/// How far before a failure marker its indicative internal chain may
+/// start.  The root-cause engine collects internal evidence over the same
+/// window.
+inline constexpr util::Duration kInternalLookback = util::Duration::minutes(30);
+
 struct DetectorConfig {
-  /// How far before a marker the indicative chain may start.
-  util::Duration lookback = util::Duration::minutes(30);
   /// Markers on the same node within this window merge into one failure.
   util::Duration dedup_window = util::Duration::minutes(10);
   /// Slack for job attribution around the failure time.

@@ -7,6 +7,20 @@ namespace hpcfail::core {
 using logmodel::EventType;
 using logmodel::LogRecord;
 
+namespace {
+
+/// Two indicative internal records of different types within this window
+/// form a warning pattern.
+constexpr util::Duration kPatternWindow = util::Duration::minutes(10);
+/// How long node-internal evidence is remembered.
+constexpr util::Duration kEvidenceMemory = util::Duration::minutes(30);
+/// How long blade-external indicators are remembered.
+constexpr util::Duration kExternalMemory = util::Duration::hours(1);
+/// Minimum spacing between warnings for the same node.
+constexpr util::Duration kWarningCooldown = util::Duration::hours(1);
+
+}  // namespace
+
 std::string_view to_string(AlertKind k) noexcept {
   switch (k) {
     case AlertKind::PatternWarning: return "PatternWarning";
@@ -25,7 +39,7 @@ Evidence OnlineMonitor::evidence_for(const NodeView& node, platform::BladeId bla
     const auto it = blade_external_.find(blade.value);
     if (it != blade_external_.end()) {
       for (const auto& e : it->second) {
-        if (now - e.time <= config_.external_memory) add_evidence(ev, e.type, e.detail);
+        if (now - e.time <= kExternalMemory) add_evidence(ev, e.type, e.detail);
       }
     }
   }
@@ -40,7 +54,7 @@ std::vector<Alert> OnlineMonitor::ingest(const LogRecord& record, std::string_vi
       record.type != EventType::NodeHeartbeatFault && record.has_blade()) {
     auto& mem = blade_external_[record.blade.value];
     mem.push_back({record.time, record.type, {}});
-    while (!mem.empty() && record.time - mem.front().time > config_.external_memory) {
+    while (!mem.empty() && record.time - mem.front().time > kExternalMemory) {
       mem.pop_front();
     }
   }
@@ -78,7 +92,7 @@ std::vector<Alert> OnlineMonitor::ingest(const LogRecord& record, std::string_vi
   // Pattern detection over the remembered internal events.
   bool pattern = false;
   for (const auto& e : node.recent) {
-    if (e.type != record.type && record.time - e.time <= config_.pattern_window &&
+    if (e.type != record.type && record.time - e.time <= kPatternWindow &&
         e.type != EventType::CallTrace && record.type != EventType::CallTrace) {
       pattern = true;
       break;
@@ -86,11 +100,11 @@ std::vector<Alert> OnlineMonitor::ingest(const LogRecord& record, std::string_vi
   }
   node.recent.push_back({record.time, record.type, std::string(detail)});
   while (!node.recent.empty() &&
-         record.time - node.recent.front().time > config_.evidence_memory) {
+         record.time - node.recent.front().time > kEvidenceMemory) {
     node.recent.pop_front();
   }
 
-  if (pattern && record.time - node.last_warning >= config_.warning_cooldown) {
+  if (pattern && record.time - node.last_warning >= kWarningCooldown) {
     node.last_warning = record.time;
     const Evidence ev = evidence_for(node, record.blade, record.time);
     const bool external = ev.ec_hw_errors || ev.node_voltage_fault || ev.link_errors ||

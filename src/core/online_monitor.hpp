@@ -33,22 +33,8 @@ struct Alert {
   std::string message;
 };
 
-struct MonitorConfig {
-  /// Two indicative internal records of different types within this window
-  /// form a warning pattern.
-  util::Duration pattern_window = util::Duration::minutes(10);
-  /// How long node-internal evidence is remembered.
-  util::Duration evidence_memory = util::Duration::minutes(30);
-  /// How long blade-external indicators are remembered.
-  util::Duration external_memory = util::Duration::hours(1);
-  /// Minimum spacing between warnings for the same node.
-  util::Duration warning_cooldown = util::Duration::hours(1);
-};
-
 class OnlineMonitor {
  public:
-  explicit OnlineMonitor(MonitorConfig config = {}) : config_(config) {}
-
   /// Feeds one record (records must arrive in non-decreasing time order)
   /// and returns any alerts it triggers.  `detail` is the record's resolved
   /// detail text (records carry interned Symbols; the monitor has no table
@@ -75,7 +61,6 @@ class OnlineMonitor {
   [[nodiscard]] Evidence evidence_for(const NodeView& node, platform::BladeId blade,
                                       util::TimePoint now) const;
 
-  MonitorConfig config_;
   std::unordered_map<std::uint32_t, NodeView> nodes_;
   /// blade id -> recent external indicator times/types.
   std::unordered_map<std::uint32_t, std::deque<RememberedEvent>> blade_external_;

@@ -9,6 +9,13 @@ using logmodel::LogRecord;
 using logmodel::LogStore;
 using logmodel::RootCause;
 
+namespace {
+
+/// External indicators are searched this far before the failure.
+constexpr util::Duration kExternalLookback = util::Duration::minutes(60);
+
+}  // namespace
+
 void add_evidence(Evidence& ev, EventType type, std::string_view detail) {
   switch (type) {
     case EventType::MachineCheckException: ev.mce = true; break;
@@ -44,14 +51,14 @@ Evidence RootCauseEngine::collect_evidence(const LogStore& store, const FailureE
   // Internal window on the failing node.  External indicators count only
   // in the blade window below.
   for (const std::uint32_t idx :
-       store.node_range(failure.node, t - config_.internal_lookback,
+       store.node_range(failure.node, t - kInternalLookback,
                         t + util::Duration::minutes(1))) {
     const LogRecord& r = store[idx];
     if (!logmodel::is_external_indicator(r.type)) add_evidence(ev, r.type, store.detail(r));
   }
 
   // External window: node-scoped and blade-scoped indicators.
-  const util::TimePoint ext_begin = t - config_.external_lookback;
+  const util::TimePoint ext_begin = t - kExternalLookback;
   for (const std::uint32_t idx :
        store.blade_range(failure.blade, ext_begin, t + util::Duration::minutes(1))) {
     const LogRecord& r = store[idx];

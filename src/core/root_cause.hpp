@@ -62,17 +62,8 @@ struct Inference {
   Evidence evidence;
 };
 
-struct RootCauseConfig {
-  /// External indicators are searched this far before the failure.
-  util::Duration external_lookback = util::Duration::minutes(60);
-  /// Internal evidence window before the failure (matches detector lookback).
-  util::Duration internal_lookback = util::Duration::minutes(30);
-};
-
 class RootCauseEngine {
  public:
-  explicit RootCauseEngine(RootCauseConfig config = {}) : config_(config) {}
-
   /// Collects evidence for one failure from the store (and optional jobs).
   [[nodiscard]] Evidence collect_evidence(const logmodel::LogStore& store,
                                           const FailureEvent& failure,
@@ -86,9 +77,6 @@ class RootCauseEngine {
   [[nodiscard]] Inference diagnose(const logmodel::LogStore& store,
                                    const FailureEvent& failure,
                                    const jobs::JobTable* jobs) const;
-
- private:
-  RootCauseConfig config_;
 };
 
 /// A failure with its diagnosis attached; what all figure analyses consume.

@@ -7,9 +7,17 @@ namespace hpcfail::core {
 
 using logmodel::LogRecord;
 
+namespace {
+
+/// A blade/cabinet is "faulty" for a failure when it logged any health
+/// fault or SEDC warning within +/- this window around the failure.
+constexpr util::Duration kFaultWindow = util::Duration::hours(6);
+
+}  // namespace
+
 bool SpatialAnalyzer::blade_faulty_near(platform::BladeId blade, util::TimePoint t) const {
   for (const std::uint32_t idx :
-       store_.blade_range(blade, t - config_.fault_window, t + config_.fault_window)) {
+       store_.blade_range(blade, t - kFaultWindow, t + kFaultWindow)) {
     const LogRecord& r = store_[idx];
     // Only controller/ERD-visible health signals count; the failing node's
     // own internal records (and its post-mortem NHF) must not make the
@@ -23,7 +31,7 @@ bool SpatialAnalyzer::blade_faulty_near(platform::BladeId blade, util::TimePoint
 bool SpatialAnalyzer::cabinet_faulty_near(platform::CabinetId cabinet,
                                           util::TimePoint t) const {
   for (const std::uint32_t idx :
-       store_.cabinet_range(cabinet, t - config_.fault_window, t + config_.fault_window)) {
+       store_.cabinet_range(cabinet, t - kFaultWindow, t + kFaultWindow)) {
     const LogRecord& r = store_[idx];
     if (r.has_blade() || r.has_node()) continue;  // count cabinet-scoped faults only
     if (logmodel::is_health_fault(r.type) || logmodel::is_sedc_warning(r.type)) return true;

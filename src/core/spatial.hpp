@@ -11,12 +11,6 @@
 
 namespace hpcfail::core {
 
-struct SpatialConfig {
-  /// A blade/cabinet is "faulty" for a failure when it logged any health
-  /// fault or SEDC warning within +/- this window around the failure.
-  util::Duration fault_window = util::Duration::hours(6);
-};
-
 struct SpatialAttribution {
   std::size_t failures = 0;
   std::size_t on_faulty_blade = 0;
@@ -41,8 +35,7 @@ struct BladeFailureGroup {
 
 class SpatialAnalyzer {
  public:
-  explicit SpatialAnalyzer(const logmodel::LogStore& store, SpatialConfig config = {})
-      : store_(store), config_(config) {}
+  explicit SpatialAnalyzer(const logmodel::LogStore& store) : store_(store) {}
 
   /// Fig 7: how many failures sit on blades/cabinets that showed controller
   /// faults or warnings around the failure time.
@@ -64,7 +57,6 @@ class SpatialAnalyzer {
   [[nodiscard]] bool cabinet_faulty_near(platform::CabinetId cabinet, util::TimePoint t) const;
 
   const logmodel::LogStore& store_;
-  SpatialConfig config_;
 };
 
 }  // namespace hpcfail::core

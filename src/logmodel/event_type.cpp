@@ -6,64 +6,6 @@ namespace hpcfail::logmodel {
 
 namespace {
 
-constexpr std::array<std::string_view, kEventTypeCount> kEventNames = {
-    "KernelPanic",
-    "KernelOops",
-    "MachineCheckException",
-    "HardwareError",
-    "CpuCorruption",
-    "CpuStall",
-    "BiosError",
-    "L0SysdMce",
-    "FirmwareBug",
-    "DriverBug",
-    "SegFault",
-    "InvalidOpcode",
-    "PageAllocationFailure",
-    "OomKill",
-    "HungTaskTimeout",
-    "CallTrace",
-    "LustreError",
-    "LustreBug",
-    "DvsError",
-    "InodeError",
-    "InterconnectError",
-    "NhcTestFail",
-    "AppExitAbnormal",
-    "NodeShutdown",
-    "NodeHalt",
-    "NodeBoot",
-    "NodeHeartbeatFault",
-    "NodeVoltageFault",
-    "BladeHeartbeatFault",
-    "EcHeartbeatStop",
-    "EcL0Failed",
-    "EcHwError",
-    "GetSensorReadingFailed",
-    "CabinetPowerFault",
-    "CabinetMicroFault",
-    "CommunicationFault",
-    "ModuleHealthFault",
-    "RpmFault",
-    "EcbFault",
-    "CabinetSensorCheck",
-    "LinkError",
-    "LaneDegrade",
-    "LinkFailover",
-    "LinkFailoverFailed",
-    "SedcTemperatureWarning",
-    "SedcVoltageWarning",
-    "SedcAirVelocityWarning",
-    "SedcFanSpeedWarning",
-    "SedcReading",
-    "JobStart",
-    "JobEnd",
-    "JobCancelled",
-    "JobOverallocation",
-    "EpilogueRun",
-    "NhcSuspectMode",
-};
-
 struct ErdEvent {
   EventType type;
   std::string_view name;
@@ -194,10 +136,74 @@ bool is_external_indicator(EventType t) noexcept {
   }
 }
 
+// Each case takes its name from the enumerator's own token, so a name can
+// be neither misspelt nor out of order, and -Wswitch flags a dropped type.
+#define HPCFAIL_EVENT_NAME(type) \
+  case EventType::type: return #type
+
 std::string_view to_string(EventType t) noexcept {
-  const auto v = static_cast<std::size_t>(t);
-  return v < kEventNames.size() ? kEventNames[v] : std::string_view{"?"};
+  switch (t) {
+    HPCFAIL_EVENT_NAME(KernelPanic);
+    HPCFAIL_EVENT_NAME(KernelOops);
+    HPCFAIL_EVENT_NAME(MachineCheckException);
+    HPCFAIL_EVENT_NAME(HardwareError);
+    HPCFAIL_EVENT_NAME(CpuCorruption);
+    HPCFAIL_EVENT_NAME(CpuStall);
+    HPCFAIL_EVENT_NAME(BiosError);
+    HPCFAIL_EVENT_NAME(L0SysdMce);
+    HPCFAIL_EVENT_NAME(FirmwareBug);
+    HPCFAIL_EVENT_NAME(DriverBug);
+    HPCFAIL_EVENT_NAME(SegFault);
+    HPCFAIL_EVENT_NAME(InvalidOpcode);
+    HPCFAIL_EVENT_NAME(PageAllocationFailure);
+    HPCFAIL_EVENT_NAME(OomKill);
+    HPCFAIL_EVENT_NAME(HungTaskTimeout);
+    HPCFAIL_EVENT_NAME(CallTrace);
+    HPCFAIL_EVENT_NAME(LustreError);
+    HPCFAIL_EVENT_NAME(LustreBug);
+    HPCFAIL_EVENT_NAME(DvsError);
+    HPCFAIL_EVENT_NAME(InodeError);
+    HPCFAIL_EVENT_NAME(InterconnectError);
+    HPCFAIL_EVENT_NAME(NhcTestFail);
+    HPCFAIL_EVENT_NAME(AppExitAbnormal);
+    HPCFAIL_EVENT_NAME(NodeShutdown);
+    HPCFAIL_EVENT_NAME(NodeHalt);
+    HPCFAIL_EVENT_NAME(NodeBoot);
+    HPCFAIL_EVENT_NAME(NodeHeartbeatFault);
+    HPCFAIL_EVENT_NAME(NodeVoltageFault);
+    HPCFAIL_EVENT_NAME(BladeHeartbeatFault);
+    HPCFAIL_EVENT_NAME(EcHeartbeatStop);
+    HPCFAIL_EVENT_NAME(EcL0Failed);
+    HPCFAIL_EVENT_NAME(EcHwError);
+    HPCFAIL_EVENT_NAME(GetSensorReadingFailed);
+    HPCFAIL_EVENT_NAME(CabinetPowerFault);
+    HPCFAIL_EVENT_NAME(CabinetMicroFault);
+    HPCFAIL_EVENT_NAME(CommunicationFault);
+    HPCFAIL_EVENT_NAME(ModuleHealthFault);
+    HPCFAIL_EVENT_NAME(RpmFault);
+    HPCFAIL_EVENT_NAME(EcbFault);
+    HPCFAIL_EVENT_NAME(CabinetSensorCheck);
+    HPCFAIL_EVENT_NAME(LinkError);
+    HPCFAIL_EVENT_NAME(LaneDegrade);
+    HPCFAIL_EVENT_NAME(LinkFailover);
+    HPCFAIL_EVENT_NAME(LinkFailoverFailed);
+    HPCFAIL_EVENT_NAME(SedcTemperatureWarning);
+    HPCFAIL_EVENT_NAME(SedcVoltageWarning);
+    HPCFAIL_EVENT_NAME(SedcAirVelocityWarning);
+    HPCFAIL_EVENT_NAME(SedcFanSpeedWarning);
+    HPCFAIL_EVENT_NAME(SedcReading);
+    HPCFAIL_EVENT_NAME(JobStart);
+    HPCFAIL_EVENT_NAME(JobEnd);
+    HPCFAIL_EVENT_NAME(JobCancelled);
+    HPCFAIL_EVENT_NAME(JobOverallocation);
+    HPCFAIL_EVENT_NAME(EpilogueRun);
+    HPCFAIL_EVENT_NAME(NhcSuspectMode);
+    case EventType::kCount: break;
+  }
+  return "?";
 }
+
+#undef HPCFAIL_EVENT_NAME
 
 std::string_view to_string(LogSource s) noexcept {
   switch (s) {

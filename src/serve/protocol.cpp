@@ -12,28 +12,42 @@ using util::JsonValue;
 
 namespace {
 
-// The request/response verb table, sorted by verb.  FORMATS.md's "serve
+/// One protocol verb: its wire name and the FORMATS.md row text.
+struct VerbDef {
+  Verb verb;
+  std::string_view name;
+  std::string_view summary;
+};
+
+// The request/response verb table, sorted by name.  FORMATS.md's "serve
 // protocol" section documents one row per entry; hpcfail-lint's
 // serve-protocol check keeps code and doc in sync in both directions, so a
 // verb cannot ship undocumented and the doc cannot promise a verb the
 // daemon does not answer.
 constexpr VerbDef kVerbs[] = {
-    {"causes", "root-cause breakdown and layer shares for the analysis window"},
-    {"lead_time", "lead-time summary for the analysis window"},
-    {"metrics", "metrics registry export, or null when metrics are dark"},
-    {"node_health", "online-monitor health for one node (params: node)"},
-    {"ping", "liveness probe, answers pong"},
-    {"report", "markdown report slice (params: section; omit it to list sections)"},
-    {"shutdown", "answer, then stop the serve loop after this request"},
-    {"status", "store, window and epoch counters for the daemon"},
+    {Verb::Causes, "causes", "root-cause breakdown and layer shares for the analysis window"},
+    {Verb::LeadTime, "lead_time", "lead-time summary for the analysis window"},
+    {Verb::Metrics, "metrics", "metrics registry export, or null when metrics are dark"},
+    {Verb::NodeHealth, "node_health", "online-monitor health for one node (params: node)"},
+    {Verb::Ping, "ping", "liveness probe, answers pong"},
+    {Verb::Report, "report", "markdown report slice (params: section; omit it to list sections)"},
+    {Verb::Shutdown, "shutdown", "answer, then stop the serve loop after this request"},
+    {Verb::Status, "status", "store, window and epoch counters for the daemon"},
 };
 
-}  // namespace
-
-bool known_verb(std::string_view verb) noexcept {
-  return std::any_of(std::begin(kVerbs), std::end(kVerbs),
-                     [verb](const VerbDef& def) { return def.verb == verb; });
+const VerbDef* find_verb(std::string_view name) noexcept {
+  const auto* it = std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                                [name](const VerbDef& def) { return def.name == name; });
+  return it == std::end(kVerbs) ? nullptr : it;
 }
+
+std::string_view verb_name(Verb verb) noexcept {
+  const auto* it = std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                                [verb](const VerbDef& def) { return def.verb == verb; });
+  return it == std::end(kVerbs) ? std::string_view{"?"} : it->name;
+}
+
+}  // namespace
 
 std::string_view to_string(ProtocolErrorKind kind) noexcept {
   switch (kind) {
@@ -84,7 +98,8 @@ RequestParse parse_request(std::string_view line) {
     out.message = "request needs a string \"verb\"";
     return out;
   }
-  if (!known_verb(verb->as_string())) {
+  const VerbDef* def = find_verb(verb->as_string());
+  if (def == nullptr) {
     out.error = ProtocolErrorKind::UnknownVerb;
     out.message = "unknown verb \"" + verb->as_string() + "\"";
     return out;
@@ -97,20 +112,20 @@ RequestParse parse_request(std::string_view line) {
   }
   Request req;
   req.id = *id;
-  req.verb = verb->as_string();
+  req.verb = def->verb;
   if (params != nullptr) req.params = *params;
   out.request = std::move(req);
   return out;
 }
 
-std::string ok_response(std::uint64_t id, std::string_view verb, std::uint64_t epoch,
+std::string ok_response(std::uint64_t id, Verb verb, std::uint64_t epoch,
                         std::string_view data_json) {
   std::string out;
   out.reserve(64 + data_json.size());
   out += "{\"id\":";
   append_json_number(out, id);
   out += ",\"ok\":true,\"verb\":";
-  append_json_string(out, verb);
+  append_json_string(out, verb_name(verb));
   out += ",\"epoch\":";
   append_json_number(out, epoch);
   out += ",\"data\":";

@@ -26,14 +26,18 @@
 
 namespace hpcfail::serve {
 
-/// One protocol verb; `summary` is the FORMATS.md row text (hpcfail-lint's
-/// serve-protocol check keeps table and doc in sync, both directions).
-struct VerbDef {
-  std::string_view verb;
-  std::string_view summary;
+/// The protocol verbs.  The server dispatches on this enum with a switch
+/// that has no default, so -Wswitch flags a verb without a handler.
+enum class Verb : std::uint8_t {
+  Causes,
+  LeadTime,
+  Metrics,
+  NodeHealth,
+  Ping,
+  Report,
+  Shutdown,
+  Status,
 };
-
-[[nodiscard]] bool known_verb(std::string_view verb) noexcept;
 
 /// Largest accepted request line, bytes.  Longer lines are answered with
 /// an "oversized" error without being parsed (bounding per-request memory).
@@ -51,7 +55,7 @@ enum class ProtocolErrorKind : std::uint8_t {
 
 struct Request {
   std::uint64_t id = 0;
-  std::string verb;
+  Verb verb = Verb::Ping;
   util::JsonValue params;  ///< the "params" member; Null when absent
 };
 
@@ -72,9 +76,10 @@ struct RequestParse {
 /// and a BadRequest error comes back regardless of content.
 [[nodiscard]] RequestParse parse_request(std::string_view line);
 
-/// Success envelope; `data_json` must already be serialized JSON.
-[[nodiscard]] std::string ok_response(std::uint64_t id, std::string_view verb,
-                                      std::uint64_t epoch, std::string_view data_json);
+/// Success envelope, naming `verb` by its wire name; `data_json` must
+/// already be serialized JSON.
+[[nodiscard]] std::string ok_response(std::uint64_t id, Verb verb, std::uint64_t epoch,
+                                      std::string_view data_json);
 
 /// Error envelope.
 [[nodiscard]] std::string error_response(std::uint64_t id, ProtocolErrorKind kind,

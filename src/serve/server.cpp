@@ -170,22 +170,15 @@ std::string Server::handle_line(std::string_view line) {
   std::string data;
   std::string bad_params;
   try {
-    if (req.verb == "ping") {
-      data = data_ping();
-    } else if (req.verb == "status") {
-      data = data_status(*snap);
-    } else if (req.verb == "node_health") {
-      data = data_node_health(*snap, req.params, bad_params);
-    } else if (req.verb == "lead_time") {
-      data = data_lead_time(analysis_of(*snap));
-    } else if (req.verb == "causes") {
-      data = data_causes(analysis_of(*snap));
-    } else if (req.verb == "report") {
-      data = data_report(*snap, req.params, bad_params);
-    } else if (req.verb == "metrics") {
-      data = data_metrics();
-    } else {  // "shutdown" — parse_request only admits table verbs
-      data = data_shutdown();
+    switch (req.verb) {
+      case Verb::Ping: data = data_ping(); break;
+      case Verb::Status: data = data_status(*snap); break;
+      case Verb::NodeHealth: data = data_node_health(*snap, req.params, bad_params); break;
+      case Verb::LeadTime: data = data_lead_time(analysis_of(*snap)); break;
+      case Verb::Causes: data = data_causes(analysis_of(*snap)); break;
+      case Verb::Report: data = data_report(*snap, req.params, bad_params); break;
+      case Verb::Metrics: data = data_metrics(); break;
+      case Verb::Shutdown: data = data_shutdown(); break;
     }
   } catch (const std::exception& e) {
     return finish(error_response(req.id, ProtocolErrorKind::Internal, e.what()), true);

@@ -8,6 +8,12 @@
 namespace hpcfail::stats {
 
 namespace {
+
+// Full-batch gradient descent schedule.
+constexpr int kEpochs = 300;
+constexpr double kLearningRate = 0.5;
+constexpr double kL2 = 1e-3;
+
 double sigmoid(double z) noexcept {
   if (z >= 0) {
     const double e = std::exp(-z);
@@ -28,7 +34,7 @@ double LogisticModel::predict(std::span<const double> features) const {
 }
 
 LogisticModel train_logistic(const std::vector<std::vector<double>>& x,
-                             const std::vector<int>& y, const LogisticTrainConfig& config) {
+                             const std::vector<int>& y) {
   if (x.empty() || x.size() != y.size()) {
     throw std::invalid_argument("train_logistic: empty or mismatched data");
   }
@@ -67,7 +73,7 @@ LogisticModel train_logistic(const std::vector<std::vector<double>>& x,
   }
 
   std::vector<double> grad(dims);
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     std::fill(grad.begin(), grad.end(), 0.0);
     double grad_bias = 0.0;
     for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -78,10 +84,9 @@ LogisticModel train_logistic(const std::vector<std::vector<double>>& x,
       grad_bias += err;
     }
     for (std::size_t d = 0; d < dims; ++d) {
-      model.weights[d] -=
-          config.learning_rate * (grad[d] / n + config.l2 * model.weights[d]);
+      model.weights[d] -= kLearningRate * (grad[d] / n + kL2 * model.weights[d]);
     }
-    model.bias -= config.learning_rate * grad_bias / n;
+    model.bias -= kLearningRate * grad_bias / n;
   }
   return model;
 }

@@ -19,17 +19,10 @@ struct LogisticModel {
   [[nodiscard]] double predict(std::span<const double> features) const;
 };
 
-struct LogisticTrainConfig {
-  int epochs = 300;
-  double learning_rate = 0.5;
-  double l2 = 1e-3;
-};
-
 /// Trains on rows X (equal lengths) with labels y in {0, 1}.
 /// Requires at least one example of each class; throws otherwise.
 [[nodiscard]] LogisticModel train_logistic(const std::vector<std::vector<double>>& x,
-                                           const std::vector<int>& y,
-                                           const LogisticTrainConfig& config = {});
+                                           const std::vector<int>& y);
 
 struct BinaryMetrics {
   std::size_t tp = 0, fp = 0, tn = 0, fn = 0;

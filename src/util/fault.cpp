@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
+#include <optional>
 #include <stdexcept>
 
 #include "util/metrics.hpp"
@@ -11,28 +12,19 @@ namespace hpcfail::util {
 
 namespace {
 
-// The site inventory: every HPCFAIL_FAULT_SITE literal in the tree, sorted.
-// hpcfail-lint's fault-sites check enforces that this list and the call
-// sites agree in both directions, so the sweep in tests/faultinject_test.cpp
-// really does enumerate every injection point.
-constexpr std::string_view kSites[] = {
-    "faultsim.scenario_io.bad_alloc",  // scenario_to_string allocation failure
-    "ingest.parse.bad_alloc",          // chunk parse task allocation failure
-    "ingest.read.badbit",              // stream I/O error (badbit) mid-corpus
-    "ingest.read.midline_eof",         // stream ends in the middle of a line
-    "ingest.read.short_read",          // read() returns fewer bytes than asked
-    "ingest.read.torn_chunk",          // chunk bytes garbled in flight
-    "ingest.retire.bad_alloc",         // chunk retirement allocation failure
-    "loggen.write.badbit",             // corpus log file write error
-    "serve.request.parse",             // torn client request line on the protocol boundary
-    "serve.tail.read_io",              // tail-file read I/O failure mid-poll
-    "store.append_batch.bad_alloc",    // shard append allocation failure
-    "store.snapshot.read_io",          // snapshot read/validate I/O failure
-    "store.snapshot.write_io",         // snapshot section write I/O failure
-    "store.symbol_absorb.bad_alloc",   // symbol-table merge allocation failure
-};
-
 std::atomic<FaultInjector*> g_injector{nullptr};
+
+/// Index of `name` in kFaultSites, for the lookups by run-time name.
+std::optional<std::size_t> site_index(std::string_view name) {
+  const auto* it = std::find(std::begin(kFaultSites), std::end(kFaultSites), name);
+  if (it == std::end(kFaultSites)) return std::nullopt;
+  return static_cast<std::size_t>(it - std::begin(kFaultSites));
+}
+
+bool same_call_point(const std::source_location& a, const std::source_location& b) {
+  return a.line() == b.line() && a.column() == b.column() &&
+         std::string_view(a.file_name()) == b.file_name();
+}
 
 void note_fire(std::string_view site) {
   if (MetricsRegistry* reg = metrics()) {
@@ -45,16 +37,16 @@ void note_fire(std::string_view site) {
 }  // namespace
 
 void FaultInjector::arm(std::string_view site, std::uint64_t nth) {
-  const auto inventory = sites();
-  if (std::find(inventory.begin(), inventory.end(), site) == inventory.end()) {
+  const auto index = site_index(site);
+  if (!index) {
     throw std::invalid_argument("FaultInjector: unknown fault site '" +
                                 std::string(site) + "'");
   }
   const std::scoped_lock lock(mutex_);
-  SiteState& state = armed_[std::string(site)];
+  SiteState& state = states_[*index];
+  state = SiteState{};
+  state.armed = true;
   state.nth = std::max<std::uint64_t>(1, nth);
-  state.hits = 0;
-  state.fired = false;
 }
 
 void FaultInjector::arm_spec(std::string_view spec) {
@@ -85,11 +77,15 @@ void FaultInjector::arm_spec(std::string_view spec) {
   }
 }
 
-bool FaultInjector::hit(std::string_view site) noexcept {
+bool FaultInjector::hit(std::size_t site, std::source_location where) noexcept {
   const std::scoped_lock lock(mutex_);
-  const auto it = armed_.find(site);
-  if (it == armed_.end()) return false;
-  SiteState& state = it->second;
+  SiteState& state = states_[site];
+  if (!state.armed) return false;
+  if (state.hits == 0) {
+    state.first_caller = where;
+  } else if (!same_call_point(state.first_caller, where)) {
+    state.second_caller = true;
+  }
   ++state.hits;
   if (state.fired || state.hits != state.nth) return false;
   state.fired = true;
@@ -97,48 +93,54 @@ bool FaultInjector::hit(std::string_view site) noexcept {
 }
 
 std::uint64_t FaultInjector::hits(std::string_view site) const {
+  const auto index = site_index(site);
   const std::scoped_lock lock(mutex_);
-  const auto it = armed_.find(site);
-  return it == armed_.end() ? 0 : it->second.hits;
+  return index ? states_[*index].hits : 0;
 }
 
 std::uint64_t FaultInjector::fires(std::string_view site) const {
+  const auto index = site_index(site);
   const std::scoped_lock lock(mutex_);
-  const auto it = armed_.find(site);
-  return it != armed_.end() && it->second.fired ? 1 : 0;
+  return index && states_[*index].fired ? 1 : 0;
 }
 
 std::uint64_t FaultInjector::total_fires() const {
   const std::scoped_lock lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [name, state] : armed_) total += state.fired ? 1 : 0;
-  return total;
+  return static_cast<std::uint64_t>(std::count_if(
+      states_.begin(), states_.end(), [](const SiteState& state) { return state.fired; }));
+}
+
+std::uint64_t FaultInjector::call_points(std::string_view site) const {
+  const auto index = site_index(site);
+  const std::scoped_lock lock(mutex_);
+  if (!index || states_[*index].hits == 0) return 0;
+  return states_[*index].second_caller ? 2 : 1;
 }
 
 std::vector<std::string> FaultInjector::summary() const {
   const std::scoped_lock lock(mutex_);
   std::vector<std::string> out;
-  out.reserve(armed_.size());
-  for (const auto& [name, state] : armed_) {
-    out.push_back(name + (state.fired ? ": fired on hit " + std::to_string(state.nth)
-                                      : ": armed for hit " + std::to_string(state.nth) +
-                                            ", saw " + std::to_string(state.hits)) +
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    const SiteState& state = states_[i];
+    if (!state.armed) continue;
+    out.push_back(std::string(kFaultSites[i]) +
+                  (state.fired ? ": fired on hit " + std::to_string(state.nth)
+                               : ": armed for hit " + std::to_string(state.nth) +
+                                     ", saw " + std::to_string(state.hits)) +
                   " (hits " + std::to_string(state.hits) + ")");
   }
   return out;
 }
 
-std::span<const std::string_view> FaultInjector::sites() { return kSites; }
-
 void install_fault_injector(FaultInjector* injector) noexcept {
   g_injector.store(injector, std::memory_order_release);
 }
 
-bool fault_should_fire(const char* site) noexcept {
+bool fault_should_fire(std::size_t site, std::source_location where) noexcept {
   FaultInjector* injector = g_injector.load(std::memory_order_relaxed);
   if (injector == nullptr) return false;
-  if (!injector->hit(site)) return false;
-  note_fire(site);
+  if (!injector->hit(site, where)) return false;
+  note_fire(kFaultSites[site]);
   return true;
 }
 

@@ -24,8 +24,8 @@ constexpr std::size_t kNameField = 40;  // kSnapshotMaxName + NUL
 constexpr std::size_t kTrailerBytes = sizeof(std::uint32_t);
 
 /// The read path's single injection point, hit at the bulk read and once
-/// per section validated (site names must be textually unique across the
-/// tree for the fault-sites lint and the sweep harness).
+/// per section validated (a site has one call point; the sweep harness
+/// checks that every armed site is hit from exactly one).
 bool injected_read_failure() {
   return HPCFAIL_FAULT_SITE("store.snapshot.read_io");
 }

@@ -30,7 +30,7 @@ using logmodel::Severity;
 std::vector<AnalyzedFailure> analyze_all(const logmodel::LogStore& store,
                                          const jobs::JobTable* jobs,
                                          util::ThreadPool* pool = nullptr) {
-  const AnalysisContext ctx(store, jobs, {}, {}, pool);
+  const AnalysisContext ctx(store, jobs, {}, pool);
   return ctx.failures();
 }
 

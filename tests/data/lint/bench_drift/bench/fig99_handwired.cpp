@@ -1,9 +1,9 @@
 // Fixture: a figure bench that hand-wires the analysis instead of going
 // through the shared bench pipeline facade.
-#include "core/root_cause.hpp"
+#include "core/failure_detector.hpp"
 
 int main() {
   const auto parsed = make_parsed();
-  const auto failures = hpcfail::core::analyze_failures(parsed.store, &parsed.jobs);
-  return failures.empty() ? 1 : 0;
+  const hpcfail::core::FailureDetector detector;
+  return detector.detect(parsed.store, &parsed.jobs).empty() ? 1 : 0;
 }

@@ -2,8 +2,8 @@
 namespace hpcfail::serve {
 namespace {
 constexpr VerbDef kVerbs[] = {
-    {"ping", "liveness probe, answers pong"},
-    {"status", "store, window and epoch counters for the daemon"},
+    {Verb::Ping, "ping", "liveness probe, answers pong"},
+    {Verb::Status, "status", "store, window and epoch counters for the daemon"},
 };
 }  // namespace
 }  // namespace hpcfail::serve

@@ -4,8 +4,8 @@
 namespace hpcfail::serve {
 namespace {
 constexpr VerbDef kVerbs[] = {
-    {"ping", "liveness probe, answers pong"},
-    {"statuss", "store, window and epoch counters for the daemon"},
+    {Verb::Ping, "ping", "liveness probe, answers pong"},
+    {Verb::Status, "statuss", "store, window and epoch counters for the daemon"},
 };
 }  // namespace
 }  // namespace hpcfail::serve

@@ -152,7 +152,7 @@ TEST_P(EngineEquivalence, MatchesLegacyHandWiredPath) {
 
   // Legacy path: each analyzer hand-wired, serial.
   const core::FailureDetector detector{core::DetectorConfig{}};
-  const core::RootCauseEngine root_cause{core::RootCauseConfig{}};
+  const core::RootCauseEngine root_cause;
   auto events = detector.detect(store, &c.parsed.jobs);
   std::vector<core::AnalyzedFailure> failures(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {

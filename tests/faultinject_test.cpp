@@ -12,6 +12,7 @@
 #include <map>
 #include <new>
 #include <set>
+#include <source_location>
 #include <stdexcept>
 #include <string>
 
@@ -63,13 +64,16 @@ TEST(FaultInjectorTest, UnknownSiteThrows) {
 }
 
 TEST(FaultInjectorTest, SpecGrammar) {
+  constexpr std::size_t kBadbit = util::fault_site("ingest.read.badbit");
+  constexpr std::size_t kAppend = util::fault_site("store.append_batch.bad_alloc");
+  const auto here = std::source_location::current();
   FaultInjector inj;
   inj.arm_spec("ingest.read.badbit:3,store.append_batch.bad_alloc");
-  EXPECT_FALSE(inj.hit("ingest.read.badbit"));
-  EXPECT_FALSE(inj.hit("ingest.read.badbit"));
-  EXPECT_TRUE(inj.hit("ingest.read.badbit"));   // third hit fires
-  EXPECT_FALSE(inj.hit("ingest.read.badbit"));  // fires exactly once
-  EXPECT_TRUE(inj.hit("store.append_batch.bad_alloc"));  // default n = 1
+  EXPECT_FALSE(inj.hit(kBadbit, here));
+  EXPECT_FALSE(inj.hit(kBadbit, here));
+  EXPECT_TRUE(inj.hit(kBadbit, here));   // third hit fires
+  EXPECT_FALSE(inj.hit(kBadbit, here));  // fires exactly once
+  EXPECT_TRUE(inj.hit(kAppend, here));   // default n = 1
   EXPECT_EQ(inj.hits("ingest.read.badbit"), 4u);
   EXPECT_EQ(inj.fires("ingest.read.badbit"), 1u);
   EXPECT_EQ(inj.total_fires(), 2u);
@@ -84,32 +88,42 @@ TEST(FaultInjectorTest, SpecGrammar) {
 
 TEST(FaultInjectorTest, UnarmedSitesAreFree) {
   FaultInjector inj;
-  EXPECT_FALSE(inj.hit("ingest.read.badbit"));
+  EXPECT_FALSE(inj.hit(util::fault_site("ingest.read.badbit"), std::source_location::current()));
   EXPECT_EQ(inj.hits("ingest.read.badbit"), 0u);
+  EXPECT_EQ(inj.call_points("ingest.read.badbit"), 0u);
   // Nothing installed: sites pass straight through.
-  EXPECT_FALSE(util::fault_should_fire("ingest.read.badbit"));
+  EXPECT_FALSE(HPCFAIL_FAULT_SITE("ingest.read.badbit"));
 }
 
-TEST(FaultInjectorTest, InventoryIsSortedUniqueAndStyled) {
-  const auto sites = FaultInjector::sites();
-  ASSERT_FALSE(sites.empty());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (i > 0) {
-      EXPECT_LT(sites[i - 1], sites[i]) << "inventory must be sorted/unique";
-    }
-    // <layer>.<component>.<kind>, lowercase snake_case segments.
-    std::size_t segments = 1;
-    for (const char c : sites[i]) {
-      if (c == '.') {
-        ++segments;
-        continue;
-      }
-      EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')
-          << "bad character in site name " << sites[i];
-    }
-    EXPECT_GE(segments, 3u) << sites[i];
+TEST(FaultInjectorTest, HitsFromASecondCallPointAreRecorded) {
+  FaultInjector inj;
+  inj.arm("ingest.read.badbit", 5);
+  const ScopedInjector scope(inj);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(HPCFAIL_FAULT_SITE("ingest.read.badbit"));
   }
+  EXPECT_EQ(inj.call_points("ingest.read.badbit"), 1u);
+  EXPECT_FALSE(HPCFAIL_FAULT_SITE("ingest.read.badbit"));
+  EXPECT_EQ(inj.call_points("ingest.read.badbit"), 2u);
+  EXPECT_EQ(inj.hits("ingest.read.badbit"), 3u);
 }
+
+// The inventory checker that guards kFaultSites at build time, run on the
+// real table and on each kind of drift it must reject.
+static_assert(util::valid_fault_inventory(util::kFaultSites));
+constexpr std::string_view kDuplicated[] = {"ingest.read.badbit", "ingest.read.badbit"};
+static_assert(!util::valid_fault_inventory(kDuplicated));
+constexpr std::string_view kUppercase[] = {"ingest.Read.torn"};
+static_assert(!util::valid_fault_inventory(kUppercase));
+constexpr std::string_view kTwoSegments[] = {"parse.oops"};
+static_assert(!util::valid_fault_inventory(kTwoSegments));
+constexpr std::string_view kUnsorted[] = {"store.gone.bad_alloc", "ingest.retire.bad_alloc"};
+static_assert(!util::valid_fault_inventory(kUnsorted));
+constexpr std::string_view kDoubleUnderscore[] = {"ingest.read.bad__bit"};
+static_assert(!util::valid_fault_inventory(kDoubleUnderscore));
+static_assert(util::fault_site("faultsim.scenario_io.bad_alloc") == 0);
+static_assert(util::fault_site("store.symbol_absorb.bad_alloc") ==
+              std::size(util::kFaultSites) - 1);
 
 // --------------------------------------------------- targeted regressions ----
 
@@ -353,6 +367,10 @@ void run_armed_pipeline(const std::string& site) {
   // twice per pipeline pass, so the nth=2 schedule always lands.
   EXPECT_EQ(inj.fires(site), 1u)
       << "site " << site << " never fired (hits=" << inj.hits(site) << ")";
+  // One name, one call point: a second HPCFAIL_FAULT_SITE with the same
+  // name would make the schedule count hits from two places.
+  EXPECT_EQ(inj.call_points(site), 1u)
+      << "site " << site << " must be hit from exactly one call point";
   std::filesystem::remove_all(dir);
 }
 
@@ -364,7 +382,7 @@ TEST_P(FaultSiteSweep, DegradesGracefullyOrFailsStructured) {
 
 std::vector<std::string> all_sites() {
   std::vector<std::string> out;
-  for (const auto site : FaultInjector::sites()) out.emplace_back(site);
+  for (const auto site : util::kFaultSites) out.emplace_back(site);
   return out;
 }
 

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     }
   }
   if (fault_spec == "list") {
-    for (const auto site : util::FaultInjector::sites()) {
+    for (const auto site : util::kFaultSites) {
       std::printf("%.*s\n", static_cast<int>(site.size()), site.data());
     }
     return 0;

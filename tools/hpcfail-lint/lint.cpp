@@ -138,7 +138,6 @@ constexpr const char* kClassifierCpp = "src/parsers/line_classifier.cpp";
 constexpr const char* kEventTypeHpp = "src/logmodel/event_type.hpp";
 constexpr const char* kEventTypeCpp = "src/logmodel/event_type.cpp";
 constexpr const char* kCorpusCpp = "src/loggen/corpus.cpp";
-constexpr const char* kFaultCpp = "src/util/fault.cpp";
 constexpr const char* kSnapshotHpp = "src/util/snapshot.hpp";
 constexpr const char* kServeProtocolCpp = "src/serve/protocol.cpp";
 constexpr const char* kFormatsMd = "FORMATS.md";
@@ -184,43 +183,6 @@ void cross_check(const std::vector<TableEntry>& ours, const std::string& our_fil
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Check: event-names
-// ---------------------------------------------------------------------------
-
-void check_event_names(SourceTree& tree, Report& report) {
-  const std::string check = "event-names";
-  const auto enums = enum_entries(tree, check, report);
-  const auto* cpp = load(tree, kEventTypeCpp, check, report);
-  if (enums.empty() || cpp == nullptr) return;
-
-  const auto body = body_of(*cpp, "kEventNames");
-  if (!body) {
-    report.add(kEventTypeCpp, 0, check, "no kEventNames array found");
-    return;
-  }
-  static const std::regex re(R"(^\s*\"(\w+)\",)");
-  const auto names = scan(*cpp, *body, re);
-
-  if (names.size() != enums.size()) {
-    report.add(kEventTypeCpp, body->begin, check,
-               "kEventNames has " + std::to_string(names.size()) + " entries but EventType has " +
-                   std::to_string(enums.size()) +
-                   " enumerators (to_string will misreport)");
-  }
-  const std::size_t n = std::min(names.size(), enums.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (names[i].key != enums[i].key) {
-      report.add(kEventTypeCpp, names[i].line, check,
-                 "kEventNames[" + std::to_string(i) + "] is \"" + names[i].key +
-                     "\" but enumerator #" + std::to_string(i) + " is " + enums[i].key +
-                     " (declared at " + std::string(kEventTypeHpp) + ":" +
-                     std::to_string(enums[i].line) + ")");
-      break;  // one misalignment cascades; report the first only
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Check: payload-coverage
@@ -499,7 +461,8 @@ void check_serve_protocol(SourceTree& tree, Report& report) {
     report.add(kServeProtocolCpp, 0, check, "no kVerbs array found");
     return;
   }
-  static const std::regex code_re(R"#(\{"([a-z_]+)",\s*"([^"]*)"\})#");
+  // {Verb::Ping, "ping", "liveness probe, answers pong"},
+  static const std::regex code_re(R"#(\{Verb::\w+,\s*"([a-z_]+)",\s*"([^"]*)"\})#");
   const auto code = scan(*protocol, *body, code_re);
   if (code.empty()) {
     report.add(kServeProtocolCpp, body->begin, check, "kVerbs lists no verbs");
@@ -671,7 +634,6 @@ void check_bench_pipeline(SourceTree& tree, Report& report) {
     return;
   }
 
-  static const std::regex direct_call(R"(\banalyze_failures\s*\()");
   static const std::regex pipeline_use(
       R"(\b(run_pipeline|run_system)\s*\(|\bAnalysisEngine\b)");
   for (const auto& rel : tree.files_under("bench")) {
@@ -680,17 +642,9 @@ void check_bench_pipeline(SourceTree& tree, Report& report) {
     if (name.rfind("fig", 0) != 0 && name.rfind("tab", 0) != 0) continue;
     const auto* file = load(tree, rel, check, report);
     if (file == nullptr) continue;
-    bool uses_pipeline = false;
-    for (std::size_t n = 1; n <= file->lines.size(); ++n) {
-      const std::string& text = file->lines[n - 1];
-      if (std::regex_search(text, pipeline_use)) uses_pipeline = true;
-      if (std::regex_search(text, direct_call)) {
-        emit(*file, n, check,
-             "figure bench calls analyze_failures() directly; route it through "
-             "bench::run_pipeline or core::AnalysisEngine",
-             report);
-      }
-    }
+    const bool uses_pipeline =
+        std::any_of(file->lines.begin(), file->lines.end(),
+                    [](const std::string& text) { return std::regex_search(text, pipeline_use); });
     if (!uses_pipeline) {
       emit_file_scoped(*file, 1, check,
                        "figure bench never uses bench::run_pipeline/run_system or "
@@ -782,99 +736,6 @@ void check_metric_naming(SourceTree& tree, Report& report) {
 }
 
 // ---------------------------------------------------------------------------
-// Check: fault-sites
-// ---------------------------------------------------------------------------
-
-void check_fault_sites(SourceTree& tree, Report& report) {
-  const std::string check = "fault-sites";
-  // <layer>.<component>.<kind>: lowercase snake_case dot segments, >= 3.
-  static const std::regex name_re(
-      R"(^[a-z0-9]+(_[a-z0-9]+)*(\.[a-z0-9]+(_[a-z0-9]+)*){2,}$)");
-  static const std::regex site_use(R"#(HPCFAIL_FAULT_SITE\(\s*"([^"\\]+)"\s*\))#");
-  // Doc comments quote example sites (util/fault.hpp's header comment).
-  static const std::regex comment_line(R"(^\s*//)");
-
-  // The inventory side: the kSites table in src/util/fault.cpp.
-  const auto* fault_cpp = load(tree, kFaultCpp, check, report);
-  if (fault_cpp == nullptr) return;
-  const auto body = body_of(*fault_cpp, "kSites");
-  if (!body) {
-    report.add(kFaultCpp, 0, check, "no kSites inventory array found");
-    return;
-  }
-  static const std::regex entry_re(R"#("([^"\\]+)")#");
-  const auto inventory = scan(*fault_cpp, *body, entry_re);
-  std::set<std::string> inventoried;
-  for (const auto& e : inventory) inventoried.insert(e.key);
-
-  // The code side: every HPCFAIL_FAULT_SITE literal under src/tools/bench.
-  struct Use {
-    std::string file;
-    std::size_t line = 0;
-  };
-  std::map<std::string, Use> first_use;
-  for (const char* top : {"src", "tools", "bench"}) {
-    if (!tree.exists(top)) continue;
-    for (const auto& rel : tree.files_under(top)) {
-      // The linter's own sources and tests quote drifted names.
-      if (rel.rfind("tools/hpcfail-lint/", 0) == 0) continue;
-      const auto* file = load(tree, rel, check, report);
-      if (file == nullptr) continue;
-      for (std::size_t n = 1; n <= file->lines.size(); ++n) {
-        const std::string& text = file->lines[n - 1];
-        if (std::regex_search(text, comment_line)) continue;
-        for (auto it = std::sregex_iterator(text.begin(), text.end(), site_use);
-             it != std::sregex_iterator(); ++it) {
-          const std::string name = (*it)[1].str();
-          const auto [slot, inserted] = first_use.emplace(name, Use{rel, n});
-          if (!inserted) {
-            emit(*file, n, check,
-                 "fault site '" + name + "' is already declared at " + slot->second.file +
-                     ":" + std::to_string(slot->second.line) +
-                     "; site names must be unique across the tree",
-                 report);
-            continue;
-          }
-          if (!std::regex_match(name, name_re)) {
-            emit(*file, n, check,
-                 "fault site '" + name +
-                     "' drifts from <layer>.<component>.<kind> (lowercase "
-                     "snake_case dot segments, at least three)",
-                 report);
-          }
-          if (inventoried.count(name) == 0) {
-            emit(*file, n, check,
-                 "fault site '" + name + "' is not listed in the kSites inventory (" +
-                     std::string(kFaultCpp) + "); the sweep harness cannot arm it",
-                 report);
-          }
-        }
-      }
-    }
-  }
-
-  // Inventory entries must be live and stay sorted (the sweep enumerates
-  // them in order; a stale entry makes the sweep arm a site nothing hits).
-  for (std::size_t i = 0; i < inventory.size(); ++i) {
-    const auto& e = inventory[i];
-    if (first_use.count(e.key) == 0) {
-      emit(*fault_cpp, e.line, check,
-           "kSites entry '" + e.key +
-               "' has no HPCFAIL_FAULT_SITE use in the tree; remove it or wire "
-               "the site",
-           report);
-    }
-    if (i > 0 && !(inventory[i - 1].key < e.key)) {
-      emit(*fault_cpp, e.line, check,
-           "kSites entry '" + e.key +
-               "' is out of order; the inventory stays sorted so the sweep "
-               "enumeration is stable",
-           report);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -887,9 +748,6 @@ struct CheckDef {
 
 const std::vector<CheckDef>& registry() {
   static const std::vector<CheckDef> defs = {
-      {{"event-names", Severity::Error,
-        "kEventNames must list the EventType enumerators in declaration order"},
-       &check_event_names},
       {{"payload-coverage", Severity::Error,
         "Every rendered payload template needs a matching classifier rule and vice "
         "versa"},
@@ -916,10 +774,6 @@ const std::vector<CheckDef>& registry() {
       {{"metric-naming", Severity::Error,
         "Instrument names follow hpcfail.<layer>.<snake_case>"},
        &check_metric_naming},
-      {{"fault-sites", Severity::Error,
-        "HPCFAIL_FAULT_SITE names are unique, well-formed and in sync with the "
-        "kSites inventory"},
-       &check_fault_sites},
       {{"capture-lifetime", Severity::Error,
         "Lambdas queued on the ThreadPool must not capture by reference (PR 1 "
         "use-after-scope class)"},

@@ -47,7 +47,7 @@ enum class Severity { Error, Warning, Note };
 struct Diagnostic {
   std::string file;     ///< path relative to the repo root
   std::size_t line;     ///< 1-based; 0 means "whole file"
-  std::string check;    ///< check name, e.g. "event-names"
+  std::string check;    ///< check name, e.g. "formats-doc"
   std::string message;
   Severity severity = Severity::Error;
 
@@ -67,10 +67,6 @@ struct Report {
 // ---------------------------------------------------------------------------
 // Consistency checks (line/regex level)
 // ---------------------------------------------------------------------------
-
-/// kEventNames in event_type.cpp must list exactly the EventType enumerators
-/// of event_type.hpp, in declaration order (to_string indexes by value).
-void check_event_names(SourceTree& tree, Report& report);
 
 /// Every payload template the renderer can emit per source (console,
 /// controller) must have a matching classifier rule, and vice versa.
@@ -102,11 +98,10 @@ void check_banned_patterns(SourceTree& tree, Report& report);
 void check_header_hygiene(SourceTree& tree, Report& report);
 
 /// Figure/table benches (bench/fig*.cpp, bench/tab*.cpp) must route their
-/// analysis through bench::run_pipeline/run_system or core::AnalysisEngine —
-/// never a private analyze_failures() wiring, which drifts from the shared
-/// pipeline.  A `// hpcfail-lint: allow(bench-pipeline) -- <reason>`
-/// anywhere in the file accepts a bench that does no failure analysis at
-/// all; a direct analyze_failures() call needs its own allow on that line.
+/// analysis through bench::run_pipeline/run_system or core::AnalysisEngine;
+/// hand-wired analysis drifts from the shared pipeline.  A
+/// `// hpcfail-lint: allow(bench-pipeline) -- <reason>` anywhere in the
+/// file accepts a bench that does no failure analysis at all.
 void check_bench_pipeline(SourceTree& tree, Report& report);
 
 /// Metric/span naming: every instrument name literal in src/, tools/ and
@@ -118,14 +113,6 @@ void check_bench_pipeline(SourceTree& tree, Report& report);
 /// `// hpcfail-lint: allow(metric-naming) -- <reason>`.
 void check_metric_naming(SourceTree& tree, Report& report);
 
-/// Fault-site inventory: every HPCFAIL_FAULT_SITE("...") literal in src/,
-/// tools/ and bench/ must be unique across the tree, follow the
-/// `<layer>.<component>.<kind>` naming style (lowercase snake_case dot
-/// segments, at least three), and appear in the kSites inventory of
-/// src/util/fault.cpp — and every inventory entry must have a code use, so
-/// the sweep harness (tests/faultinject_test.cpp) really enumerates every
-/// injection point.  Honors `// hpcfail-lint: allow(fault-sites) -- <reason>`.
-void check_fault_sites(SourceTree& tree, Report& report);
 
 // ---------------------------------------------------------------------------
 // Semantic checks (token level, cxx_model.hpp)
