@@ -10,26 +10,48 @@ namespace hpcfail::core {
 using logmodel::EventType;
 using logmodel::LogRecord;
 
+namespace {
+
+/// Marks `id` in `seen` (grown to the id space on demand) and counts it in
+/// `distinct` the first time.
+void mark(std::vector<std::uint8_t>& seen, std::uint32_t id, std::size_t& distinct) {
+  if (id >= seen.size()) seen.resize(std::size_t{id} + 1, 0);
+  if (seen[id] == 0) {
+    seen[id] = 1;
+    ++distinct;
+  }
+}
+
+}  // namespace
+
 SedcPopulation BenignFaultAnalyzer::sedc_population(util::TimePoint begin,
                                                     util::TimePoint end) const {
+  // Walks the type index of the warning and fault types only, not every
+  // record of the window.
   SedcPopulation out;
-  std::unordered_set<std::uint32_t> warn_blades;
-  std::unordered_set<std::uint32_t> fault_blades;
-  std::unordered_set<std::uint32_t> fault_cabinets;
-  for (const LogRecord& r : store_.range(begin, end)) {
-    if (logmodel::is_sedc_warning(r.type)) {
-      ++out.warning_count;
-      if (r.has_blade()) warn_blades.insert(r.blade.value);
-      if (!r.has_blade() && r.has_cabinet()) fault_cabinets.insert(r.cabinet.value);
-    } else if (logmodel::is_health_fault(r.type)) {
-      ++out.fault_count;
-      if (r.has_blade()) fault_blades.insert(r.blade.value);
-      if (r.has_cabinet()) fault_cabinets.insert(r.cabinet.value);
+  std::vector<std::uint8_t> warn_blades;
+  std::vector<std::uint8_t> fault_blades;
+  std::vector<std::uint8_t> fault_cabinets;
+  for (std::size_t t = 0; t < logmodel::kEventTypeCount; ++t) {
+    const auto type = static_cast<EventType>(t);
+    const bool warning = logmodel::is_sedc_warning(type);
+    if (!warning && !logmodel::is_health_fault(type)) continue;
+    for (const std::uint32_t i : store_.type_range(type, begin, end)) {
+      const LogRecord& r = store_[i];
+      if (warning) {
+        ++out.warning_count;
+        if (r.has_blade()) {
+          mark(warn_blades, r.blade.value, out.blades_with_warnings);
+        } else if (r.has_cabinet()) {
+          mark(fault_cabinets, r.cabinet.value, out.cabinets_with_faults);
+        }
+      } else {
+        ++out.fault_count;
+        if (r.has_blade()) mark(fault_blades, r.blade.value, out.blades_with_faults);
+        if (r.has_cabinet()) mark(fault_cabinets, r.cabinet.value, out.cabinets_with_faults);
+      }
     }
   }
-  out.blades_with_warnings = warn_blades.size();
-  out.blades_with_faults = fault_blades.size();
-  out.cabinets_with_faults = fault_cabinets.size();
   return out;
 }
 

@@ -10,9 +10,18 @@
 // A store is immutable: every way to make one (the sorting constructor,
 // from_sorted, extend, from_sections) returns it sorted and fully indexed,
 // so no query can see unsorted records or stale indexes.
+//
+// A store is a view into storage it shares with the stores extended from
+// it: its row count plus, for each index key, where that key's run starts
+// and how long it is.  Rows and index entries, once written, are never
+// written again, so extend() can append a live tail into the storage past
+// every existing view while other threads read those views.  Every query
+// still returns one contiguous span.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -41,30 +50,33 @@ class LogStore {
                                             SymbolTable symbols = {});
 
   /// Returns exactly the store `LogStore(base.records() ++ fresh, symbols)`
-  /// builds — rows, columns, the four CSR indexes and nodes() — without
+  /// builds — rows, columns, the four indexes and nodes() — without
   /// sorting or re-indexing the base.  `symbols` must resolve the Symbols
   /// of both base and fresh records (a copy of base.symbols() with the
   /// fresh details interned into it keeps every base id valid).  Only
-  /// `fresh` is stable-sorted.  When every fresh record is at or after
-  /// base.last_time() (a live tail), the base columns are copied once and
-  /// each index run is spliced in one pass; otherwise base and fresh are
-  /// merged (base first on ties) and the indexes rebuilt.  Either way the
-  /// cost is linear in base.size(), never n log n.
+  /// `fresh` is stable-sorted.
+  ///
+  /// When every fresh record is at or after base.last_time() (a live tail)
+  /// and `base` is the newest store of its storage (no store has been
+  /// extended from it yet), the fresh rows and index entries are written
+  /// into that storage past every existing view: amortized O(fresh + key
+  /// space), with base left untouched.  Otherwise the result gets new
+  /// storage: a tail is copied there with headroom for later appends, and
+  /// fresh records that interleave history are merged (base first on ties)
+  /// and indexed afresh.  Safe while other threads read any earlier store.
   [[nodiscard]] static LogStore extend(const LogStore& base, std::vector<LogRecord> fresh,
                                        SymbolTable symbols);
 
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] const LogRecord& operator[](std::size_t i) const noexcept { return records_[i]; }
-  [[nodiscard]] const std::vector<LogRecord>& records() const noexcept { return records_; }
+  [[nodiscard]] std::size_t size() const noexcept { return cols_.n; }
+  [[nodiscard]] const LogRecord& operator[](std::size_t i) const noexcept {
+    return cols_.rows[i];
+  }
+  [[nodiscard]] std::span<const LogRecord> records() const noexcept {
+    return {cols_.rows, cols_.n};
+  }
 
   /// The table resolving every record's detail Symbol.
   [[nodiscard]] const SymbolTable& symbols() const noexcept { return symbols_; }
-
-  /// Columnar views over the sorted records: times()[i] is
-  /// records()[i].time.usec, types()[i] is records()[i].type.  Dense
-  /// arrays for scans that only need one field.
-  [[nodiscard]] std::span<const std::int64_t> times() const noexcept { return times_; }
-  [[nodiscard]] std::span<const EventType> types() const noexcept { return types_; }
 
   /// Resolves a record's detail Symbol; the view is valid while the store
   /// lives.  The record must belong to this store.
@@ -72,7 +84,7 @@ class LogStore {
     return symbols_.view(r.detail);
   }
   [[nodiscard]] std::string_view detail(std::size_t i) const noexcept {
-    return symbols_.view(records_[i].detail);
+    return symbols_.view(cols_.rows[i].detail);
   }
 
   [[nodiscard]] util::TimePoint first_time() const;
@@ -117,14 +129,16 @@ class LogStore {
 
   // --- Persistence (store_snapshot.cpp) -----------------------------------
   // Every persistent member — record rows, symbol table, time/type columns,
-  // the four CSR indexes, the cached node list — serializes as flat
-  // sections under the "store." prefix (util/serialize.hpp).  The corpus
-  // snapshot (parsers/snapshot.hpp) adds the on-disk framing; see
-  // FORMATS.md "snapshot — hpcfail.store.v1".
+  // the four indexes as CSR offset and entry arrays, the cached node list —
+  // serializes as flat sections under the "store." prefix
+  // (util/serialize.hpp).  The corpus snapshot (parsers/snapshot.hpp) adds
+  // the on-disk framing; see FORMATS.md "snapshot — hpcfail.store.v1".
 
-  /// Registers this store's sections (borrowed views into live columns
-  /// plus a normalized owned copy of the record rows).  The store must
-  /// outlive `out`.
+  /// Registers this store's sections: borrowed views into live columns
+  /// and, for a store that was not extended, into its CSR arrays; an
+  /// extended store's runs are packed into owned CSR arrays, and the record
+  /// rows are always a normalized owned copy.  The store must outlive
+  /// `out`.
   void append_sections(util::Sections& out) const;
 
   /// Rebuilds a store from its sections, validating every invariant the
@@ -134,28 +148,72 @@ class LogStore {
   [[nodiscard]] static LogStore from_sections(const util::SectionMap& in);
 
  private:
-  void build_indexes();
+  struct Storage;  ///< rows, columns and indexes (log_store.cpp)
 
-  /// CSR indexes (util::CsrIndex): entries are record indexes, grouped by
-  /// id and time-ordered within each run because the fill pass walks the
-  /// sorted records.
+  /// The four indexes, in section order.
+  enum Index : std::uint8_t { kByNode, kByBlade, kByCabinet, kByType, kIndexCount };
+
+  /// One key's run: `size` record indexes, time-ordered, from `start`.
+  struct Run {
+    std::uint32_t start = 0;
+    std::uint32_t size = 0;
+  };
+
+  /// One index as this store sees it.  Keys past `runs` have no entries.
+  struct IndexView {
+    const std::uint32_t* entries = nullptr;  ///< the storage's arena
+    std::vector<Run> runs;                   ///< by key; a move leaves it empty
+
+    [[nodiscard]] std::span<const std::uint32_t> of(std::uint32_t key) const noexcept {
+      if (key >= runs.size()) return {};
+      return {entries + runs[key].start, runs[key].size};
+    }
+  };
+
+  /// The row count and cached pointers into the storage's columns, so hot
+  /// accessors add no indirection.  A move leaves the source empty rather
+  /// than reading through storage it no longer keeps alive.
+  struct Columns {
+    std::size_t n = 0;
+    const LogRecord* rows = nullptr;
+    const std::int64_t* times = nullptr;  ///< rows[i].time.usec
+    const EventType* types = nullptr;     ///< rows[i].type
+
+    Columns() = default;
+    Columns(const Columns&) = default;
+    Columns& operator=(const Columns&) = default;
+    Columns(Columns&& other) noexcept : Columns(other) { other.n = 0; }
+    Columns& operator=(Columns&& other) noexcept {
+      *this = other;
+      other.n = 0;
+      return *this;
+    }
+  };
+
   using CsrIndex = util::CsrIndex<std::uint32_t>;
+
+  /// Sorted rows in, the tight layout out: exact-sized columns and CSR
+  /// indexes (entries grouped by key, time-ordered within each run).
+  void build(std::vector<LogRecord> rows);
+
+  /// Points this view at new packed storage: exactly these columns and
+  /// CSR indexes, never appended to.  Adopts the vectors, copying nothing.
+  void adopt_packed(std::vector<LogRecord> rows, std::vector<std::int64_t> times,
+                    std::vector<EventType> types, std::array<CsrIndex, kIndexCount> index);
+
+  /// Index `i` as built, when this store's storage is packed; else null.
+  [[nodiscard]] const CsrIndex* packed_index(std::size_t i) const noexcept;
 
   [[nodiscard]] std::span<const std::uint32_t> filter_window(
       std::span<const std::uint32_t> index, util::TimePoint begin,
       util::TimePoint end) const;
 
-  std::vector<LogRecord> records_;
-  SymbolTable symbols_;
-  // Query-hot columns, split out of records_ so binary searches touch a
-  // dense array of the compared field only (structure-of-arrays).
-  std::vector<std::int64_t> times_;  ///< records_[i].time.usec
-  std::vector<EventType> types_;    ///< records_[i].type
-  CsrIndex by_node_;
-  CsrIndex by_blade_;
-  CsrIndex by_cabinet_;
-  CsrIndex by_type_;  ///< keyed by EventType value; offsets empty only when n == 0
+  std::shared_ptr<Storage> storage_;  ///< null only for the empty default store
+  std::uint64_t generation_ = 0;      ///< this view's place in its storage's chain
+  Columns cols_;
+  std::array<IndexView, kIndexCount> index_;
   std::vector<platform::NodeId> nodes_;  ///< sorted distinct node ids
+  SymbolTable symbols_;
 };
 
 }  // namespace hpcfail::logmodel

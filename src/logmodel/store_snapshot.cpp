@@ -1,9 +1,12 @@
 // LogStore persistence: the store's columns, indexes and symbol table as
 // flat sections (util/serialize.hpp), which the corpus snapshot
 // (parsers/snapshot.hpp) frames on disk.
+#include <array>
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "logmodel/log_store.hpp"
 
@@ -40,10 +43,14 @@ struct StoreMeta {
 };
 static_assert(sizeof(StoreMeta) == 16);
 
+/// The four index sections, in LogStore's index order.
+constexpr std::array<std::string_view, 4> kIndexSections = {
+    "store.by_node", "store.by_blade", "store.by_cabinet", "store.by_type"};
+
 /// Record rows normalized for disk: field-by-field copies into a zeroed
 /// buffer, so the padding holes hold 0x00 instead of whatever the heap
 /// happened to contain.
-std::vector<std::byte> normalized_records(const std::vector<LogRecord>& records) {
+std::vector<std::byte> normalized_records(std::span<const LogRecord> records) {
   std::vector<std::byte> out(records.size() * sizeof(LogRecord), std::byte{0});
   std::byte* row = out.data();
   for (const LogRecord& r : records) {
@@ -65,6 +72,12 @@ std::vector<std::byte> normalized_records(const std::vector<LogRecord>& records)
   return out;
 }
 
+/// An owned copy of `values` as section bytes.
+std::vector<std::byte> owned_bytes(const std::vector<std::uint32_t>& values) {
+  const auto bytes = std::as_bytes(std::span<const std::uint32_t>(values));
+  return {bytes.begin(), bytes.end()};
+}
+
 void require_entries_in_range(const util::CsrIndex<std::uint32_t>& index,
                               std::size_t n, const std::string& name) {
   for (const std::uint32_t entry : index.entries) {
@@ -80,38 +93,58 @@ void require_entries_in_range(const util::CsrIndex<std::uint32_t>& index,
 }  // namespace
 
 void LogStore::append_sections(util::Sections& out) const {
+  static_assert(kIndexSections.size() == kIndexCount);
   StoreMeta meta;
-  meta.records = records_.size();
+  meta.records = size();
   meta.symbols = symbols_.size();
   out.add_scalar("store.meta", meta);
-  out.add_owned("store.records", normalized_records(records_));
-  out.add_vector("store.times", times_);
-  out.add_vector("store.types", types_);
-  by_node_.append_sections(out, "store.by_node");
-  by_blade_.append_sections(out, "store.by_blade");
-  by_cabinet_.append_sections(out, "store.by_cabinet");
-  by_type_.append_sections(out, "store.by_type");
+  out.add_owned("store.records", normalized_records(records()));
+  out.add("store.times", std::as_bytes(std::span<const std::int64_t>(cols_.times, cols_.n)));
+  out.add("store.types", std::as_bytes(std::span<const EventType>(cols_.types, cols_.n)));
+  for (std::size_t i = 0; i < kIndexCount; ++i) {
+    const std::string prefix(kIndexSections[i]);
+    if (const CsrIndex* csr = packed_index(i)) {
+      csr->append_sections(out, prefix);
+      continue;
+    }
+    // An extended store's runs, back to back in key order: the CSR a build
+    // over the same records makes.
+    const IndexView& view = index_[i];
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> entries;
+    if (!view.runs.empty()) {
+      offsets.reserve(view.runs.size() + 1);
+      offsets.push_back(0);
+      for (const Run& run : view.runs) {
+        entries.insert(entries.end(), view.entries + run.start,
+                       view.entries + run.start + run.size);
+        offsets.push_back(static_cast<std::uint32_t>(entries.size()));
+      }
+    }
+    out.add_owned(prefix + ".offsets", owned_bytes(offsets));
+    out.add_owned(prefix + ".entries", owned_bytes(entries));
+  }
   out.add_vector("store.nodes", nodes_);
   symbols_.append_sections(out, "store.symbols");
 }
 
 LogStore LogStore::from_sections(const util::SectionMap& in) {
   const auto meta = in.scalar_of<StoreMeta>("store.meta");
+  std::vector<LogRecord> records = in.vector_of<LogRecord>("store.records");
   LogStore store;
-  store.records_ = in.vector_of<LogRecord>("store.records");
   store.symbols_ = SymbolTable::from_sections(in, "store.symbols");
-  store.times_ = in.vector_of<std::int64_t>("store.times");
-  store.types_ = in.vector_of<EventType>("store.types");
-  store.by_node_ = CsrIndex::from_sections(in, "store.by_node");
-  store.by_blade_ = CsrIndex::from_sections(in, "store.by_blade");
-  store.by_cabinet_ = CsrIndex::from_sections(in, "store.by_cabinet");
-  store.by_type_ = CsrIndex::from_sections(in, "store.by_type");
+  std::vector<std::int64_t> times = in.vector_of<std::int64_t>("store.times");
+  std::vector<EventType> types = in.vector_of<EventType>("store.types");
+  std::array<CsrIndex, kIndexCount> index;
+  for (std::size_t i = 0; i < kIndexCount; ++i) {
+    index[i] = CsrIndex::from_sections(in, std::string(kIndexSections[i]));
+  }
   store.nodes_ = in.vector_of<platform::NodeId>("store.nodes");
 
   // Validate everything the query paths take for granted; a snapshot that
   // passed its CRCs can still be adversarially wrong, and the contract is
   // structured rejection, never UB.
-  const std::size_t n = store.records_.size();
+  const std::size_t n = records.size();
   if (meta.records != n) {
     throw util::SectionError("store.records",
                              "meta declares " + std::to_string(meta.records) +
@@ -123,16 +156,16 @@ LogStore LogStore::from_sections(const util::SectionMap& in) {
                                  " symbols, section holds " +
                                  std::to_string(store.symbols_.size()));
   }
-  if (store.times_.size() != n || store.types_.size() != n) {
+  if (times.size() != n || types.size() != n) {
     throw util::SectionError("store.times", "column lengths disagree with records");
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const LogRecord& r = store.records_[i];
-    if (store.times_[i] != r.time.usec || store.types_[i] != r.type) {
+    const LogRecord& r = records[i];
+    if (times[i] != r.time.usec || types[i] != r.type) {
       throw util::SectionError("store.times",
                                "columns disagree with record " + std::to_string(i));
     }
-    if (i > 0 && store.times_[i] < store.times_[i - 1]) {
+    if (i > 0 && times[i] < times[i - 1]) {
       throw util::SectionError("store.times", "times decrease at record " +
                                                   std::to_string(i));
     }
@@ -150,17 +183,16 @@ LogStore LogStore::from_sections(const util::SectionMap& in) {
                                    std::to_string(store.symbols_.size()));
     }
   }
-  require_entries_in_range(store.by_node_, n, "store.by_node");
-  require_entries_in_range(store.by_blade_, n, "store.by_blade");
-  require_entries_in_range(store.by_cabinet_, n, "store.by_cabinet");
-  require_entries_in_range(store.by_type_, n, "store.by_type");
-  if (!store.by_type_.offsets.empty() &&
-      store.by_type_.offsets.size() != kEventTypeCount + 1) {
+  for (std::size_t i = 0; i < kIndexCount; ++i) {
+    require_entries_in_range(index[i], n, std::string(kIndexSections[i]));
+  }
+  const std::vector<std::uint32_t>& type_offsets = index[kByType].offsets;
+  if (!type_offsets.empty() && type_offsets.size() != kEventTypeCount + 1) {
     throw util::SectionError("store.by_type.offsets",
                              "expected " + std::to_string(kEventTypeCount + 1) +
-                                 " offsets, found " +
-                                 std::to_string(store.by_type_.offsets.size()));
+                                 " offsets, found " + std::to_string(type_offsets.size()));
   }
+  store.adopt_packed(std::move(records), std::move(times), std::move(types), std::move(index));
   return store;
 }
 

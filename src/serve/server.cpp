@@ -52,7 +52,7 @@ Server::Server(parsers::ParsedCorpus corpus, ServerConfig config)
   for (const core::Alert& alert : boot_alerts_) apply_alert(alert, health_);
   monitor_watermark_ =
       epoch->store.size() == 0 ? corpus_begin_ : epoch->store.last_time();
-  epoch->health = health_;
+  epoch->health = std::make_shared<const HealthMap>(health_);
 
   publish(std::move(epoch));
 }
@@ -136,7 +136,7 @@ Server::TailPoll Server::poll_tail() {
       out.alerts.push_back(std::move(alert));
     }
   }
-  next->health = health_;
+  next->health = out.alerts.empty() ? snap->health : std::make_shared<const HealthMap>(health_);
 
   publish(std::move(next));
   return out;
@@ -238,8 +238,7 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
   return *epoch.analysis;
 }
 
-void Server::apply_alert(const core::Alert& alert,
-                         std::unordered_map<std::uint32_t, NodeHealth>& health) {
+void Server::apply_alert(const core::Alert& alert, HealthMap& health) {
   NodeHealth& node = health[alert.node.value];
   switch (alert.kind) {
     case core::AlertKind::PatternWarning:
@@ -277,7 +276,7 @@ std::string Server::data_ping() const { return "{\"pong\":true}"; }
 
 std::string Server::data_status(const Epoch& epoch) const {
   std::size_t down = 0;
-  for (const auto& [id, node] : epoch.health) {
+  for (const auto& [id, node] : *epoch.health) {
     if (node.down) ++down;
   }
   std::string out = "{\"analysis_recomputes\":";
@@ -316,8 +315,8 @@ std::string Server::data_node_health(const Epoch& epoch, const JsonValue& params
     return {};
   }
 
-  const auto it = epoch.health.find(node->value);
-  const NodeHealth* health = it == epoch.health.end() ? nullptr : &it->second;
+  const auto it = epoch.health->find(node->value);
+  const NodeHealth* health = it == epoch.health->end() ? nullptr : &it->second;
   const std::size_t in_window =
       epoch.store.node_range(*node, epoch.begin, epoch.end).size();
 

@@ -8,10 +8,11 @@
 // sliding analysis window clipped to ServerConfig::window, and a snapshot
 // of per-node monitor health.  poll_tail() is the single writer: when new
 // records arrive it builds the next Epoch — the previous store extended
-// by the fresh records (LogStore::extend: one copy of the base, no sort,
-// no re-index) — and swaps the pointer; queries (any thread) copy the
-// pointer once and answer entirely from that Epoch, so every response is
-// consistent with exactly one epoch — no torn reads.
+// by the fresh records (LogStore::extend: appended in place past every
+// older epoch's view, no copy of the history, no sort, no re-index) — and
+// swaps the pointer; queries (any thread) copy the pointer once and answer
+// entirely from that Epoch, so every response is consistent with exactly
+// one epoch — no torn reads.
 //
 // Analysis results are cached per epoch: the first query that needs the
 // AnalysisEngine (causes, lead_time, report) runs it once under
@@ -125,6 +126,8 @@ class Server {
   [[nodiscard]] std::string_view system_label() const noexcept { return label_; }
 
  private:
+  using HealthMap = std::unordered_map<std::uint32_t, NodeHealth>;  ///< by node id
+
   /// One immutable published view; queries pin it with a shared_ptr.
   struct Epoch {
     std::uint64_t id = 0;
@@ -132,7 +135,10 @@ class Server {
     util::TimePoint begin;     ///< analysis window start
     util::TimePoint end;       ///< analysis window end (exclusive)
     std::size_t tail_records = 0;  ///< cumulative tail records in the store
-    std::unordered_map<std::uint32_t, NodeHealth> health;  ///< by node id
+    /// Per-node monitor health; shared with the previous epoch when this
+    /// epoch's poll raised no alert, so a poll does not copy the health of
+    /// every node ever alerted.
+    std::shared_ptr<const HealthMap> health;
 
     // Lazy per-epoch analysis cache, filled at most once under `once`.
     std::once_flag once;
@@ -152,8 +158,7 @@ class Server {
   /// rendered from it) on first use; counts recompute vs cache hit.
   const core::AnalysisResult& analysis_of(Epoch& epoch);
 
-  void apply_alert(const core::Alert& alert,
-                   std::unordered_map<std::uint32_t, NodeHealth>& health);
+  void apply_alert(const core::Alert& alert, HealthMap& health);
 
   /// Window bounds for a store extent under config_.window.
   void window_of(const logmodel::LogStore& store, util::TimePoint& begin,
@@ -186,7 +191,7 @@ class Server {
   std::vector<AttachedTail> tails_;
   core::OnlineMonitor monitor_;
   util::TimePoint monitor_watermark_;  ///< last time fed to the monitor
-  std::unordered_map<std::uint32_t, NodeHealth> health_;  ///< writer's copy
+  HealthMap health_;  ///< writer's copy
   std::vector<core::Alert> boot_alerts_;
 
   std::atomic<std::uint64_t> recomputes_{0};

@@ -8,8 +8,8 @@
 //
 // Building is the caller's job (count into offsets[key + 1], prefix-sum,
 // then fill entries through a cursor copy of offsets) because callers fuse
-// the counting passes of several indexes; see LogStore::build_indexes and
-// the JobTable constructor.
+// the counting passes of several indexes; see LogStore::build and the
+// JobTable constructor.
 #pragma once
 
 #include <cstdint>

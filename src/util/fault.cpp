@@ -132,6 +132,15 @@ std::vector<std::string> FaultInjector::summary() const {
   return out;
 }
 
+std::vector<std::string_view> FaultInjector::unfired() const {
+  const std::scoped_lock lock(mutex_);
+  std::vector<std::string_view> out;
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    if (states_[i].armed && !states_[i].fired) out.push_back(kFaultSites[i]);
+  }
+  return out;
+}
+
 void install_fault_injector(FaultInjector* injector) noexcept {
   g_injector.store(injector, std::memory_order_release);
 }

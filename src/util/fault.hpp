@@ -144,6 +144,10 @@ class FaultInjector {
   /// flavor), for the CLI's post-run summary.
   [[nodiscard]] std::vector<std::string> summary() const;
 
+  /// Armed sites that have not fired, in inventory order: a repro run that
+  /// ends with one exercised nothing it was asked to.
+  [[nodiscard]] std::vector<std::string_view> unfired() const;
+
  private:
   struct SiteState {
     bool armed = false;

@@ -4,17 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <thread>
 
 #include "logmodel/cause.hpp"
 #include "logmodel/event_type.hpp"
 #include "logmodel/log_store.hpp"
 #include "logmodel/store_builder.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -324,31 +329,10 @@ std::vector<std::uint32_t> as_vector(std::span<const std::uint32_t> span) {
   return {span.begin(), span.end()};
 }
 
-/// Builds the base store from `base_records`, then checks that
-/// extend(base, fresh) is byte-identical to the constructor over
-/// base ++ fresh.  Each record's detail names its input position, so a
-/// tie broken the wrong way shows up in the record bytes.
-void expect_extend_matches_constructor(std::vector<LogRecord> base_records,
-                                       std::vector<LogRecord> fresh) {
-  SymbolTable base_symbols;
-  for (std::size_t i = 0; i < base_records.size(); ++i) {
-    base_records[i].detail = base_symbols.intern("base" + std::to_string(i));
-  }
-  const LogStore base(base_records, base_symbols);
-  SymbolTable symbols = base.symbols();
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    fresh[i].detail = symbols.intern("fresh" + std::to_string(i));
-  }
-  std::vector<LogRecord> all = base.records();
-  all.insert(all.end(), fresh.begin(), fresh.end());
-  const LogStore want(std::move(all), symbols);
-  const LogStore got = LogStore::extend(base, std::move(fresh), std::move(symbols));
-
+/// Checks `got` against `want`, the constructor over the same records:
+/// section bytes, nodes() and every key's run in each index.
+void expect_same_store(const LogStore& want, const LogStore& got) {
   EXPECT_EQ(section_bytes(want), section_bytes(got));
-  EXPECT_TRUE(std::equal(want.times().begin(), want.times().end(), got.times().begin(),
-                         got.times().end()));
-  EXPECT_TRUE(std::equal(want.types().begin(), want.types().end(), got.types().begin(),
-                         got.types().end()));
   EXPECT_EQ(want.nodes(), got.nodes());
   std::uint32_t max_key = static_cast<std::uint32_t>(kEventTypeCount);
   for (const LogRecord& r : want.records()) {
@@ -372,6 +356,28 @@ void expect_extend_matches_constructor(std::vector<LogRecord> base_records,
               as_vector(got.type_index(static_cast<EventType>(k))))
         << "type " << k;
   }
+}
+
+/// Builds the base store from `base_records`, then checks that
+/// extend(base, fresh) is byte-identical to the constructor over
+/// base ++ fresh.  Each record's detail names its input position, so a
+/// tie broken the wrong way shows up in the record bytes.
+void expect_extend_matches_constructor(std::vector<LogRecord> base_records,
+                                       std::vector<LogRecord> fresh) {
+  SymbolTable base_symbols;
+  for (std::size_t i = 0; i < base_records.size(); ++i) {
+    base_records[i].detail = base_symbols.intern("base" + std::to_string(i));
+  }
+  const LogStore base(base_records, base_symbols);
+  SymbolTable symbols = base.symbols();
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    fresh[i].detail = symbols.intern("fresh" + std::to_string(i));
+  }
+  std::vector<LogRecord> all(base.records().begin(), base.records().end());
+  all.insert(all.end(), fresh.begin(), fresh.end());
+  const LogStore want(std::move(all), symbols);
+  const LogStore got = LogStore::extend(base, std::move(fresh), std::move(symbols));
+  expect_same_store(want, got);
 }
 
 LogRecord blade_only(std::int64_t sec, std::uint32_t blade, std::uint32_t cabinet) {
@@ -484,11 +490,216 @@ TEST(LogStoreExtendTest, SeededRandomSweep) {
   }
 }
 
+// ------------------------------------------------ extend() in place ----
+
+/// A record at `sec` with random type and location (nodes 0-30, blades
+/// 0-8, cabinets 0-3), each location level dropped independently.
+LogRecord random_record(util::Rng& rng, std::int64_t sec) {
+  const auto type = static_cast<EventType>(
+      rng.uniform_int(0, static_cast<std::int64_t>(kEventTypeCount) - 1));
+  LogRecord r = make_record(sec, type, static_cast<std::uint32_t>(rng.uniform_int(0, 30)),
+                            static_cast<std::uint32_t>(rng.uniform_int(0, 8)),
+                            static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+  if (rng.uniform_int(0, 3) == 0) r.node = platform::NodeId{};
+  if (rng.uniform_int(0, 4) == 0) r.blade = platform::BladeId{};
+  if (rng.uniform_int(0, 5) == 0) r.cabinet = platform::CabinetId{};
+  return r;
+}
+
+/// A store grown by extend() one batch at a time, with every record so far
+/// and the table naming each one's position, so the constructor over the
+/// same records is the oracle at every step.
+struct Chain {
+  std::vector<LogRecord> all;
+  SymbolTable symbols;
+  LogStore store;
+
+  explicit Chain(std::vector<LogRecord> base) : all(std::move(base)) {
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i].detail = symbols.intern("r" + std::to_string(i));
+    }
+    store = LogStore(all, symbols);
+  }
+
+  /// The store extended by `fresh`, which `all` and `symbols` absorb.
+  [[nodiscard]] LogStore extended(const LogStore& from, std::vector<LogRecord> fresh) {
+    for (LogRecord& r : fresh) {
+      r.detail = symbols.intern("r" + std::to_string(all.size()));
+      all.push_back(r);
+    }
+    return LogStore::extend(from, std::move(fresh), symbols);
+  }
+
+  void extend(std::vector<LogRecord> fresh) { store = extended(store, std::move(fresh)); }
+
+  [[nodiscard]] LogStore oracle() const { return LogStore(all, symbols); }
+};
+
+TEST(LogStoreInPlaceTest, ChainedExtendsMatchTheConstructorAtEveryStep) {
+  util::Rng rng(31);
+  Chain chain(history());
+  std::int64_t now = 50;
+  for (int step = 0; step < 50; ++step) {
+    std::vector<LogRecord> fresh(step % 2 == 0 ? 1 : static_cast<std::size_t>(rng.uniform_int(2, 6)));
+    for (LogRecord& r : fresh) {
+      r = random_record(rng, now + rng.uniform_int(0, 2));  // dense ties, never earlier
+      if (step % 9 == 4) r.node = platform::NodeId{40 + static_cast<std::uint32_t>(step)};
+      if (step % 11 == 5) r.blade = platform::BladeId{20 + static_cast<std::uint32_t>(step)};
+      if (step % 13 == 6) r.cabinet = platform::CabinetId{9 + static_cast<std::uint32_t>(step)};
+    }
+    for (const LogRecord& r : fresh) now = std::max(now, r.time.unix_seconds());
+    chain.extend(std::move(fresh));
+    SCOPED_TRACE("step " + std::to_string(step));
+    expect_same_store(chain.oracle(), chain.store);
+  }
+}
+
+TEST(LogStoreInPlaceTest, ExtendingOneBaseTwiceLeavesEveryStoreIntact) {
+  // One extend of a constructed store copies it into growable storage, so
+  // `tip` may append in place; the second extend of the same base must not.
+  Chain chain(history());
+  chain.extend({make_record(55, EventType::NodeBoot, 4, 1, 0)});
+  Chain other = chain;  // a second history from the same base
+  const LogStore tip = chain.store;
+  const auto tip_bytes = section_bytes(tip);
+
+  const LogStore first = chain.extended(
+      tip, {make_record(60, EventType::KernelPanic, 4, 1, 0), blade_only(60, 2, 1)});
+  const auto first_bytes = section_bytes(first);
+  const LogStore second = other.extended(
+      tip, {make_record(58, EventType::LustreError, 4, 1, 0), cabinet_only(59, 1),
+            make_record(61, EventType::NodeBoot, 0, 0, 0)});
+  expect_same_store(chain.oracle(), first);
+  expect_same_store(other.oracle(), second);
+  EXPECT_EQ(section_bytes(first), first_bytes);
+  EXPECT_EQ(section_bytes(tip), tip_bytes);
+
+  // `first` is still its chain's tip: growing it leaves `second` alone.
+  const auto second_bytes = section_bytes(second);
+  const LogStore third = chain.extended(first, {make_record(70, EventType::KernelPanic, 4, 1, 0)});
+  expect_same_store(chain.oracle(), third);
+  EXPECT_EQ(section_bytes(second), second_bytes);
+  EXPECT_EQ(section_bytes(first), first_bytes);
+}
+
+TEST(LogStoreInPlaceTest, FullRunsMoveAndStayExact) {
+  // Node 7 starts with a one-entry run; a thousand appends fill it and
+  // move it again and again.
+  std::vector<LogRecord> base = history();
+  base.push_back(make_record(50, EventType::NodeBoot, 7, 1, 0));
+  Chain hot(base);
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    hot.extend({make_record(60 + i, EventType::KernelPanic, 7, 1, 0)});
+    if (i % 50 == 49 || i < 20) {
+      SCOPED_TRACE("hot append " + std::to_string(i));
+      expect_same_store(hot.oracle(), hot.store);
+    }
+  }
+  expect_same_store(hot.oracle(), hot.store);
+
+  // Round robin over every key of every index.
+  Chain spread(history());
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    spread.extend({make_record(60 + i, static_cast<EventType>(i % kEventTypeCount), i % 31,
+                               i % 9, i % 4)});
+    if (i % 100 == 99) {
+      SCOPED_TRACE("round-robin append " + std::to_string(i));
+      expect_same_store(spread.oracle(), spread.store);
+    }
+  }
+}
+
+TEST(LogStoreInPlaceTest, TailAppendsCopyAConstantPerRecord) {
+  util::Rng rng(5);
+  std::vector<LogRecord> base(10000);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    base[i] = random_record(rng, static_cast<std::int64_t>(i / 4));
+  }
+  LogStore store(base);
+  util::MetricsRegistry registry;
+  util::install_metrics(&registry);
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    LogRecord r = random_record(rng, 3000 + i);
+    base.push_back(r);
+    store = LogStore::extend(store, {r}, {});
+  }
+  util::install_metrics(nullptr);
+  // One copy of the base into growable storage (rows, two columns and at
+  // most four index entries per row), then runs that move now and then.
+  // Copying the whole store on every extend would count 10M and more.
+  const std::uint64_t copied = registry.counter("hpcfail.store.extend_copied").value();
+  EXPECT_GT(copied, 0u);
+  EXPECT_LE(copied, 10u * (10000 + 1000));
+  expect_same_store(LogStore(base), store);
+}
+
+TEST(LogStoreInPlaceTest, ReadersOfEarlierEpochsRaceTheWriter) {
+  util::Rng rng(17);
+  std::vector<LogRecord> base(2000);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    base[i] = random_record(rng, static_cast<std::int64_t>(i / 3));
+  }
+  std::mutex mutex;
+  auto current = std::make_shared<const LogStore>(LogStore(base));
+  const auto published = [&] {
+    const std::scoped_lock lock(mutex);
+    return current;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> scans{0};
+  const util::TimePoint all_begin{std::numeric_limits<std::int64_t>::min()};
+  const util::TimePoint all_end{std::numeric_limits<std::int64_t>::max()};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const std::shared_ptr<const LogStore> epoch = published();
+        const LogStore& s = *epoch;
+        const std::size_t n = s.size();
+        std::int64_t last = std::numeric_limits<std::int64_t>::min();
+        for (const LogRecord& r : s.range(all_begin, all_end)) {
+          EXPECT_LE(last, r.time.usec);
+          last = r.time.usec;
+        }
+        std::size_t typed = 0;
+        for (std::size_t k = 0; k < kEventTypeCount; ++k) {
+          for (const std::uint32_t i : s.type_range(static_cast<EventType>(k), all_begin, all_end)) {
+            EXPECT_LT(i, n);
+            EXPECT_EQ(static_cast<std::size_t>(s[i].type), k);
+            ++typed;
+          }
+        }
+        EXPECT_EQ(typed, n);
+        for (std::uint32_t node = 0; node < 31; ++node) {
+          for (const std::uint32_t i : s.node_range(platform::NodeId{node}, all_begin, all_end)) {
+            EXPECT_LT(i, n);
+            EXPECT_EQ(s[i].node.value, node);
+          }
+        }
+        scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (scans.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  for (std::int64_t k = 1; k <= 200; ++k) {
+    std::vector<LogRecord> fresh(static_cast<std::size_t>(rng.uniform_int(1, 3)));
+    for (LogRecord& r : fresh) r = random_record(rng, 1000 + k);
+    base.insert(base.end(), fresh.begin(), fresh.end());
+    auto next = std::make_shared<const LogStore>(LogStore::extend(*published(), fresh, {}));
+    const std::scoped_lock lock(mutex);
+    current = std::move(next);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(scans.load(), 0u);
+  expect_same_store(LogStore(base), *current);
+}
+
 // ------------------------------------------- every way to build a store ----
 
 /// A store is sorted and indexed by construction, whichever way it is made:
 /// the sorting constructor, from_sorted, StoreBuilder, extend (both its
-/// merge and its splice branch) and from_sections build the same rows,
+/// merge and its append branch) and from_sections build the same rows,
 /// columns, indexes, nodes() and symbols from the same records.  Each
 /// record's detail names its input position, so a tie broken the wrong way
 /// shows up in the bytes.
@@ -530,7 +741,7 @@ TEST(LogStoreConstructionTest, EveryWayInBuildsTheSameStore) {
   EXPECT_EQ(section_bytes(LogStore::extend(LogStore({records.begin(), cut}, symbols),
                                            {cut, records.end()}, symbols)),
             want_bytes);
-  // A split in time, so the suffix starts at the prefix's end (splice branch).
+  // A split in time, so the suffix starts at the prefix's end (append branch).
   std::vector<LogRecord> early;
   std::vector<LogRecord> late;
   for (const LogRecord& r : records) {

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
@@ -59,7 +60,8 @@ void usage(std::FILE* to) {
       "\n"
       "--metrics-out, --trace-out and --fault also accept --opt=VALUE form.\n"
       "A faulted run that ends in a structured ingest error exits 3 (the\n"
-      "partial-result accounting is still printed).\n",
+      "partial-result accounting is still printed); otherwise one whose\n"
+      "armed site never fired exits 2.\n",
       to);
 }
 
@@ -239,11 +241,20 @@ int main(int argc, char** argv) {
       std::ofstream(trace_path) << recorder.to_chrome_json() << '\n';
       std::printf("trace           %s\n", trace_path.c_str());
     }
+    // A snapshot is only written from a clean parse — a partial store must
+    // never masquerade as a persisted corpus.  It is written before the
+    // fault summary, so the summary counts the snapshot sites' hits too.
+    std::optional<util::SnapshotError> save_error;
+    if (parsed.ok() && !snapshot_path.empty()) {
+      save_error = parsers::save_snapshot(parsed, snapshot_path);
+      if (!save_error) std::printf("snapshot        %s\n", snapshot_path.c_str());
+    }
     if (!fault_spec.empty()) {
       for (const auto& line : injector.summary()) {
         std::printf("fault           %s\n", line.c_str());
       }
     }
+    if (scratch) std::filesystem::remove_all(dir);
     if (!parsed.ok()) {
       std::fprintf(stderr, "hpcfail-ingest: ingest error: %s\n",
                    parsed.error->to_string().c_str());
@@ -251,23 +262,20 @@ int main(int argc, char** argv) {
                    "hpcfail-ingest: partial result above covers %zu records "
                    "(%zu lines seen, %zu skipped)\n",
                    parsed.parsed_records, parsed.total_lines, parsed.skipped_lines);
-      if (scratch) std::filesystem::remove_all(dir);
       return 3;
     }
-
-    // A snapshot is only written from a clean parse — a partial store must
-    // never masquerade as a persisted corpus.
-    if (!snapshot_path.empty()) {
-      if (const auto err = parsers::save_snapshot(parsed, snapshot_path)) {
-        std::fprintf(stderr, "hpcfail-ingest: %s\n", err->to_string().c_str());
-        if (scratch) std::filesystem::remove_all(dir);
-        return 3;
-      }
-      std::printf("snapshot        %s\n", snapshot_path.c_str());
+    if (save_error) {
+      std::fprintf(stderr, "hpcfail-ingest: %s\n", save_error->to_string().c_str());
+      return 3;
     }
-
-    if (scratch) std::filesystem::remove_all(dir);
-    return 0;
+    // A clean run that never reached an armed site exercised nothing it
+    // was asked to.
+    const std::vector<std::string_view> unfired = injector.unfired();
+    for (const std::string_view site : unfired) {
+      std::fprintf(stderr, "hpcfail-ingest: armed fault site %.*s never fired\n",
+                   static_cast<int>(site.size()), site.data());
+    }
+    return unfired.empty() ? 0 : 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hpcfail-ingest: %s\n", e.what());
     return 1;

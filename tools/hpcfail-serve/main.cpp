@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
@@ -74,7 +75,8 @@ void usage(std::FILE* to) {
       "                     --fault list prints the site inventory)\n"
       "\n"
       "--metrics-out, --trace-out and --fault also accept --opt=VALUE form.\n"
-      "A boot that ends in a structured snapshot/ingest error exits 3.\n",
+      "A boot that ends in a structured snapshot/ingest error exits 3; a\n"
+      "clean session whose armed fault site never fired exits 2.\n",
       to);
 }
 
@@ -309,7 +311,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "hpcfail-serve: fault %s\n", line.c_str());
       }
     }
-    return clean ? 0 : 1;
+    if (!clean) return 1;
+    // A clean run that never reached an armed site exercised nothing it
+    // was asked to.
+    const std::vector<std::string_view> unfired = injector.unfired();
+    for (const std::string_view site : unfired) {
+      std::fprintf(stderr, "hpcfail-serve: armed fault site %.*s never fired\n",
+                   static_cast<int>(site.size()), site.data());
+    }
+    return unfired.empty() ? 0 : 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hpcfail-serve: %s\n", e.what());
     return 1;

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
@@ -53,7 +54,9 @@ void usage(std::FILE* to) {
       "  --out FILE         snapshot path to write (save)\n"
       "  --fault SPEC       arm deterministic fault sites, as in\n"
       "                     hpcfail-ingest (--fault list prints them; the\n"
-      "                     HPCFAIL_FAULT env works too)\n",
+      "                     HPCFAIL_FAULT env works too).  The summary goes\n"
+      "                     to stderr; a run that would exit 0 exits 2 when\n"
+      "                     an armed site never fired\n",
       to);
 }
 
@@ -259,27 +262,43 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (command == "save") {
-      if (out_path.empty() || dir.empty() == !preset) {
-        std::fputs(
-            "hpcfail-store: save needs --out and exactly one of --dir / --preset\n",
-            stderr);
+    const int code = [&] {
+      if (command == "save") {
+        if (out_path.empty() || dir.empty() == !preset) {
+          std::fputs(
+              "hpcfail-store: save needs --out and exactly one of --dir / --preset\n",
+              stderr);
+          return 2;
+        }
+        return run_save(dir, preset, days, seed, threads, out_path);
+      }
+      if (file.empty()) {
+        std::fprintf(stderr, "hpcfail-store: %s needs a snapshot file argument\n",
+                     std::string(command).c_str());
         return 2;
       }
-      return run_save(dir, preset, days, seed, threads, out_path);
-    }
-    if (file.empty()) {
-      std::fprintf(stderr, "hpcfail-store: %s needs a snapshot file argument\n",
+      if (command == "load") return run_load(file);
+      if (command == "info") return run_info(file);
+      if (command == "verify") return run_verify(file);
+      std::fprintf(stderr, "hpcfail-store: unknown command '%s'\n",
                    std::string(command).c_str());
+      usage(stderr);
       return 2;
+    }();
+    if (!fault_spec.empty()) {
+      for (const auto& line : injector.summary()) {
+        std::fprintf(stderr, "hpcfail-store: fault %s\n", line.c_str());
+      }
     }
-    if (command == "load") return run_load(file);
-    if (command == "info") return run_info(file);
-    if (command == "verify") return run_verify(file);
-    std::fprintf(stderr, "hpcfail-store: unknown command '%s'\n",
-                 std::string(command).c_str());
-    usage(stderr);
-    return 2;
+    if (code != 0) return code;
+    // A clean run that never reached an armed site exercised nothing it
+    // was asked to.
+    const std::vector<std::string_view> unfired = injector.unfired();
+    for (const std::string_view site : unfired) {
+      std::fprintf(stderr, "hpcfail-store: armed fault site %.*s never fired\n",
+                   static_cast<int>(site.size()), site.data());
+    }
+    return unfired.empty() ? 0 : 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hpcfail-store: %s\n", e.what());
     return 1;
