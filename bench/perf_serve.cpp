@@ -8,9 +8,11 @@
 // of filling that cache is reported separately as analysis_cold_ms.
 //
 // A second phase sweeps tail-poll cost against store size: daemons booted
-// over S2 7, 28 and 56 days each take kTailPolls polls, every one after
-// appending a single console line newer than all history (a live tail),
-// and the poll_tail() wall time is reported as p50/p99 per size.
+// over S2 7, 28 and 56 days follow a console and a controller tail, as a
+// deployed daemon does, and take kTailPolls record-bearing polls, every one
+// after appending a single line newer than all history (a live tail) to
+// one of the two files in turn, each followed by an empty poll.  The
+// poll_tail() wall time is reported as p50/p99 per size for both kinds.
 //
 // `--json[=PATH]` writes the committed BENCH_serve.json trajectory (best
 // of kRepeats hammer rounds, plus the "tail_poll" rows); without it the
@@ -96,14 +98,16 @@ Round hammer(serve::Server& server, util::ThreadPool& clients,
 struct TailPollRow {
   int days = 0;
   std::size_t records = 0;
-  double p50_ms = 0.0;
+  double p50_ms = 0.0;  ///< record-bearing polls
   double p99_ms = 0.0;
+  double empty_p50_us = 0.0;  ///< polls that find nothing new
+  double empty_p99_us = 0.0;
 };
 
-/// The first console line of `corpus` that parses into a record.
-std::string console_record_line(const loggen::Corpus& corpus,
-                                const platform::Topology& topology) {
-  const parsers::LineParseFn parse = parsers::line_parser_for(logmodel::LogSource::Console);
+/// The first line of `source` in `corpus` that parses into a record.
+std::string record_line(const loggen::Corpus& corpus, const platform::Topology& topology,
+                        logmodel::LogSource source) {
+  const parsers::LineParseFn parse = parsers::line_parser_for(source);
   logmodel::SymbolTable scratch;
   parsers::ParseContext ctx;
   ctx.topo = &topology;
@@ -111,55 +115,83 @@ std::string console_record_line(const loggen::Corpus& corpus,
   const util::CivilTime civil = util::civil_time(corpus.begin);
   ctx.base_year = civil.year;
   ctx.base_month = civil.month;
-  std::istringstream in(corpus.of(logmodel::LogSource::Console));
+  std::istringstream in(corpus.of(source));
   for (std::string line; std::getline(in, line);) {
     if (parse(line, ctx).has_value()) return line;
   }
   return {};
 }
 
-/// Boots a daemon over S2 `days` (seed 42) with a console tail attached,
-/// then times kTailPolls polls, each after appending one console line
-/// retimed past the store's last record.  Returns false if a poll fails or
-/// does not yield exactly its one record.
+/// One followed tail: its file and a line of its source that parses.
+struct BenchTail {
+  std::filesystem::path path;
+  std::string line;
+};
+
+/// Boots a daemon over S2 `days` (seed 42) with a console and a controller
+/// tail attached, then times kTailPolls record-bearing polls, each after
+/// appending one line retimed past the store's last record to the tails in
+/// turn, and after each an empty poll.  Returns false if a poll fails or
+/// does not yield exactly its one record (or, when empty, nothing).
 bool tail_poll_row(int days, util::ThreadPool& pool, TailPollRow& row) {
   const auto sim =
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, days, 42)).run();
   const loggen::Corpus corpus = loggen::build_corpus(sim);
   auto parsed = parsers::parse_corpus(corpus, &pool);
-  const std::string line = console_record_line(corpus, parsed.topology);
-  if (line.empty()) return false;
   const util::TimePoint last = parsed.store.last_time();
   row.days = days;
   row.records = parsed.store.size();
 
-  const std::filesystem::path path = std::filesystem::temp_directory_path() /
-                                     ("perf_serve_tail." + std::to_string(::getpid()) + ".log");
-  std::filesystem::remove(path);
+  std::vector<BenchTail> tails;
+  for (const logmodel::LogSource source :
+       {logmodel::LogSource::Console, logmodel::LogSource::Controller}) {
+    BenchTail tail;
+    tail.path = std::filesystem::temp_directory_path() /
+                ("perf_serve_tail." + std::to_string(::getpid()) + "." +
+                 std::string(logmodel::to_string(source)) + ".log");
+    tail.line = record_line(corpus, parsed.topology, source);
+    if (tail.line.empty()) return false;
+    std::filesystem::remove(tail.path);
+    tails.push_back(std::move(tail));
+  }
   serve::ServerConfig config;
   config.pool = &pool;
   serve::Server server(std::move(parsed), config);
-  server.attach_tail(path.string(), logmodel::LogSource::Console);
+  server.attach_tail(tails[0].path.string(), logmodel::LogSource::Console);
+  server.attach_tail(tails[1].path.string(), logmodel::LogSource::Controller);
 
-  std::vector<double> ms;
-  ms.reserve(kTailPolls);
-  bool ok = true;
-  for (int i = 1; i <= kTailPolls && ok; ++i) {
-    {
-      std::ofstream out(path, std::ios::app | std::ios::binary);
-      out << util::format_iso(last + util::Duration::seconds(i))
-          << line.substr(line.find(' ')) << '\n';
-    }
+  const auto timed_poll = [&server](double& ms) {
     const auto t0 = std::chrono::steady_clock::now();
     const serve::Server::TailPoll poll = server.poll_tail();
-    ms.push_back(std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                     .count());
-    ok = poll.ok() && poll.records == 1;
+    ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    return poll;
+  };
+  std::vector<double> ms;
+  std::vector<double> empty_us;
+  ms.reserve(kTailPolls);
+  empty_us.reserve(kTailPolls);
+  bool ok = true;
+  for (int i = 1; i <= kTailPolls && ok; ++i) {
+    const BenchTail& tail = tails[static_cast<std::size_t>(i) % tails.size()];
+    {
+      std::ofstream out(tail.path, std::ios::app | std::ios::binary);
+      out << util::format_iso(last + util::Duration::seconds(i))
+          << tail.line.substr(tail.line.find(' ')) << '\n';
+    }
+    double poll_ms = 0.0;
+    const serve::Server::TailPoll poll = timed_poll(poll_ms);
+    ms.push_back(poll_ms);
+    const serve::Server::TailPoll empty = timed_poll(poll_ms);
+    empty_us.push_back(1e3 * poll_ms);
+    ok = poll.ok() && poll.records == 1 && empty.ok() && empty.lines == 0;
   }
-  std::filesystem::remove(path);
+  for (const BenchTail& tail : tails) std::filesystem::remove(tail.path);
   std::sort(ms.begin(), ms.end());
+  std::sort(empty_us.begin(), empty_us.end());
   row.p50_ms = percentile(ms, 0.50);
   row.p99_ms = percentile(ms, 0.99);
+  row.empty_p50_us = percentile(empty_us, 0.50);
+  row.empty_p99_us = percentile(empty_us, 0.99);
   return ok;
 }
 
@@ -254,8 +286,11 @@ int main(int argc, char** argv) {
                    days);
       return 1;
     }
-    std::fprintf(stderr, "  %zu records: %d polls, p50 %.2fms, p99 %.2fms\n", row.records,
-                 kTailPolls, row.p50_ms, row.p99_ms);
+    std::fprintf(stderr,
+                 "  %zu records: %d polls, p50 %.3fms, p99 %.3fms; empty p50 %.1fus, "
+                 "p99 %.1fus\n",
+                 row.records, kTailPolls, row.p50_ms, row.p99_ms, row.empty_p50_us,
+                 row.empty_p99_us);
     tail_rows.push_back(row);
   }
 
@@ -286,9 +321,10 @@ int main(int argc, char** argv) {
       const TailPollRow& row = tail_rows[i];
       std::snprintf(buf, sizeof(buf),
                     "%s\n    {\"system\": \"S2\", \"days\": %d, \"records\": %zu, "
-                    "\"polls\": %d, \"p50_ms\": %.2f, \"p99_ms\": %.2f}",
+                    "\"polls\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
+                    "\"empty_p50_us\": %.1f, \"empty_p99_us\": %.1f}",
                     i == 0 ? "" : ",", row.days, row.records, kTailPolls, row.p50_ms,
-                    row.p99_ms);
+                    row.p99_ms, row.empty_p50_us, row.empty_p99_us);
       out << buf;
     }
     out << "\n  ]\n}\n";

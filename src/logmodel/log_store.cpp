@@ -43,6 +43,38 @@ void note_copied(std::size_t elements) {
   }
 }
 
+/// The distinct details of a fresh batch, in first-seen order, and the
+/// batch table they point into.  extend() interns them in that order, so
+/// the ids it assigns follow the batch's input order, not its time sort.
+class FreshDetails {
+ public:
+  FreshDetails(const std::vector<LogRecord>& fresh, const SymbolTable& table) : table_(table) {
+    std::vector<bool> seen(table.size());
+    for (const LogRecord& r : fresh) {
+      const std::uint32_t id = r.detail.id < table.size() ? r.detail.id : 0;
+      if (!seen[id]) {
+        seen[id] = true;
+        order_.push_back(id);
+      }
+    }
+  }
+
+  /// At most this many strings are new to any table.
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+
+  /// Interns every detail into `dest` and points `rows` (records of the
+  /// batch) at dest's ids.
+  void intern(SymbolTable& dest, std::span<LogRecord> rows) const {
+    std::vector<Symbol> remap(table_.size());
+    for (const std::uint32_t id : order_) remap[id] = dest.intern(table_.view(Symbol{id}));
+    for (LogRecord& r : rows) r.detail = r.detail.id < remap.size() ? remap[r.detail.id] : Symbol{};
+  }
+
+ private:
+  const SymbolTable& table_;
+  std::vector<std::uint32_t> order_;  ///< batch ids
+};
+
 /// Calls `fn(first, last)` for each run of equal keys in `keyed`.
 template <class Fn>
 void for_each_key_group(const std::vector<KeyedRow>& keyed, Fn&& fn) {
@@ -56,13 +88,14 @@ void for_each_key_group(const std::vector<KeyedRow>& keyed, Fn&& fn) {
 
 }  // namespace
 
-/// The rows, columns and indexes a chain of stores shares.  Each store
-/// reads a prefix of the columns and, per key, one run of each index.
-/// Packed storage holds exactly one store's CSR indexes and is never
-/// appended to.  Growable storage holds each run in a block of slots with
-/// headroom; the chain's tip appends rows past every view and index
-/// entries past the end of each run, so no slot any store can read is
-/// written again.  No vector here grows past its capacity while a store
+/// The rows, columns, indexes and symbol table a chain of stores shares.
+/// Each store reads a prefix of the columns and of the table's strings
+/// and, per key, one run of each index.  Packed storage holds exactly one
+/// store's CSR indexes and strings and is never appended to.  Growable
+/// storage holds each run in a block of slots with headroom; the chain's
+/// tip appends rows past every view, strings past every view's prefix and
+/// index entries past the end of each run, so no slot any store can read
+/// is written again.  No vector here grows past its capacity while a store
 /// reads it: an append that would is made on a copy instead.
 struct LogStore::Storage {
   /// One growable index: every run, each in its own block of slots.
@@ -90,20 +123,26 @@ struct LogStore::Storage {
     fn(kByType, static_cast<std::uint32_t>(r.type));
   }
 
-  /// Growable storage holding `base`'s rows and runs, with room for `tail`
-  /// and as much again; points `view` at it.
+  /// `base`'s prefix of its storage's symbol table, with room for
+  /// `capacity` strings.
+  static SymbolTable symbols_of(const LogStore& base, std::size_t capacity);
+
+  /// Growable storage holding `base`'s rows, runs and strings, with room
+  /// for `tail`, `details` and as much again; points `view` at it.
   static std::shared_ptr<Storage> copy_of(const LogStore& base, const Tail& tail,
-                                          LogStore& view);
+                                          const FreshDetails& details, LogStore& view);
 
-  /// Whether `tail` appends to `base` here without growing a vector past
-  /// its capacity.  Only the tip may ask.
-  [[nodiscard]] bool fits(const LogStore& base, const Tail& tail) const;
+  /// Whether `tail` and `details` append to `base` here without growing a
+  /// vector past its capacity.  Only the tip may ask.
+  [[nodiscard]] bool fits(const LogStore& base, const Tail& tail,
+                          const FreshDetails& details) const;
 
-  /// Appends `tail` past `view`'s rows and runs and extends `view` over
-  /// it.  Requires fits().
-  void append(LogStore& view, const Tail& tail);
+  /// Appends `tail` past `view`'s rows, runs and strings (interning
+  /// `details`) and extends `view` over it.  Requires fits().
+  void append(LogStore& view, const Tail& tail, const FreshDetails& details);
 
-  /// Points `view`'s cached columns at the first `n` rows here.
+  /// Points `view`'s cached columns at the first `n` rows here and at the
+  /// symbol table as it stands.
   void point_columns(LogStore& view, std::size_t n) const;
 
   const bool packed;
@@ -115,6 +154,7 @@ struct LogStore::Storage {
   std::vector<EventType> types;
   std::array<CsrIndex, kIndexCount> csr;   ///< packed storage
   std::array<Arena, kIndexCount> arenas;  ///< growable storage
+  SymbolTable symbols;
 };
 
 LogStore::Storage::Tail::Tail(std::vector<LogRecord> fresh, std::size_t first_row)
@@ -133,14 +173,24 @@ void LogStore::Storage::point_columns(LogStore& view, std::size_t n) const {
   view.cols_.rows = rows.data();
   view.cols_.times = times.data();
   view.cols_.types = types.data();
+  view.cols_.symbols = symbols.size();
+  view.cols_.details = symbols.views().data();
 }
 
-bool LogStore::Storage::fits(const LogStore& base, const Tail& tail) const {
+SymbolTable LogStore::Storage::symbols_of(const LogStore& base, std::size_t capacity) {
+  static const SymbolTable kNone;
+  return {base.storage_ != nullptr ? base.storage_->symbols : kNone, base.cols_.symbols,
+          capacity};
+}
+
+bool LogStore::Storage::fits(const LogStore& base, const Tail& tail,
+                             const FreshDetails& details) const {
   const std::size_t fresh = tail.rows.size();
   if (rows.capacity() - base.size() < fresh || times.capacity() - base.size() < fresh ||
       types.capacity() - base.size() < fresh) {
     return false;
   }
+  if (symbols.capacity() - base.cols_.symbols < details.size()) return false;
   for (std::size_t i = 0; i < kIndexCount; ++i) {
     const std::vector<Run>& runs = base.index_[i].runs;
     const Arena& arena = arenas[i];
@@ -160,8 +210,10 @@ bool LogStore::Storage::fits(const LogStore& base, const Tail& tail) const {
 
 std::shared_ptr<LogStore::Storage> LogStore::Storage::copy_of(const LogStore& base,
                                                               const Tail& tail,
+                                                              const FreshDetails& details,
                                                               LogStore& view) {
   auto s = std::make_shared<Storage>(false);
+  s->symbols = symbols_of(base, 2 * (base.cols_.symbols + details.size()));
   const std::size_t n = base.size();
   const std::size_t columns = 2 * (n + tail.rows.size());
   s->rows.reserve(columns);
@@ -170,7 +222,7 @@ std::shared_ptr<LogStore::Storage> LogStore::Storage::copy_of(const LogStore& ba
   s->times.assign(base.cols_.times, base.cols_.times + n);
   s->types.reserve(columns);
   s->types.assign(base.cols_.types, base.cols_.types + n);
-  std::size_t copied = 3 * n;
+  std::size_t copied = 3 * n + base.cols_.symbols;
 
   // Each key's run gets room for its fresh entries and as much again, so
   // the append that follows moves nothing.
@@ -211,14 +263,33 @@ std::shared_ptr<LogStore::Storage> LogStore::Storage::copy_of(const LogStore& ba
   return s;
 }
 
-void LogStore::Storage::append(LogStore& view, const Tail& tail) {
+void LogStore::Storage::append(LogStore& view, const Tail& tail, const FreshDetails& details) {
   const std::size_t n = view.size();
   rows.insert(rows.end(), tail.rows.begin(), tail.rows.end());
+  details.intern(symbols, std::span<LogRecord>(rows).subspan(n));
   for (const LogRecord& r : tail.rows) {
     times.push_back(r.time.usec);
     types.push_back(r.type);
   }
   point_columns(view, n + tail.rows.size());
+
+  // nodes() stays shared with the base unless the tail brings a node the
+  // base has no record of.
+  std::vector<platform::NodeId> new_nodes;
+  const std::vector<Run>& node_runs = view.index_[kByNode].runs;
+  for_each_key_group(tail.keyed[kByNode], [&](auto first, auto) {
+    if (first->key >= node_runs.size() || node_runs[first->key].size == 0) {
+      new_nodes.push_back(platform::NodeId{first->key});
+    }
+  });
+  if (!new_nodes.empty()) {
+    const std::vector<platform::NodeId>& old = view.nodes();
+    std::vector<platform::NodeId> nodes;
+    nodes.reserve(old.size() + new_nodes.size());
+    std::set_union(old.begin(), old.end(), new_nodes.begin(), new_nodes.end(),
+                   std::back_inserter(nodes));
+    view.nodes_ = std::make_shared<const std::vector<platform::NodeId>>(std::move(nodes));
+  }
 
   std::optional<util::TraceSpan> moving;  // opened by the first run that moves
   std::size_t copied = 0;
@@ -254,22 +325,11 @@ void LogStore::Storage::append(LogStore& view, const Tail& tail) {
     view.index_[i].entries = arena.entries.data();
   }
   if (copied != 0) note_copied(copied);
-
-  std::vector<platform::NodeId> fresh_nodes;
-  for_each_key_group(tail.keyed[kByNode], [&](auto first, auto) {
-    fresh_nodes.push_back(platform::NodeId{first->key});
-  });
-  std::vector<platform::NodeId> nodes;
-  nodes.reserve(view.nodes_.size() + fresh_nodes.size());
-  std::set_union(view.nodes_.begin(), view.nodes_.end(), fresh_nodes.begin(),
-                 fresh_nodes.end(), std::back_inserter(nodes));
-  view.nodes_ = std::move(nodes);
 }
 
-LogStore::LogStore(std::vector<LogRecord> records, SymbolTable symbols)
-    : symbols_(std::move(symbols)) {
+LogStore::LogStore(std::vector<LogRecord> records, SymbolTable symbols) {
   std::stable_sort(records.begin(), records.end(), time_less);
-  build(std::move(records));
+  build(std::move(records), std::move(symbols));
 }
 
 LogStore LogStore::from_sorted(std::vector<LogRecord> records, SymbolTable symbols) {
@@ -285,30 +345,31 @@ LogStore LogStore::from_sorted(std::vector<LogRecord> records, SymbolTable symbo
         std::to_string(breach->time.usec) + " usec)");
   }
   LogStore store;
-  store.symbols_ = std::move(symbols);
-  store.build(std::move(records));
+  store.build(std::move(records), std::move(symbols));
   return store;
 }
 
 LogStore LogStore::extend(const LogStore& base, std::vector<LogRecord> fresh,
-                          SymbolTable symbols) {
+                          const SymbolTable& fresh_symbols) {
   util::TraceSpan span("hpcfail.store.extend");
+  const FreshDetails details(fresh, fresh_symbols);  // input order, before the sort
   std::stable_sort(fresh.begin(), fresh.end(), time_less);
   const std::size_t n = base.size();
   LogStore out;
-  out.symbols_ = std::move(symbols);
 
   if (n != 0 && !fresh.empty() && time_less(fresh.front(), base[n - 1])) {
     // Fresh records interleave history: a linear merge (base first on
     // ties, as a stable sort of base ++ fresh orders them), then the
     // ordinary index build.
     util::TraceSpan regrow("hpcfail.store.regrow");
-    note_copied(n);
+    note_copied(n + base.cols_.symbols);
+    SymbolTable symbols = Storage::symbols_of(base, base.cols_.symbols + details.size());
+    details.intern(symbols, fresh);
     std::vector<LogRecord> rows;
     rows.reserve(n + fresh.size());
     std::merge(base.records().begin(), base.records().end(), fresh.begin(), fresh.end(),
                std::back_inserter(rows), time_less);
-    out.build(std::move(rows));
+    out.build(std::move(rows), std::move(symbols));
     return out;
   }
 
@@ -328,18 +389,18 @@ LogStore LogStore::extend(const LogStore& base, std::vector<LogRecord> fresh,
   std::uint64_t generation = base.generation_;
   if (storage != nullptr && !storage->packed &&
       storage->tip.compare_exchange_strong(generation, generation + 1) &&
-      storage->fits(base, tail)) {
+      storage->fits(base, tail, details)) {
     out.generation_ = generation + 1;
   } else {
     util::TraceSpan regrow("hpcfail.store.regrow");
-    out.storage_ = Storage::copy_of(base, tail, out);
+    out.storage_ = Storage::copy_of(base, tail, details, out);
     out.generation_ = 0;
   }
-  out.storage_->append(out, tail);
+  out.storage_->append(out, tail, details);
   return out;
 }
 
-void LogStore::build(std::vector<LogRecord> rows) {
+void LogStore::build(std::vector<LogRecord> rows, SymbolTable symbols) {
   const std::size_t n = rows.size();
   std::vector<std::int64_t> times(n);
   std::vector<EventType> types(n);
@@ -387,21 +448,25 @@ void LogStore::build(std::vector<LogRecord> rows) {
   }
 
   // Distinct node ids fall out of the offsets in ascending order for free.
+  std::vector<platform::NodeId> nodes;
   const std::vector<std::uint32_t>& node_offsets = index[kByNode].offsets;
   for (std::uint32_t k = 0; k < keys[kByNode]; ++k) {
-    if (node_offsets[k + 1] > node_offsets[k]) nodes_.push_back(platform::NodeId{k});
+    if (node_offsets[k + 1] > node_offsets[k]) nodes.push_back(platform::NodeId{k});
   }
-  adopt_packed(std::move(rows), std::move(times), std::move(types), std::move(index));
+  nodes_ = std::make_shared<const std::vector<platform::NodeId>>(std::move(nodes));
+  adopt_packed(std::move(rows), std::move(times), std::move(types), std::move(index),
+               std::move(symbols));
 }
 
 void LogStore::adopt_packed(std::vector<LogRecord> rows, std::vector<std::int64_t> times,
                             std::vector<EventType> types,
-                            std::array<CsrIndex, kIndexCount> index) {
+                            std::array<CsrIndex, kIndexCount> index, SymbolTable symbols) {
   auto storage = std::make_shared<Storage>(true);
   storage->rows = std::move(rows);
   storage->times = std::move(times);
   storage->types = std::move(types);
   storage->csr = std::move(index);
+  storage->symbols = std::move(symbols);
   for (std::size_t i = 0; i < kIndexCount; ++i) {
     const std::vector<std::uint32_t>& offsets = storage->csr[i].offsets;
     IndexView& view = index_[i];
@@ -490,7 +555,8 @@ std::span<const std::uint32_t> LogStore::type_index(EventType type) const {
 }
 
 const std::vector<platform::NodeId>& LogStore::nodes() const {
-  return nodes_;
+  static const std::vector<platform::NodeId> kNone;
+  return nodes_ != nullptr ? *nodes_ : kNone;
 }
 
 }  // namespace hpcfail::logmodel

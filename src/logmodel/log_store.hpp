@@ -3,20 +3,22 @@
 // over a structure-of-arrays time column (so the search never drags full
 // records through cache); the per-key indexes keep the correlation passes
 // (which repeatedly ask "events of type T for node N in window W")
-// sub-linear.  The store owns the SymbolTable that resolves every record's
-// interned detail Symbol; string_views returned by detail() stay valid for
-// the store's lifetime.
+// sub-linear.  The store's storage owns the SymbolTable that resolves every
+// record's interned detail Symbol; a store resolves only the ids its own
+// records may use, and string_views returned by detail() stay valid for the
+// store's lifetime.
 //
 // A store is immutable: every way to make one (the sorting constructor,
 // from_sorted, extend, from_sections) returns it sorted and fully indexed,
 // so no query can see unsorted records or stale indexes.
 //
 // A store is a view into storage it shares with the stores extended from
-// it: its row count plus, for each index key, where that key's run starts
-// and how long it is.  Rows and index entries, once written, are never
-// written again, so extend() can append a live tail into the storage past
-// every existing view while other threads read those views.  Every query
-// still returns one contiguous span.
+// it: its row count and symbol count plus, for each index key, where that
+// key's run starts and how long it is.  Rows, index entries, interned
+// strings and node lists, once written, are never written again, so
+// extend() can append a live tail into the storage past every existing
+// view while other threads read those views.  Every query still returns
+// one contiguous span.
 #pragma once
 
 #include <array>
@@ -50,22 +52,23 @@ class LogStore {
                                             SymbolTable symbols = {});
 
   /// Returns exactly the store `LogStore(base.records() ++ fresh, symbols)`
-  /// builds — rows, columns, the four indexes and nodes() — without
-  /// sorting or re-indexing the base.  `symbols` must resolve the Symbols
-  /// of both base and fresh records (a copy of base.symbols() with the
-  /// fresh details interned into it keeps every base id valid).  Only
-  /// `fresh` is stable-sorted.
+  /// builds — rows, columns, the four indexes, nodes() and symbols() —
+  /// without sorting or re-indexing the base, where `symbols` is base's
+  /// table with the fresh details interned into it in `fresh` order.  The
+  /// fresh records' detail Symbols point into `fresh_symbols`, the batch's
+  /// own table.  Only `fresh` is stable-sorted.
   ///
   /// When every fresh record is at or after base.last_time() (a live tail)
   /// and `base` is the newest store of its storage (no store has been
-  /// extended from it yet), the fresh rows and index entries are written
-  /// into that storage past every existing view: amortized O(fresh + key
-  /// space), with base left untouched.  Otherwise the result gets new
-  /// storage: a tail is copied there with headroom for later appends, and
-  /// fresh records that interleave history are merged (base first on ties)
-  /// and indexed afresh.  Safe while other threads read any earlier store.
+  /// extended from it yet), the fresh rows, index entries and strings are
+  /// written into that storage past every existing view: amortized
+  /// O(fresh + key space), with base left untouched.  Otherwise the result
+  /// gets new storage: a tail is copied there with headroom for later
+  /// appends, and fresh records that interleave history are merged (base
+  /// first on ties) and indexed afresh.  Safe while other threads read any
+  /// earlier store.
   [[nodiscard]] static LogStore extend(const LogStore& base, std::vector<LogRecord> fresh,
-                                       SymbolTable symbols);
+                                       const SymbolTable& fresh_symbols);
 
   [[nodiscard]] std::size_t size() const noexcept { return cols_.n; }
   [[nodiscard]] const LogRecord& operator[](std::size_t i) const noexcept {
@@ -75,16 +78,20 @@ class LogStore {
     return {cols_.rows, cols_.n};
   }
 
-  /// The table resolving every record's detail Symbol.
-  [[nodiscard]] const SymbolTable& symbols() const noexcept { return symbols_; }
+  /// The strings this store's detail Symbols resolve to, by id: its
+  /// prefix of the storage's table.
+  [[nodiscard]] std::span<const std::string_view> symbols() const noexcept {
+    return {cols_.details, cols_.symbols};
+  }
 
   /// Resolves a record's detail Symbol; the view is valid while the store
-  /// lives.  The record must belong to this store.
+  /// lives.  The record must belong to this store; ids past symbols()
+  /// resolve to "".
   [[nodiscard]] std::string_view detail(const LogRecord& r) const noexcept {
-    return symbols_.view(r.detail);
+    return r.detail.id < cols_.symbols ? cols_.details[r.detail.id] : std::string_view{};
   }
   [[nodiscard]] std::string_view detail(std::size_t i) const noexcept {
-    return symbols_.view(cols_.rows[i].detail);
+    return detail(cols_.rows[i]);
   }
 
   [[nodiscard]] util::TimePoint first_time() const;
@@ -124,7 +131,8 @@ class LogStore {
   /// All record indexes for an event type (time-ordered).
   [[nodiscard]] std::span<const std::uint32_t> type_index(EventType type) const;
 
-  /// Distinct node ids appearing in the store, sorted (cached at build).
+  /// Distinct node ids appearing in the store, sorted (cached at build and
+  /// shared with every extend that brings no new node).
   [[nodiscard]] const std::vector<platform::NodeId>& nodes() const;
 
   // --- Persistence (store_snapshot.cpp) -----------------------------------
@@ -148,7 +156,7 @@ class LogStore {
   [[nodiscard]] static LogStore from_sections(const util::SectionMap& in);
 
  private:
-  struct Storage;  ///< rows, columns and indexes (log_store.cpp)
+  struct Storage;  ///< rows, columns, indexes and symbols (log_store.cpp)
 
   /// The four indexes, in section order.
   enum Index : std::uint8_t { kByNode, kByBlade, kByCabinet, kByType, kIndexCount };
@@ -170,23 +178,30 @@ class LogStore {
     }
   };
 
-  /// The row count and cached pointers into the storage's columns, so hot
-  /// accessors add no indirection.  A move leaves the source empty rather
-  /// than reading through storage it no longer keeps alive.
+  /// The row and symbol counts and cached pointers into the storage's
+  /// columns and symbol table, so hot accessors add no indirection.  A move
+  /// leaves the source empty rather than reading through storage it no
+  /// longer keeps alive.
   struct Columns {
     std::size_t n = 0;
     const LogRecord* rows = nullptr;
     const std::int64_t* times = nullptr;  ///< rows[i].time.usec
     const EventType* types = nullptr;     ///< rows[i].type
+    std::size_t symbols = 0;              ///< ids this store's records may use
+    const std::string_view* details = nullptr;  ///< the table's id -> text
 
     Columns() = default;
     Columns(const Columns&) = default;
     Columns& operator=(const Columns&) = default;
-    Columns(Columns&& other) noexcept : Columns(other) { other.n = 0; }
+    Columns(Columns&& other) noexcept : Columns(other) { other.clear(); }
     Columns& operator=(Columns&& other) noexcept {
       *this = other;
-      other.n = 0;
+      other.clear();
       return *this;
+    }
+    void clear() noexcept {
+      n = 0;
+      symbols = 0;
     }
   };
 
@@ -194,12 +209,13 @@ class LogStore {
 
   /// Sorted rows in, the tight layout out: exact-sized columns and CSR
   /// indexes (entries grouped by key, time-ordered within each run).
-  void build(std::vector<LogRecord> rows);
+  void build(std::vector<LogRecord> rows, SymbolTable symbols);
 
-  /// Points this view at new packed storage: exactly these columns and
-  /// CSR indexes, never appended to.  Adopts the vectors, copying nothing.
+  /// Points this view at new packed storage: exactly these columns, CSR
+  /// indexes and symbols, never appended to.  Adopts them, copying nothing.
   void adopt_packed(std::vector<LogRecord> rows, std::vector<std::int64_t> times,
-                    std::vector<EventType> types, std::array<CsrIndex, kIndexCount> index);
+                    std::vector<EventType> types, std::array<CsrIndex, kIndexCount> index,
+                    SymbolTable symbols);
 
   /// Index `i` as built, when this store's storage is packed; else null.
   [[nodiscard]] const CsrIndex* packed_index(std::size_t i) const noexcept;
@@ -212,8 +228,8 @@ class LogStore {
   std::uint64_t generation_ = 0;      ///< this view's place in its storage's chain
   Columns cols_;
   std::array<IndexView, kIndexCount> index_;
-  std::vector<platform::NodeId> nodes_;  ///< sorted distinct node ids
-  SymbolTable symbols_;
+  /// Sorted distinct node ids; null for the default store and a moved-from one.
+  std::shared_ptr<const std::vector<platform::NodeId>> nodes_;
 };
 
 }  // namespace hpcfail::logmodel

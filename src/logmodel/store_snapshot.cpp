@@ -96,7 +96,7 @@ void LogStore::append_sections(util::Sections& out) const {
   static_assert(kIndexSections.size() == kIndexCount);
   StoreMeta meta;
   meta.records = size();
-  meta.symbols = symbols_.size();
+  meta.symbols = cols_.symbols;
   out.add_scalar("store.meta", meta);
   out.add_owned("store.records", normalized_records(records()));
   out.add("store.times", std::as_bytes(std::span<const std::int64_t>(cols_.times, cols_.n)));
@@ -124,22 +124,23 @@ void LogStore::append_sections(util::Sections& out) const {
     out.add_owned(prefix + ".offsets", owned_bytes(offsets));
     out.add_owned(prefix + ".entries", owned_bytes(entries));
   }
-  out.add_vector("store.nodes", nodes_);
-  symbols_.append_sections(out, "store.symbols");
+  out.add_vector("store.nodes", nodes());
+  SymbolTable::append_sections(symbols(), out, "store.symbols");
 }
 
 LogStore LogStore::from_sections(const util::SectionMap& in) {
   const auto meta = in.scalar_of<StoreMeta>("store.meta");
   std::vector<LogRecord> records = in.vector_of<LogRecord>("store.records");
   LogStore store;
-  store.symbols_ = SymbolTable::from_sections(in, "store.symbols");
+  SymbolTable symbols = SymbolTable::from_sections(in, "store.symbols");
   std::vector<std::int64_t> times = in.vector_of<std::int64_t>("store.times");
   std::vector<EventType> types = in.vector_of<EventType>("store.types");
   std::array<CsrIndex, kIndexCount> index;
   for (std::size_t i = 0; i < kIndexCount; ++i) {
     index[i] = CsrIndex::from_sections(in, std::string(kIndexSections[i]));
   }
-  store.nodes_ = in.vector_of<platform::NodeId>("store.nodes");
+  store.nodes_ = std::make_shared<const std::vector<platform::NodeId>>(
+      in.vector_of<platform::NodeId>("store.nodes"));
 
   // Validate everything the query paths take for granted; a snapshot that
   // passed its CRCs can still be adversarially wrong, and the contract is
@@ -150,11 +151,10 @@ LogStore LogStore::from_sections(const util::SectionMap& in) {
                              "meta declares " + std::to_string(meta.records) +
                                  " records, section holds " + std::to_string(n));
   }
-  if (meta.symbols != store.symbols_.size()) {
+  if (meta.symbols != symbols.size()) {
     throw util::SectionError("store.symbols.offsets",
                              "meta declares " + std::to_string(meta.symbols) +
-                                 " symbols, section holds " +
-                                 std::to_string(store.symbols_.size()));
+                                 " symbols, section holds " + std::to_string(symbols.size()));
   }
   if (times.size() != n || types.size() != n) {
     throw util::SectionError("store.times", "column lengths disagree with records");
@@ -175,12 +175,12 @@ LogStore LogStore::from_sections(const util::SectionMap& in) {
                                    std::to_string(static_cast<unsigned>(r.type)) +
                                    " past the enum range");
     }
-    if (r.detail.id >= store.symbols_.size()) {
+    if (r.detail.id >= symbols.size()) {
       throw util::SectionError("store.records",
                                "record " + std::to_string(i) +
                                    " references symbol id " +
                                    std::to_string(r.detail.id) + " of " +
-                                   std::to_string(store.symbols_.size()));
+                                   std::to_string(symbols.size()));
     }
   }
   for (std::size_t i = 0; i < kIndexCount; ++i) {
@@ -192,7 +192,8 @@ LogStore LogStore::from_sections(const util::SectionMap& in) {
                              "expected " + std::to_string(kEventTypeCount + 1) +
                                  " offsets, found " + std::to_string(type_offsets.size()));
   }
-  store.adopt_packed(std::move(records), std::move(times), std::move(types), std::move(index));
+  store.adopt_packed(std::move(records), std::move(times), std::move(types), std::move(index),
+                     std::move(symbols));
   return store;
 }
 

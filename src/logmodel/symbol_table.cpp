@@ -10,10 +10,24 @@ namespace hpcfail::logmodel {
 
 SymbolTable::SymbolTable() : slots_(64, 0) { intern({}); }
 
-SymbolTable::SymbolTable(const SymbolTable& other) : SymbolTable() {
-  for (std::size_t i = 1; i < other.views_.size(); ++i) {
-    intern_hashed(other.views_[i], other.hashes_[i]);
-  }
+SymbolTable::SymbolTable(const SymbolTable& other)
+    : SymbolTable(other, other.size(), other.size()) {}
+
+SymbolTable::SymbolTable(const SymbolTable& other, std::size_t n, std::size_t capacity)
+    : SymbolTable() {
+  views_.reserve(std::max(n, capacity));
+  hashes_.reserve(std::max(n, capacity));
+  // Slots for the n strings only: they are the writer's alone, so they
+  // may grow later, and sizing them for `capacity` would clear memory the
+  // table may never use.
+  std::size_t slots = slots_.size();
+  while ((n + 1) * 4 > slots * 3) slots *= 2;
+  if (slots != slots_.size()) rehash(slots);
+  // Through data(): a vector another thread appends to within its
+  // capacity changes its end, never its start.
+  const std::string_view* views = other.views_.data();
+  const std::uint64_t* hashes = other.hashes_.data();
+  for (std::size_t i = 1; i < n; ++i) intern_hashed(views[i], hashes[i]);
 }
 
 SymbolTable& SymbolTable::operator=(const SymbolTable& other) {
@@ -26,7 +40,8 @@ SymbolTable& SymbolTable::operator=(const SymbolTable& other) {
 
 const char* SymbolTable::arena_store(std::string_view text) {
   if (blocks_.empty() || block_used_ + text.size() > kBlockBytes) {
-    blocks_.push_back(std::make_unique<char[]>(std::max(text.size(), kBlockBytes)));
+    blocks_.push_back(
+        std::make_unique_for_overwrite<char[]>(std::max(text.size(), kBlockBytes)));
     block_used_ = 0;
   }
   char* dst = blocks_.back().get() + block_used_;
@@ -59,8 +74,8 @@ std::uint64_t SymbolTable::hash_bytes(std::string_view text) noexcept {
   return h;
 }
 
-void SymbolTable::grow_slots() {
-  std::vector<std::uint32_t> bigger(slots_.size() * 2, 0);
+void SymbolTable::rehash(std::size_t slots) {
+  std::vector<std::uint32_t> bigger(slots, 0);
   const std::size_t mask = bigger.size() - 1;
   for (std::uint32_t id = 0; id < views_.size(); ++id) {
     std::size_t b = hashes_[id] & mask;
@@ -87,7 +102,7 @@ Symbol SymbolTable::intern_hashed(std::string_view text, std::uint64_t hash) {
   payload_bytes_ += text.size();
   slots_[b] = id + 1;
   // Keep load factor under 3/4 so probe chains stay short.
-  if ((views_.size() + 1) * 4 > slots_.size() * 3) grow_slots();
+  if ((views_.size() + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
   return Symbol{id};
 }
 
@@ -107,16 +122,19 @@ std::vector<Symbol> SymbolTable::absorb(const SymbolTable& src) {
   return remap;
 }
 
-void SymbolTable::append_sections(util::Sections& out, const std::string& prefix) const {
+void SymbolTable::append_sections(std::span<const std::string_view> views,
+                                  util::Sections& out, const std::string& prefix) {
   // The arena is block-structured in memory; the serialized form is one
   // flat run (every payload concatenated in id order) plus uint64 fence
   // offsets, so the load side never learns about blocks.
+  std::size_t payload = 0;
+  for (const std::string_view v : views) payload += v.size();
   std::vector<std::byte> bytes;
-  bytes.reserve(payload_bytes_);
+  bytes.reserve(payload);
   std::vector<std::uint64_t> offsets;
-  offsets.reserve(views_.size() + 1);
+  offsets.reserve(views.size() + 1);
   offsets.push_back(0);
-  for (const std::string_view v : views_) {
+  for (const std::string_view v : views) {
     const auto* data = reinterpret_cast<const std::byte*>(v.data());
     bytes.insert(bytes.end(), data, data + v.size());
     offsets.push_back(bytes.size());

@@ -7,14 +7,16 @@
 // removes the per-record allocation from the ingest hot path.
 //
 // Lifetime rules: a string_view returned by view() is valid while the table
-// (or a table it was moved into) lives.  LogStore owns the table for all
-// records it holds; resolve details through the store, not through a
-// builder-side table that may have been consumed.
+// (or a table it was moved into) lives.  A LogStore's storage owns the
+// table for all records it holds; resolve details through the store, not
+// through a builder-side table that may have been consumed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +43,12 @@ class SymbolTable {
   SymbolTable(const SymbolTable& other);
   SymbolTable& operator=(const SymbolTable& other);
 
+  /// A copy of `other`'s first `n` strings under the same ids, with room
+  /// for `capacity` strings before views() moves.  Reads only those `n`
+  /// entries of `other`, which may meanwhile intern within its capacity()
+  /// on another thread.
+  SymbolTable(const SymbolTable& other, std::size_t n, std::size_t capacity);
+
   // Moves keep arena blocks (and the views into them) stable.
   SymbolTable(SymbolTable&&) noexcept = default;
   SymbolTable& operator=(SymbolTable&&) noexcept = default;
@@ -60,6 +68,15 @@ class SymbolTable {
   /// Total interned payload bytes (excludes map/arena overhead).
   [[nodiscard]] std::size_t bytes() const noexcept { return payload_bytes_; }
 
+  /// Strings the table holds before an intern moves views().
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return std::min(views_.capacity(), hashes_.capacity());
+  }
+
+  /// Every string, by id.  The array moves only when an intern grows the
+  /// table past capacity(), and an entry, once written, never changes.
+  [[nodiscard]] std::span<const std::string_view> views() const noexcept { return views_; }
+
   /// Interns every string of `src` into this table and returns the id
   /// remap: remap[old.id] is the Symbol in this table.  Used when merging
   /// per-chunk tables into the builder's table.
@@ -68,7 +85,14 @@ class SymbolTable {
   /// Registers the table as two flat sections: "<prefix>.bytes" (every
   /// string's payload concatenated in id order, owned by `out`) and
   /// "<prefix>.offsets" (uint64[size + 1] delimiting each string).
-  void append_sections(util::Sections& out, const std::string& prefix) const;
+  void append_sections(util::Sections& out, const std::string& prefix) const {
+    append_sections(views_, out, prefix);
+  }
+
+  /// The same two sections for the strings `views`, id by id (a table's
+  /// first views.size() ids).
+  static void append_sections(std::span<const std::string_view> views, util::Sections& out,
+                              const std::string& prefix);
 
   /// Rebuilds a table by re-interning the serialized strings in id order,
   /// so ids are preserved exactly.  Throws util::SectionError when the
@@ -89,7 +113,8 @@ class SymbolTable {
   /// constructor reuse the hashes the source table already paid for.
   Symbol intern_hashed(std::string_view text, std::uint64_t hash);
 
-  void grow_slots();
+  /// Rebuilds the probe table with `slots` slots (a power of two).
+  void rehash(std::size_t slots);
 
   static constexpr std::size_t kBlockBytes = 64 * 1024;
 

@@ -49,10 +49,11 @@ Server::Server(parsers::ParsedCorpus corpus, ServerConfig config)
   // Replay the boot corpus through the monitor so node health covers
   // history, not just the tail.
   boot_alerts_ = monitor_.ingest_all(epoch->store);
-  for (const core::Alert& alert : boot_alerts_) apply_alert(alert, health_);
+  for (const core::Alert& alert : boot_alerts_) apply_alert(alert);
   monitor_watermark_ =
       epoch->store.size() == 0 ? corpus_begin_ : epoch->store.last_time();
   epoch->health = std::make_shared<const HealthMap>(health_);
+  epoch->nodes_down = nodes_down_;
 
   publish(std::move(epoch));
 }
@@ -76,21 +77,27 @@ Server::TailPoll Server::poll_tail() {
   TailPoll out;
   const std::shared_ptr<Epoch> snap = current();
 
+  std::vector<TailReader::Poll> polls;
+  polls.reserve(tails_.size());
+  {
+    util::TraceSpan read("hpcfail.serve.tail_read");
+    for (AttachedTail& tail : tails_) polls.push_back(tail.reader.poll());
+  }
+
   logmodel::SymbolTable scratch;
   parsers::ParseContext ctx = parse_ctx_;
   ctx.symbols = &scratch;
 
   std::vector<logmodel::LogRecord> fresh;  // details interned in `scratch`
-  for (AttachedTail& tail : tails_) {
-    TailReader::Poll poll = tail.reader.poll();
-    if (!poll.ok()) {
-      if (!out.error.has_value()) out.error = poll.error;
-      continue;  // offset did not advance; the next poll retries this tail
-    }
+  for (std::size_t t = 0; t < tails_.size(); ++t) {
+    const TailReader::Poll& poll = polls[t];
+    // An errored tail's offset stopped at the error, so the next poll
+    // retries it; the lines before it were consumed and parse here.
+    if (!poll.ok() && !out.error.has_value()) out.error = poll.error;
     for (const std::string& line : poll.lines) {
       ++out.lines;
       if (line.empty()) continue;
-      if (const auto record = tail.parse(line, ctx)) fresh.push_back(*record);
+      if (const auto record = tails_[t].parse(line, ctx)) fresh.push_back(*record);
     }
   }
   out.records = fresh.size();
@@ -100,43 +107,39 @@ Server::TailPoll Server::poll_tail() {
   }
   if (fresh.empty()) return out;
 
-  // Build the next epoch: the previous store extended by the fresh records,
-  // whose details are interned into a copy of its symbol table (ids are
-  // preserved, so old records stay resolvable).  The batch is time-sorted
-  // here because the monitor below needs it in that order across tails;
-  // extend() sorts its own copy again (a no-op pass on a sorted batch) and
-  // places records that interleave history in time order too.
-  logmodel::SymbolTable symbols = snap->store.symbols();
-  for (logmodel::LogRecord& record : fresh) {
-    record.detail = symbols.intern(scratch.view(record.detail));
-  }
-  std::stable_sort(fresh.begin(), fresh.end(),
-                   [](const logmodel::LogRecord& a, const logmodel::LogRecord& b) {
-                     return a.time < b.time;
-                   });
+  // Build the next epoch: the previous store extended by the fresh records.
+  // extend() interns their details from the poll's own table into the
+  // store's (in place at the chain's tip, so old ids stay valid and no
+  // table is copied) and places records that interleave history in time
+  // order.
   auto next = std::make_shared<Epoch>();
   next->id = snap->id + 1;
-  next->store = logmodel::LogStore::extend(snap->store, fresh, std::move(symbols));
+  next->store = logmodel::LogStore::extend(snap->store, fresh, scratch);
   window_of(next->store, next->begin, next->end);
   next->tail_records = snap->tail_records + fresh.size();
 
-  // Feed the monitor the time-sorted batch, so a record from a tail polled
+  // Feed the monitor the batch time-sorted, so a record from a tail polled
   // later is not dropped behind an earlier tail's newer record.  It
   // requires non-decreasing times; a tail record older than the watermark
   // (its time interleaves already-replayed history) is analyzable but not
   // monitorable.
+  std::stable_sort(fresh.begin(), fresh.end(),
+                   [](const logmodel::LogRecord& a, const logmodel::LogRecord& b) {
+                     return a.time < b.time;
+                   });
   for (const logmodel::LogRecord& record : fresh) {
     if (record.time < monitor_watermark_) {
       if (reg != nullptr) reg->counter("hpcfail.serve.monitor_skipped").increment();
       continue;
     }
     monitor_watermark_ = record.time;
-    for (core::Alert& alert : monitor_.ingest(record, next->store.detail(record))) {
-      apply_alert(alert, health_);
+    for (core::Alert& alert : monitor_.ingest(record, scratch.view(record.detail))) {
+      apply_alert(alert);
       out.alerts.push_back(std::move(alert));
     }
   }
   next->health = out.alerts.empty() ? snap->health : std::make_shared<const HealthMap>(health_);
+  next->nodes_down = nodes_down_;
 
   publish(std::move(next));
   return out;
@@ -238,8 +241,9 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
   return *epoch.analysis;
 }
 
-void Server::apply_alert(const core::Alert& alert, HealthMap& health) {
-  NodeHealth& node = health[alert.node.value];
+void Server::apply_alert(const core::Alert& alert) {
+  NodeHealth& node = health_[alert.node.value];
+  const bool was_down = node.down;
   switch (alert.kind) {
     case core::AlertKind::PatternWarning:
     case core::AlertKind::ExternalEarlyWarning:
@@ -254,6 +258,8 @@ void Server::apply_alert(const core::Alert& alert, HealthMap& health) {
       node.down = false;
       break;
   }
+  if (node.down && !was_down) ++nodes_down_;
+  if (!node.down && was_down) --nodes_down_;
   node.has_alert = true;
   node.last = alert;
 }
@@ -275,10 +281,6 @@ void Server::window_of(const logmodel::LogStore& store, util::TimePoint& begin,
 std::string Server::data_ping() const { return "{\"pong\":true}"; }
 
 std::string Server::data_status(const Epoch& epoch) const {
-  std::size_t down = 0;
-  for (const auto& [id, node] : *epoch.health) {
-    if (node.down) ++down;
-  }
   std::string out = "{\"analysis_recomputes\":";
   append_json_number(out, analysis_recomputes());
   out += ",\"epoch\":";
@@ -286,7 +288,7 @@ std::string Server::data_status(const Epoch& epoch) const {
   out += ",\"nodes\":";
   append_json_number(out, static_cast<std::uint64_t>(epoch.store.nodes().size()));
   out += ",\"nodes_down\":";
-  append_json_number(out, static_cast<std::uint64_t>(down));
+  append_json_number(out, static_cast<std::uint64_t>(epoch.nodes_down));
   out += ",\"records\":";
   append_json_number(out, static_cast<std::uint64_t>(epoch.store.size()));
   out += ",\"system\":";

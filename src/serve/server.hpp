@@ -8,8 +8,9 @@
 // sliding analysis window clipped to ServerConfig::window, and a snapshot
 // of per-node monitor health.  poll_tail() is the single writer: when new
 // records arrive it builds the next Epoch — the previous store extended
-// by the fresh records (LogStore::extend: appended in place past every
-// older epoch's view, no copy of the history, no sort, no re-index) — and
+// by the fresh records (LogStore::extend: rows, index entries and detail
+// strings appended in place past every older epoch's view, no copy of the
+// history or its symbol table, no sort, no re-index) — and
 // swaps the pointer; queries (any thread) copy the pointer once and answer
 // entirely from that Epoch, so every response is consistent with exactly
 // one epoch — no torn reads.
@@ -94,8 +95,8 @@ class Server {
   /// time interleaves history) is stored and analyzed but not monitored,
   /// and counted in hpcfail.serve.monitor_skipped.  Single-writer: call
   /// from one thread at a time (queries may run concurrently).  A tail
-  /// error leaves that tail's offset where it was — the next poll retries
-  /// — and never tears the current epoch.
+  /// error leaves that tail's offset where reading stopped — the next poll
+  /// retries from there — and never tears the current epoch.
   TailPoll poll_tail();
 
   /// Parses and answers one request line; always returns exactly one
@@ -139,6 +140,7 @@ class Server {
     /// epoch's poll raised no alert, so a poll does not copy the health of
     /// every node ever alerted.
     std::shared_ptr<const HealthMap> health;
+    std::size_t nodes_down = 0;  ///< nodes in `health` marked down
 
     // Lazy per-epoch analysis cache, filled at most once under `once`.
     std::once_flag once;
@@ -158,7 +160,8 @@ class Server {
   /// rendered from it) on first use; counts recompute vs cache hit.
   const core::AnalysisResult& analysis_of(Epoch& epoch);
 
-  void apply_alert(const core::Alert& alert, HealthMap& health);
+  /// Folds one alert into the writer's health_ and nodes_down_.
+  void apply_alert(const core::Alert& alert);
 
   /// Window bounds for a store extent under config_.window.
   void window_of(const logmodel::LogStore& store, util::TimePoint& begin,
@@ -192,6 +195,7 @@ class Server {
   core::OnlineMonitor monitor_;
   util::TimePoint monitor_watermark_;  ///< last time fed to the monitor
   HealthMap health_;  ///< writer's copy
+  std::size_t nodes_down_ = 0;  ///< nodes in health_ marked down
   std::vector<core::Alert> boot_alerts_;
 
   std::atomic<std::uint64_t> recomputes_{0};

@@ -361,22 +361,27 @@ void expect_same_store(const LogStore& want, const LogStore& got) {
 /// Builds the base store from `base_records`, then checks that
 /// extend(base, fresh) is byte-identical to the constructor over
 /// base ++ fresh.  Each record's detail names its input position, so a
-/// tie broken the wrong way shows up in the record bytes.
+/// tie broken the wrong way shows up in the record bytes; the fresh
+/// details reach extend() through a batch table of their own, in reverse,
+/// so every fresh id differs from the id it must get.
 void expect_extend_matches_constructor(std::vector<LogRecord> base_records,
                                        std::vector<LogRecord> fresh) {
-  SymbolTable base_symbols;
+  SymbolTable symbols;
   for (std::size_t i = 0; i < base_records.size(); ++i) {
-    base_records[i].detail = base_symbols.intern("base" + std::to_string(i));
+    base_records[i].detail = symbols.intern("base" + std::to_string(i));
   }
-  const LogStore base(base_records, base_symbols);
-  SymbolTable symbols = base.symbols();
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    fresh[i].detail = symbols.intern("fresh" + std::to_string(i));
-  }
+  const LogStore base(base_records, symbols);
   std::vector<LogRecord> all(base.records().begin(), base.records().end());
-  all.insert(all.end(), fresh.begin(), fresh.end());
+  SymbolTable batch;
+  for (std::size_t i = fresh.size(); i-- > 0;) batch.intern("fresh" + std::to_string(i));
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const std::string name = "fresh" + std::to_string(i);
+    fresh[i].detail = symbols.intern(name);
+    all.push_back(fresh[i]);
+    fresh[i].detail = batch.intern(name);
+  }
   const LogStore want(std::move(all), symbols);
-  const LogStore got = LogStore::extend(base, std::move(fresh), std::move(symbols));
+  const LogStore got = LogStore::extend(base, std::move(fresh), batch);
   expect_same_store(want, got);
 }
 
@@ -513,6 +518,7 @@ struct Chain {
   std::vector<LogRecord> all;
   SymbolTable symbols;
   LogStore store;
+  std::string prefix = "r";  ///< of the names extended() gives fresh records
 
   explicit Chain(std::vector<LogRecord> base) : all(std::move(base)) {
     for (std::size_t i = 0; i < all.size(); ++i) {
@@ -522,12 +528,17 @@ struct Chain {
   }
 
   /// The store extended by `fresh`, which `all` and `symbols` absorb.
+  /// Each fresh record's detail is a new string, handed to extend() in a
+  /// batch table of its own.
   [[nodiscard]] LogStore extended(const LogStore& from, std::vector<LogRecord> fresh) {
+    SymbolTable batch;
     for (LogRecord& r : fresh) {
-      r.detail = symbols.intern("r" + std::to_string(all.size()));
+      const std::string name = prefix + std::to_string(all.size());
+      r.detail = symbols.intern(name);
       all.push_back(r);
+      r.detail = batch.intern(name);
     }
-    return LogStore::extend(from, std::move(fresh), symbols);
+    return LogStore::extend(from, std::move(fresh), batch);
   }
 
   void extend(std::vector<LogRecord> fresh) { store = extended(store, std::move(fresh)); }
@@ -560,6 +571,7 @@ TEST(LogStoreInPlaceTest, ExtendingOneBaseTwiceLeavesEveryStoreIntact) {
   Chain chain(history());
   chain.extend({make_record(55, EventType::NodeBoot, 4, 1, 0)});
   Chain other = chain;  // a second history from the same base
+  other.prefix = "o";    // whose new strings are not `chain`'s
   const LogStore tip = chain.store;
   const auto tip_bytes = section_bytes(tip);
 
@@ -574,12 +586,32 @@ TEST(LogStoreInPlaceTest, ExtendingOneBaseTwiceLeavesEveryStoreIntact) {
   EXPECT_EQ(section_bytes(first), first_bytes);
   EXPECT_EQ(section_bytes(tip), tip_bytes);
 
+  // Both extends interned new strings at the same ids, `first` into the
+  // shared table and `second` into a copy; each store resolves only its own.
+  const auto id = static_cast<std::uint32_t>(tip.symbols().size());  // "", r0..r7
+  const auto resolve = [](const LogStore& store, std::uint32_t symbol) {
+    LogRecord probe;
+    probe.detail = Symbol{symbol};
+    return std::string(store.detail(probe));
+  };
+  ASSERT_EQ(first.symbols().size(), id + 2u);
+  ASSERT_EQ(second.symbols().size(), id + 3u);
+  EXPECT_EQ(resolve(tip, id), "");
+  EXPECT_EQ(resolve(first, id), "r8");
+  EXPECT_EQ(resolve(first, id + 1), "r9");
+  EXPECT_EQ(resolve(first, id + 2), "");
+  EXPECT_EQ(resolve(second, id), "o8");
+  EXPECT_EQ(resolve(second, id + 2), "o10");
+
   // `first` is still its chain's tip: growing it leaves `second` alone.
   const auto second_bytes = section_bytes(second);
   const LogStore third = chain.extended(first, {make_record(70, EventType::KernelPanic, 4, 1, 0)});
   expect_same_store(chain.oracle(), third);
   EXPECT_EQ(section_bytes(second), second_bytes);
   EXPECT_EQ(section_bytes(first), first_bytes);
+  EXPECT_EQ(resolve(third, id + 2), "r10");
+  EXPECT_EQ(resolve(first, id + 2), "");
+  EXPECT_EQ(first.symbols().size(), id + 2u);
 }
 
 TEST(LogStoreInPlaceTest, FullRunsMoveAndStayExact) {
@@ -610,37 +642,60 @@ TEST(LogStoreInPlaceTest, FullRunsMoveAndStayExact) {
 }
 
 TEST(LogStoreInPlaceTest, TailAppendsCopyAConstantPerRecord) {
+  // Every record, base and fresh, has a detail string of its own, so the
+  // symbol table grows with the store.
   util::Rng rng(5);
+  SymbolTable symbols;
   std::vector<LogRecord> base(10000);
   for (std::size_t i = 0; i < base.size(); ++i) {
     base[i] = random_record(rng, static_cast<std::int64_t>(i / 4));
+    base[i].detail = symbols.intern("d" + std::to_string(i));
   }
-  LogStore store(base);
+  LogStore store(base, symbols);
   util::MetricsRegistry registry;
   util::install_metrics(&registry);
   for (std::int64_t i = 0; i < 1000; ++i) {
+    const std::string name = "d" + std::to_string(base.size());
     LogRecord r = random_record(rng, 3000 + i);
+    r.detail = symbols.intern(name);
     base.push_back(r);
-    store = LogStore::extend(store, {r}, {});
+    SymbolTable batch;
+    r.detail = batch.intern(name);
+    store = LogStore::extend(store, {r}, batch);
   }
   util::install_metrics(nullptr);
-  // One copy of the base into growable storage (rows, two columns and at
-  // most four index entries per row), then runs that move now and then.
-  // Copying the whole store on every extend would count 10M and more.
+  // One copy of the base into growable storage (rows, two columns, at most
+  // four index entries per row and a string per row), then runs that move
+  // now and then.  Copying the whole store, or only its 10,001 strings, on
+  // every extend would count 10M and more.
   const std::uint64_t copied = registry.counter("hpcfail.store.extend_copied").value();
   EXPECT_GT(copied, 0u);
   EXPECT_LE(copied, 10u * (10000 + 1000));
-  expect_same_store(LogStore(base), store);
+  EXPECT_EQ(store.symbols().size(), symbols.size());
+  expect_same_store(LogStore(base, symbols), store);
 }
 
 TEST(LogStoreInPlaceTest, ReadersOfEarlierEpochsRaceTheWriter) {
+  // Record k carries job id k.  The base shares seven details; every
+  // fresh record gets "d<k>", a string of its own, so the writer interns a
+  // new string per record (outgrowing the table's headroom again and
+  // again) while the readers resolve the details of every row they scan.
   util::Rng rng(17);
+  SymbolTable symbols;
+  const auto name = [](std::int64_t k) {
+    return k < 2000 ? "base" + std::to_string(k % 7) : "d" + std::to_string(k);
+  };
+  const auto numbered = [&name](LogRecord r, std::size_t k, SymbolTable& table) {
+    r.job_id = static_cast<std::int64_t>(k);
+    r.detail = table.intern(name(r.job_id));
+    return r;
+  };
   std::vector<LogRecord> base(2000);
   for (std::size_t i = 0; i < base.size(); ++i) {
-    base[i] = random_record(rng, static_cast<std::int64_t>(i / 3));
+    base[i] = numbered(random_record(rng, static_cast<std::int64_t>(i / 3)), i, symbols);
   }
   std::mutex mutex;
-  auto current = std::make_shared<const LogStore>(LogStore(base));
+  auto current = std::make_shared<const LogStore>(LogStore(base, symbols));
   const auto published = [&] {
     const std::scoped_lock lock(mutex);
     return current;
@@ -660,6 +715,7 @@ TEST(LogStoreInPlaceTest, ReadersOfEarlierEpochsRaceTheWriter) {
         for (const LogRecord& r : s.range(all_begin, all_end)) {
           EXPECT_LE(last, r.time.usec);
           last = r.time.usec;
+          EXPECT_EQ(s.detail(r), name(r.job_id));
         }
         std::size_t typed = 0;
         for (std::size_t k = 0; k < kEventTypeCount; ++k) {
@@ -683,16 +739,20 @@ TEST(LogStoreInPlaceTest, ReadersOfEarlierEpochsRaceTheWriter) {
   while (scans.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   for (std::int64_t k = 1; k <= 200; ++k) {
     std::vector<LogRecord> fresh(static_cast<std::size_t>(rng.uniform_int(1, 3)));
-    for (LogRecord& r : fresh) r = random_record(rng, 1000 + k);
-    base.insert(base.end(), fresh.begin(), fresh.end());
-    auto next = std::make_shared<const LogStore>(LogStore::extend(*published(), fresh, {}));
+    SymbolTable batch;
+    for (LogRecord& r : fresh) {
+      const LogRecord record = random_record(rng, 1000 + k);
+      r = numbered(record, base.size(), batch);
+      base.push_back(numbered(record, base.size(), symbols));
+    }
+    auto next = std::make_shared<const LogStore>(LogStore::extend(*published(), fresh, batch));
     const std::scoped_lock lock(mutex);
     current = std::move(next);
   }
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
   EXPECT_GT(scans.load(), 0u);
-  expect_same_store(LogStore(base), *current);
+  expect_same_store(LogStore(base, symbols), *current);
 }
 
 // ------------------------------------------- every way to build a store ----
@@ -702,13 +762,12 @@ TEST(LogStoreInPlaceTest, ReadersOfEarlierEpochsRaceTheWriter) {
 /// merge and its append branch) and from_sections build the same rows,
 /// columns, indexes, nodes() and symbols from the same records.  Each
 /// record's detail names its input position, so a tie broken the wrong way
-/// shows up in the bytes.
+/// shows up in the bytes.  The records before t = 60 come first in input
+/// order, so a cut there is a split in time.
 TEST(LogStoreConstructionTest, EveryWayInBuildsTheSameStore) {
   util::Rng rng(99);
-  SymbolTable symbols;
   std::vector<LogRecord> records(600);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    LogRecord& r = records[i];
+  for (LogRecord& r : records) {
     const auto type = static_cast<EventType>(
         rng.uniform_int(0, static_cast<std::int64_t>(kEventTypeCount) - 1));
     r = make_record(rng.uniform_int(0, 120), type,
@@ -718,7 +777,15 @@ TEST(LogStoreConstructionTest, EveryWayInBuildsTheSameStore) {
     if (rng.uniform_int(0, 3) == 0) r.node = platform::NodeId{};
     if (rng.uniform_int(0, 4) == 0) r.blade = platform::BladeId{};
     if (rng.uniform_int(0, 5) == 0) r.cabinet = platform::CabinetId{};
-    r.detail = symbols.intern("r" + std::to_string(i));
+  }
+  const util::TimePoint split = util::TimePoint::from_unix_seconds(60);
+  const auto early = static_cast<std::size_t>(
+      std::stable_partition(records.begin(), records.end(),
+                            [split](const LogRecord& r) { return r.time < split; }) -
+      records.begin());
+  SymbolTable symbols;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].detail = symbols.intern("r" + std::to_string(i));
   }
   const LogStore want(records, symbols);
   const auto want_bytes = section_bytes(want);
@@ -736,20 +803,35 @@ TEST(LogStoreConstructionTest, EveryWayInBuildsTheSameStore) {
   }
   EXPECT_EQ(section_bytes(builder.build()), want_bytes);
 
-  // A prefix in input order, so the suffix interleaves it (merge branch).
-  const auto cut = records.begin() + 400;
-  EXPECT_EQ(section_bytes(LogStore::extend(LogStore({records.begin(), cut}, symbols),
-                                           {cut, records.end()}, symbols)),
-            want_bytes);
+  // extend() of the first `cut` records, with only their strings, by the
+  // rest, whose strings are new to it and arrive in a batch table of their
+  // own (in reverse, so no batch id is the id the store gives it).
+  const auto extended = [&](std::size_t cut) {
+    const LogStore base({records.begin(), records.begin() + static_cast<std::ptrdiff_t>(cut)},
+                        SymbolTable(symbols, cut + 1, 0));
+    std::vector<LogRecord> fresh(records.begin() + static_cast<std::ptrdiff_t>(cut),
+                                 records.end());
+    SymbolTable batch;
+    for (auto r = fresh.rbegin(); r != fresh.rend(); ++r) batch.intern(symbols.view(r->detail));
+    for (LogRecord& r : fresh) r.detail = batch.intern(symbols.view(r.detail));
+    EXPECT_EQ(base.symbols().size(), cut + 1);
+    return LogStore::extend(base, std::move(fresh), batch);
+  };
+  // A cut among the later records, so the suffix interleaves the prefix
+  // (merge branch).
+  const std::size_t interleaved = (early + records.size()) / 2;
+  const auto latest_before = std::max_element(
+      records.begin(), records.begin() + static_cast<std::ptrdiff_t>(interleaved),
+      [](const LogRecord& a, const LogRecord& b) { return a.time < b.time; });
+  const auto earliest_after = std::min_element(
+      records.begin() + static_cast<std::ptrdiff_t>(interleaved), records.end(),
+      [](const LogRecord& a, const LogRecord& b) { return a.time < b.time; });
+  ASSERT_LT(earliest_after->time, latest_before->time);
+  EXPECT_EQ(section_bytes(extended(interleaved)), want_bytes);
   // A split in time, so the suffix starts at the prefix's end (append branch).
-  std::vector<LogRecord> early;
-  std::vector<LogRecord> late;
-  for (const LogRecord& r : records) {
-    (r.time < util::TimePoint::from_unix_seconds(60) ? early : late).push_back(r);
-  }
-  EXPECT_EQ(section_bytes(LogStore::extend(LogStore(std::move(early), symbols),
-                                           std::move(late), symbols)),
-            want_bytes);
+  ASSERT_GT(early, 0u);
+  ASSERT_LT(early, records.size());
+  EXPECT_EQ(section_bytes(extended(early)), want_bytes);
 
   util::Sections sections;
   want.append_sections(sections);

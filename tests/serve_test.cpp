@@ -524,6 +524,45 @@ TEST(TailReaderTest, TruncationRestartsAtTheFirstByte) {
   EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 1u);
 }
 
+TEST(TailReaderTest, RenameRotationDrainsTheOldFileThenRestarts) {
+  const ScratchFile file("tail_rename.log");
+  const ScratchFile rotated("tail_rename.log.1");
+  serve::TailReader reader(file.path());
+  ScopedMetrics metrics;
+
+  file.append("old-1\n");
+  auto poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll.lines, std::vector<std::string>{"old-1"});
+
+  // `mv f f.1`: a writer that still has the old file open keeps appending
+  // to it.  With nothing at the path the poll is empty.
+  std::ofstream writer(file.path(), std::ios::app | std::ios::binary);
+  std::filesystem::rename(file.path(), rotated.path());
+  writer << "old-2\nold-3-partial" << std::flush;
+  poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  EXPECT_TRUE(poll.lines.empty());
+
+  // `touch f` and new lines, past the old offset by the next poll: the old
+  // file's complete lines come first, then the new file from byte 0.
+  file.append("new-1-aaaaaaaaaaaaaaaa\nnew-2\n");
+  poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  EXPECT_EQ(poll.lines, (std::vector<std::string>{"old-2", "new-1-aaaaaaaaaaaaaaaa", "new-2"}));
+  EXPECT_EQ(reader.offset(), std::string("new-1-aaaaaaaaaaaaaaaa\nnew-2\n").size());
+  EXPECT_EQ(metrics.counter("hpcfail.serve.tail_rotations"), 1u);
+  EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 0u);
+
+  // The reader follows the new file only.
+  writer << "\nold-4\n" << std::flush;
+  file.append("new-3\n");
+  poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  EXPECT_EQ(poll.lines, std::vector<std::string>{"new-3"});
+  EXPECT_EQ(metrics.counter("hpcfail.serve.tail_rotations"), 1u);
+}
+
 TEST(TailReaderTest, SchedulerTailsAreRejected) {
   Booted booted = boot(platform::SystemName::S2, 1, 4242);
   EXPECT_THROW(
