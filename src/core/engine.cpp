@@ -6,6 +6,13 @@
 
 namespace hpcfail::core {
 
+namespace {
+
+/// Consecutive failures closer than this form one spatio-temporal cluster.
+constexpr util::Duration kClusterGap = util::Duration::minutes(30);
+
+}  // namespace
+
 AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
                                        const jobs::JobTable* jobs,
                                        util::TimePoint begin, util::TimePoint end) const {
@@ -45,7 +52,7 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
   }
   {
     util::TraceSpan span("hpcfail.engine.analyzer_clusters");
-    out.clusters = cluster_failures(failures, config_.cluster_gap);
+    out.clusters = cluster_failures(failures, kClusterGap);
     out.cluster_summary = summarize_clusters(out.clusters);
   }
   return out;

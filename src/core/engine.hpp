@@ -36,8 +36,6 @@ namespace hpcfail::core {
 struct AnalysisConfig {
   DetectorConfig detector;
   LeadTimeConfig lead_time;
-  /// Consecutive failures closer than this form one spatio-temporal cluster.
-  util::Duration cluster_gap = util::Duration::minutes(30);
   /// When non-null the per-failure stages shard over this pool; results
   /// are assembled index-ordered, byte-identical to the serial path.
   util::ThreadPool* pool = nullptr;

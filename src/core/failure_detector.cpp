@@ -11,6 +11,17 @@ using logmodel::EventType;
 using logmodel::LogRecord;
 using logmodel::LogStore;
 
+namespace {
+
+/// Slack for job attribution around the failure time.
+constexpr util::Duration kJobSlack = util::Duration::minutes(3);
+/// A run of failures with consecutive gaps <= kSwoGap covering at least
+/// swo_min_nodes distinct nodes is a system-wide outage, not node
+/// failures (the paper excludes SWOs: <3% of anomalous failures).
+constexpr util::Duration kSwoGap = util::Duration::seconds(20);
+
+}  // namespace
+
 Detection FailureDetector::detect_full(const LogStore& store,
                                        const jobs::JobTable* jobs) const {
   Detection result;
@@ -69,7 +80,7 @@ Detection FailureDetector::detect_full(const LogStore& store,
     }
 
     if (ev.job_id == logmodel::kNoJob && jobs != nullptr) {
-      if (const auto* job = jobs->job_on_node_at(ev.node, ev.time, config_.job_slack)) {
+      if (const auto* job = jobs->job_on_node_at(ev.node, ev.time, kJobSlack)) {
         ev.job_id = job->job_id;
       }
     }
@@ -85,7 +96,7 @@ Detection FailureDetector::detect_full(const LogStore& store,
   std::size_t i = 0;
   while (i < out.size()) {
     std::size_t j = i;
-    while (j + 1 < out.size() && out[j + 1].time - out[j].time <= config_.swo_gap) ++j;
+    while (j + 1 < out.size() && out[j + 1].time - out[j].time <= kSwoGap) ++j;
     const std::size_t cluster = j - i + 1;
     if (cluster >= config_.swo_min_nodes) {
       result.swos.push_back({out[i].time, out[j].time, cluster});

@@ -41,12 +41,8 @@ inline constexpr util::Duration kInternalLookback = util::Duration::minutes(30);
 struct DetectorConfig {
   /// Markers on the same node within this window merge into one failure.
   util::Duration dedup_window = util::Duration::minutes(10);
-  /// Slack for job attribution around the failure time.
-  util::Duration job_slack = util::Duration::minutes(3);
-  /// A run of failures with consecutive gaps <= swo_gap covering at least
-  /// swo_min_nodes distinct nodes is a system-wide outage, not node
-  /// failures (the paper excludes SWOs: <3% of anomalous failures).
-  util::Duration swo_gap = util::Duration::seconds(20);
+  /// A run of near-simultaneous failures (kSwoGap, failure_detector.cpp)
+  /// covering at least this many distinct nodes is a system-wide outage.
   std::size_t swo_min_nodes = 50;
 };
 

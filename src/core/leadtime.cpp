@@ -11,6 +11,19 @@ namespace hpcfail::core {
 using logmodel::EventType;
 using logmodel::LogRecord;
 
+namespace {
+
+/// The external indicator must precede the first internal indicator by at
+/// least this much to count as an enhancement.
+constexpr util::Duration kMinGain = util::Duration::seconds(30);
+/// Paper: "the early indicators were absent during normal operation".
+/// An indicator only counts when its type was quiet on the blade over
+/// this reference window preceding the search window; this rejects the
+/// ambient warning storms of deviant blades.
+constexpr util::Duration kQuietWindow = util::Duration::hours(6);
+
+}  // namespace
+
 LeadTimeAnalyzer::LeadTimeAnalyzer(const logmodel::LogStore& store, LeadTimeConfig config)
     : store_(store), config_(config) {}
 
@@ -18,7 +31,7 @@ bool LeadTimeAnalyzer::quiet_before(platform::BladeId blade, platform::NodeId no
                                     logmodel::EventType type,
                                     util::TimePoint window_start) const {
   for (const std::uint32_t idx : store_.blade_range(
-           blade, window_start - config_.quiet_window, window_start)) {
+           blade, window_start - kQuietWindow, window_start)) {
     const LogRecord& r = store_[idx];
     if (r.type != type) continue;
     if (r.has_node() && r.node != node) continue;
@@ -40,9 +53,7 @@ std::optional<util::TimePoint> LeadTimeAnalyzer::earliest_external(
     if (r.type == EventType::NodeHeartbeatFault) continue;
     // Node-scoped indicators must be for this node.
     if (r.has_node() && r.node != node) continue;
-    if (config_.require_quiet_baseline && !quiet_before(blade, node, r.type, begin)) {
-      continue;  // ambient on this blade, not an anomaly
-    }
+    if (!quiet_before(blade, node, r.type, begin)) continue;  // ambient, not an anomaly
     return r.time;
   }
   return std::nullopt;
@@ -58,7 +69,7 @@ std::vector<FailureLeadTime> LeadTimeAnalyzer::lead_times(
     lt.internal_lead = f.event.time - f.event.first_internal;
     if (const auto external = earliest_external(f.event.node, f.event.blade, f.event.time)) {
       const util::Duration external_lead = f.event.time - *external;
-      if (external_lead - lt.internal_lead >= config_.min_gain) {
+      if (external_lead - lt.internal_lead >= kMinGain) {
         lt.external_lead = external_lead;
       }
     }

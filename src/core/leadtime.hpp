@@ -24,15 +24,6 @@ namespace hpcfail::core {
 struct LeadTimeConfig {
   /// How far before the failure external indicators are searched.
   util::Duration external_lookback = util::Duration::hours(2);
-  /// The external indicator must precede the first internal indicator by at
-  /// least this much to count as an enhancement.
-  util::Duration min_gain = util::Duration::seconds(30);
-  /// Paper: "the early indicators were absent during normal operation".
-  /// An indicator only counts when its type was quiet on the blade over
-  /// the reference window preceding the search window; this rejects the
-  /// ambient warning storms of deviant blades.
-  bool require_quiet_baseline = true;
-  util::Duration quiet_window = util::Duration::hours(6);
 };
 
 struct FailureLeadTime {
@@ -107,12 +98,12 @@ class LeadTimeAnalyzer {
   /// Time of the earliest external indicator correlated with `node` on
   /// `blade` in the external lookback before `t`, if any: not an NHF, on
   /// this node when node-scoped, and quiet on the blade over the preceding
-  /// baseline window when the config asks for one.
+  /// baseline window.
   [[nodiscard]] std::optional<util::TimePoint> earliest_external(platform::NodeId node,
                                                                  platform::BladeId blade,
                                                                  util::TimePoint t) const;
   /// True when `type` did not occur on the blade during the quiet window
-  /// preceding `window_start`.
+  /// (kQuietWindow, leadtime.cpp) preceding `window_start`.
   [[nodiscard]] bool quiet_before(platform::BladeId blade, platform::NodeId node,
                                   logmodel::EventType type,
                                   util::TimePoint window_start) const;

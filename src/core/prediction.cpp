@@ -1,11 +1,30 @@
 #include "core/prediction.hpp"
 
 #include <algorithm>
+#include <cstdint>
+
+#include "util/rng.hpp"
 
 namespace hpcfail::core {
 
 using logmodel::EventType;
 using logmodel::LogRecord;
+
+namespace {
+
+/// Feature windows: internal indicators on the node, external ones on its
+/// blade, looking back from the sample time.
+constexpr util::Duration kInternalWindow = util::Duration::minutes(30);
+constexpr util::Duration kExternalWindow = util::Duration::hours(1);
+/// A positive example is sampled this far before each failure.
+constexpr util::Duration kPositiveOffset = util::Duration::minutes(2);
+/// Negatives per positive, sampled at (node, time) pairs with no failure
+/// within the horizon.
+constexpr double kNegativesPerPositive = 3.0;
+constexpr util::Duration kFailureHorizon = util::Duration::hours(1);
+constexpr std::uint64_t kNegativeSeed = 1234;
+
+}  // namespace
 
 std::vector<std::string> feature_names(const FeatureConfig& config) {
   std::vector<std::string> names = {
@@ -24,10 +43,10 @@ std::vector<double> FeatureExtractor::extract(platform::NodeId node,
                                               util::TimePoint t) const {
   double hw = 0, mce = 0, lustre = 0, memory = 0, kernel = 0, nhc = 0;
   std::array<bool, logmodel::kEventTypeCount> seen{};
-  util::TimePoint last{t.usec - config_.internal_window.usec};
+  util::TimePoint last{t.usec - kInternalWindow.usec};
 
   for (const std::uint32_t idx :
-       store_.node_range(node, t - config_.internal_window, t)) {
+       store_.node_range(node, t - kInternalWindow, t)) {
     const LogRecord& r = store_[idx];
     if (!logmodel::is_internal_indicator(r.type)) continue;
     seen[static_cast<std::size_t>(r.type)] = true;
@@ -60,7 +79,7 @@ std::vector<double> FeatureExtractor::extract(platform::NodeId node,
   if (config_.include_external && blade.valid()) {
     double ec_hw = 0, voltage = 0, link = 0, sedc = 0;
     for (const std::uint32_t idx :
-         store_.blade_range(blade, t - config_.external_window, t)) {
+         store_.blade_range(blade, t - kExternalWindow, t)) {
       const LogRecord& r = store_[idx];
       if (r.has_node() && r.node != node) continue;
       switch (r.type) {
@@ -87,15 +106,15 @@ LabeledDataset build_dataset(const logmodel::LogStore& store,
   // Positives: just before each failure.
   for (const auto& f : failures) {
     dataset.features.push_back(
-        extractor.extract(f.event.node, f.event.blade, f.event.time - config.positive_offset));
+        extractor.extract(f.event.node, f.event.blade, f.event.time - kPositiveOffset));
     dataset.labels.push_back(1);
     ++dataset.positives;
   }
 
   // Negatives: random (node, time) pairs with no failure within the horizon.
-  util::Rng rng(config.seed);
+  util::Rng rng(kNegativeSeed);
   const auto wanted = static_cast<std::size_t>(
-      config.negatives_per_positive * static_cast<double>(dataset.positives));
+      kNegativesPerPositive * static_cast<double>(dataset.positives));
   const util::TimePoint begin = store.first_time();
   const util::TimePoint end = store.last_time();
   if (end <= begin || node_count == 0) return dataset;
@@ -110,7 +129,7 @@ LabeledDataset build_dataset(const logmodel::LogStore& store,
     bool near_failure = false;
     for (const auto& f : failures) {
       if (f.event.node == node &&
-          std::abs((f.event.time - t).usec) <= config.failure_horizon.usec) {
+          std::abs((f.event.time - t).usec) <= kFailureHorizon.usec) {
         near_failure = true;
         break;
       }

@@ -14,13 +14,10 @@
 #include "core/root_cause.hpp"
 #include "logmodel/log_store.hpp"
 #include "stats/logistic.hpp"
-#include "util/rng.hpp"
 
 namespace hpcfail::core {
 
 struct FeatureConfig {
-  util::Duration internal_window = util::Duration::minutes(30);
-  util::Duration external_window = util::Duration::hours(1);
   bool include_external = true;
 };
 
@@ -49,13 +46,6 @@ struct LabeledDataset {
 
 struct DatasetConfig {
   FeatureConfig features;
-  /// A positive example is sampled this far before each failure.
-  util::Duration positive_offset = util::Duration::minutes(2);
-  /// Negatives per positive, sampled at (node, time) pairs with no failure
-  /// within the horizon.
-  double negatives_per_positive = 3.0;
-  util::Duration failure_horizon = util::Duration::hours(1);
-  std::uint64_t seed = 1234;
 };
 
 /// Builds a training/evaluation dataset from a corpus and its detected

@@ -12,7 +12,7 @@
 
 namespace hpcfail::parsers {
 
-ParsedCorpus parse_corpus(const loggen::Corpus& corpus, util::ThreadPool* pool) {
+IngestResult ingest_corpus(const loggen::Corpus& corpus, const IngestOptions& options) {
   std::array<std::optional<util::MemoryStream>, logmodel::kLogSourceCount> streams;
   std::vector<SourceStream> sources;
   for (std::size_t i = 0; i < corpus.text.size(); ++i) {
@@ -20,9 +20,13 @@ ParsedCorpus parse_corpus(const loggen::Corpus& corpus, util::ThreadPool* pool) 
     streams[i].emplace(corpus.text[i]);
     sources.push_back({static_cast<logmodel::LogSource>(i), &*streams[i]});
   }
+  return ingest_stream(corpus, sources, options);
+}
+
+ParsedCorpus parse_corpus(const loggen::Corpus& corpus, util::ThreadPool* pool) {
   IngestOptions options;
   options.pool = pool;
-  IngestResult result = ingest_stream(corpus, sources, options);
+  IngestResult result = ingest_corpus(corpus, options);
   // In-memory text has no I/O to fail, but an allocation can: never hand a
   // caller a silently partial corpus.
   if (result.error) {

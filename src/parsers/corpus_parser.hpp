@@ -1,9 +1,9 @@
 // Whole-corpus ingestion of in-memory text: raw text of all sources ->
-// LogStore + JobTable.  parse_corpus is a thin adapter that feeds each
-// source text to parsers::ingest_stream (parsers/ingest.hpp) as a
-// zero-copy in-memory stream, so a corpus in RAM and the same corpus on
-// disk take one parse path and yield identical results.  Malformed or
-// irrelevant lines are counted, never fatal.
+// LogStore + JobTable.  parse_corpus is a thin wrapper over
+// parsers::ingest_corpus (parsers/ingest.hpp), which feeds each source
+// text to ingest_stream as a zero-copy in-memory stream, so a corpus in
+// RAM and the same corpus on disk take one parse path and yield identical
+// results.  Malformed or irrelevant lines are counted, never fatal.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +32,7 @@ struct ParsedCorpus {
 /// default pool is used; pass a 1-thread pool for fully serial parsing.
 /// Throws std::bad_alloc when the ingest runs out of memory (and
 /// std::runtime_error for any other ingest error) instead of returning a
-/// partial corpus.
+/// partial corpus; ingest_corpus returns the error and the partial result.
 [[nodiscard]] ParsedCorpus parse_corpus(const loggen::Corpus& corpus,
                                         util::ThreadPool* pool = nullptr);
 

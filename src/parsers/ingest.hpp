@@ -32,8 +32,9 @@
 // fault sites (util/fault.hpp) let the sweep in tests/faultinject_test.cpp
 // provoke every degraded ending.
 //
-// This is the only parse path: parse_corpus() (parsers/corpus_parser.hpp)
-// is ingest_stream() over in-memory streams.  tests/ingest_test.cpp pins
+// This is the only parse path: ingest_corpus() is ingest_stream() over
+// in-memory streams, and parse_corpus() (parsers/corpus_parser.hpp) wraps
+// it, throwing on an ingest error.  tests/ingest_test.cpp pins
 // that file-backed and in-memory streams of the same corpus bytes produce
 // identical ParsedCorpus contents (record order, indexes, line counts) for
 // any chunk geometry and source order.
@@ -102,6 +103,13 @@ struct IngestResult : ParsedCorpus {
 /// data-plane failures come back as IngestResult::error.
 [[nodiscard]] IngestResult ingest_files(const std::string& dir,
                                         const IngestOptions& options = {});
+
+/// Streams the in-memory text of `corpus` through the same pipeline, as
+/// zero-copy memory streams.  An ingest error comes back as
+/// IngestResult::error, with the partial result; parse_corpus
+/// (parsers/corpus_parser.hpp) is this function's throwing wrapper.
+[[nodiscard]] IngestResult ingest_corpus(const loggen::Corpus& corpus,
+                                         const IngestOptions& options = {});
 
 /// Lower-level entry: `header` carries the manifest fields (system,
 /// topology, window); `sources` are parsed in the canonical source order

@@ -1,4 +1,4 @@
-// The hpcfail-serve wire protocol: line-delimited JSON, one request and
+// The `hpcfail serve` wire protocol: line-delimited JSON, one request and
 // one response per line (grammar in FORMATS.md "serve protocol", DESIGN.md
 // §14).
 //

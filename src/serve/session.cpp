@@ -130,7 +130,7 @@ bool run_socket_server(Server& server, const std::string& path,
                        const SessionOptions& options) {
   sockaddr_un addr{};
   if (!unix_address(path, addr)) {
-    std::cerr << "hpcfail-serve: socket path too long: " << path << "\n";
+    std::cerr << "hpcfail serve: socket path too long: " << path << "\n";
     return false;
   }
   ::unlink(path.c_str());
@@ -139,7 +139,7 @@ bool run_socket_server(Server& server, const std::string& path,
   if (!listener.ok() ||
       ::bind(listener.fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(listener.fd, 4) != 0) {
-    std::cerr << "hpcfail-serve: cannot listen on " << path << ": "
+    std::cerr << "hpcfail serve: cannot listen on " << path << ": "
               << std::strerror(errno) << "\n";
     return false;
   }
@@ -148,7 +148,7 @@ bool run_socket_server(Server& server, const std::string& path,
     const Fd conn(::accept(listener.fd, nullptr, nullptr));
     if (!conn.ok()) {
       if (errno == EINTR) continue;
-      std::cerr << "hpcfail-serve: accept failed on " << path << ": "
+      std::cerr << "hpcfail serve: accept failed on " << path << ": "
                 << std::strerror(errno) << "\n";
       ::unlink(path.c_str());
       return false;
@@ -182,13 +182,13 @@ bool run_socket_server(Server& server, const std::string& path,
 bool run_socket_client(const std::string& path, std::istream& in, std::ostream& out) {
   sockaddr_un addr{};
   if (!unix_address(path, addr)) {
-    std::cerr << "hpcfail-serve: socket path too long: " << path << "\n";
+    std::cerr << "hpcfail serve: socket path too long: " << path << "\n";
     return false;
   }
   const Fd conn(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!conn.ok() ||
       ::connect(conn.fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::cerr << "hpcfail-serve: cannot connect to " << path << ": "
+    std::cerr << "hpcfail serve: cannot connect to " << path << ": "
               << std::strerror(errno) << "\n";
     return false;
   }
@@ -199,7 +199,7 @@ bool run_socket_client(const std::string& path, std::istream& in, std::ostream& 
   while (std::getline(in, line)) {
     line += '\n';
     if (!write_all(conn.fd, line)) {
-      std::cerr << "hpcfail-serve: connection dropped mid-request\n";
+      std::cerr << "hpcfail serve: connection dropped mid-request\n";
       return false;
     }
     // One response line per request, in order.
@@ -214,7 +214,7 @@ bool run_socket_client(const std::string& path, std::istream& in, std::ostream& 
       const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
-        std::cerr << "hpcfail-serve: connection dropped mid-response\n";
+        std::cerr << "hpcfail serve: connection dropped mid-response\n";
         return false;
       }
       buffer.append(chunk, static_cast<std::size_t>(n));

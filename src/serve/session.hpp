@@ -2,7 +2,7 @@
 // (one JSON request per line in, one JSON response per line out), a local
 // unix-socket listener for out-of-process clients, and the matching client
 // that forwards its stdin — so a scripted CI session needs no tooling
-// beyond hpcfail-serve itself.
+// beyond `hpcfail serve` itself.
 //
 // The stdio session optionally fans requests out over a ThreadPool while
 // keeping responses in request order (futures retire FIFO); the socket

@@ -16,8 +16,8 @@
 // Arming:
 //   - programmatic: FaultInjector inj; inj.arm("ingest.read.badbit", 2);
 //     install_fault_injector(&inj);  ... run ...  install_fault_injector(nullptr);
-//   - schedule spec (the HPCFAIL_FAULT env grammar, also hpcfail-ingest
-//     --fault): "<site>[:<n>][,<site>[:<n>]...]" — fire the n-th hit of each
+//   - schedule spec (the HPCFAIL_FAULT env grammar, also `hpcfail <subcommand>
+//     --fault`): "<site>[:<n>][,<site>[:<n>]...]" — fire the n-th hit of each
 //     listed site (1-based; ":<n>" defaults to 1).  Example:
 //       HPCFAIL_FAULT=ingest.read.torn_chunk:3,store.append_batch.bad_alloc
 //

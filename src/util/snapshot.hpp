@@ -14,7 +14,7 @@
 // sites cover the file boundary: `store.snapshot.write_io` (hit once per
 // header/section write) and `store.snapshot.read_io` (hit at the bulk read
 // and once per section validated), so torn and truncated snapshots are
-// reproducible on demand (HPCFAIL_FAULT, hpcfail-store --fault).
+// reproducible on demand (HPCFAIL_FAULT, `hpcfail store --fault`).
 #pragma once
 
 #include <cstddef>

@@ -160,15 +160,18 @@ TEST_P(FileVsMemoryStream, SnapshotBytesIgnoreThreadsAndChunking) {
   // The cases above compare resolved text; a snapshot also pins the symbol
   // ids and the job rows.  Chunks intern into chunk-local tables that merge
   // as they retire, in file order, so neither the pool size nor the chunk
-  // geometry may move a byte (S1 logs the Slurm dialect, S2 Torque).
+  // geometry may move a byte (S1 logs the Slurm dialect, S2 Torque).  The
+  // third run parses the same corpus in memory, as `hpcfail store save
+  // --preset` does, and must save the same bytes as the file runs.
   dir_ = write_to_temp(corpus_, GetParam().tag);
-  std::array<std::string, 2> bytes;
+  std::array<std::string, 3> bytes;
   for (std::size_t run = 0; run < bytes.size(); ++run) {
     util::ThreadPool pool(run == 0 ? 1 : 4);
     parsers::IngestOptions options;
     options.pool = &pool;
     if (run == 1) options.chunk_bytes = 777;
-    const auto parsed = parsers::ingest_files(dir_, options);
+    const auto parsed = run == 2 ? parsers::ingest_corpus(corpus_, options)
+                                 : parsers::ingest_files(dir_, options);
     ASSERT_TRUE(parsed.ok()) << parsed.error->to_string();
     ASSERT_GT(parsed.jobs.size(), 0u);
     const std::string snap = dir_ + "/run" + std::to_string(run) + ".snap";
@@ -178,6 +181,7 @@ TEST_P(FileVsMemoryStream, SnapshotBytesIgnoreThreadsAndChunking) {
   }
   EXPECT_FALSE(bytes[0].empty());
   EXPECT_TRUE(bytes[0] == bytes[1]) << "snapshots differ";  // no multi-MB diff dump
+  EXPECT_TRUE(bytes[0] == bytes[2]) << "in-memory snapshot differs";
 }
 
 INSTANTIATE_TEST_SUITE_P(
