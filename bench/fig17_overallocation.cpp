@@ -50,7 +50,7 @@ int main() {
   }
   // Every job with a failure dies (memory-killed) and needs re-allocation.
   std::size_t failed_jobs_dead = 0, failed_jobs = 0;
-  for (const auto& job : parsed.jobs.jobs()) {
+  for (const auto& job : parsed.jobs.rows()) {
     bool has_failure = false;
     for (const auto& f : failures) {
       if (f.event.job_id == job.job_id) has_failure = true;

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     }
     table.row()
         .cell("J" + std::to_string(row.job_id % 100))
-        .cell(job != nullptr ? job->app_name : "?")
+        .cell(job != nullptr ? parsed.jobs.text(job->app) : "?")
         .cell(static_cast<std::int64_t>(row.allocated))
         .cell(static_cast<std::int64_t>(row.overallocated))
         .cell(static_cast<std::int64_t>(row.failed))

@@ -21,7 +21,7 @@ std::string_view to_string(Action a) noexcept {
 }
 
 Recommendation MitigationAdvisor::advise_one(const AnalyzedFailure& failure,
-                                             const jobs::JobInfo* job) const {
+                                             const jobs::JobRow* job) const {
   Recommendation rec;
   switch (failure.inference.cause) {
     case RootCause::FailSlowHardware:
@@ -99,7 +99,7 @@ std::vector<Recommendation> MitigationAdvisor::advise(
   out.reserve(failures.size());
   for (std::size_t i = 0; i < failures.size(); ++i) {
     const auto& f = failures[i];
-    const jobs::JobInfo* job =
+    const jobs::JobRow* job =
         jobs != nullptr && f.event.job_id != logmodel::kNoJob ? jobs->find(f.event.job_id)
                                                               : nullptr;
     Recommendation rec = advise_one(f, job);

@@ -52,7 +52,7 @@ class MitigationAdvisor {
 
   /// One failure in isolation (no cross-failure repeat-offender logic).
   [[nodiscard]] Recommendation advise_one(const AnalyzedFailure& failure,
-                                          const jobs::JobInfo* job) const;
+                                          const jobs::JobRow* job) const;
 
  private:
   AdvisorConfig config_;

@@ -13,7 +13,7 @@ std::vector<DailyJobOutcomes> JobAnalyzer::daily_outcomes(util::TimePoint begin,
   for (std::size_t d = 0; d < out.size(); ++d) {
     out[d].day = (begin + util::Duration::days(static_cast<std::int64_t>(d))).day_index();
   }
-  for (const auto& job : table_.jobs()) {
+  for (const auto& job : table_.rows()) {
     if (!job.ended) continue;
     const auto offset = (job.end - begin).usec;
     if (offset < 0) continue;
@@ -85,8 +85,8 @@ std::vector<OverallocationRow> JobAnalyzer::overallocation_report() const {
   for (const auto& f : failures_) {
     if (f.event.job_id != logmodel::kNoJob) ++failures_per_job[f.event.job_id];
   }
-  std::vector<const jobs::JobInfo*> sorted;
-  for (const auto& job : table_.jobs()) sorted.push_back(&job);
+  std::vector<const jobs::JobRow*> sorted;
+  for (const auto& job : table_.rows()) sorted.push_back(&job);
   std::sort(sorted.begin(), sorted.end(),
             [](const auto* a, const auto* b) { return a->start < b->start; });
 
@@ -94,10 +94,10 @@ std::vector<OverallocationRow> JobAnalyzer::overallocation_report() const {
   for (const auto* job : sorted) {
     OverallocationRow row;
     row.job_id = job->job_id;
-    row.allocated = job->nodes.size();
+    row.allocated = table_.nodes(*job).size();
     row.overallocated = !job->overallocated            ? 0
                         : job->overallocated_nodes > 0 ? job->overallocated_nodes
-                                                       : job->nodes.size();
+                                                       : row.allocated;
     const auto it = failures_per_job.find(job->job_id);
     row.failed = it == failures_per_job.end() ? 0 : it->second;
     out.push_back(row);

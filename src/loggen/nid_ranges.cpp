@@ -92,8 +92,8 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
   // pass re-parsed every range through parse_u64 a second time, which was
   // the single hottest path of the sequential scheduler parse.  The pair
   // list (one entry per comma piece, tiny next to the expansion) still
-  // gives an exact reserve: these vectors live for the whole run inside
-  // JobInfo, and capacity slack there is real memory.
+  // gives an exact reserve: each vector rides in its start update until
+  // the job table is built, and capacity slack there is real memory.
   const auto parse_piece = [](std::string_view piece, std::uint64_t& lo,
                               std::uint64_t& hi) -> bool {
     const std::size_t dash = piece.find('-');

@@ -78,8 +78,7 @@ std::int64_t steady_us() noexcept {
 /// Ingest-layer instrument slots, all nullptr when metrics are dark.  The
 /// stall counters separate time blocked on the producer (reading the next
 /// chunk) from time blocked on consumers (waiting for the oldest in-flight
-/// parse), which is the read-vs-parse balance knob `max_inflight_chunks`
-/// tunes.
+/// parse): the read-vs-parse balance of the pipeline.
 struct IngestInstruments {
   util::Counter* bytes_read = nullptr;
   util::Counter* chunks = nullptr;
@@ -117,7 +116,7 @@ constexpr LogSource kSourceOrder[] = {
 /// the pool schedules the parse tasks.
 void ingest_source(std::istream& in, LineParseFn parse, const ParseContext& ctx,
                    const IngestOptions& options, util::ThreadPool& pool,
-                   std::size_t inflight, logmodel::StoreBuilder& builder,
+                   logmodel::StoreBuilder& builder,
                    std::vector<jobs::JobUpdate>& job_updates, std::size_t& total_lines,
                    std::size_t& skipped) {
   util::ChunkedLineReader reader(in, options.chunk_bytes);
@@ -196,7 +195,7 @@ void ingest_source(std::istream& in, LineParseFn parse, const ParseContext& ctx,
             return r;
           }));
       chunk = {};
-      if (pending.size() >= inflight) retire_front();
+      if (pending.size() >= 2 * pool.size()) retire_front();
     }
     while (!pending.empty()) retire_front();
   } catch (...) {
@@ -239,9 +238,6 @@ IngestResult ingest_stream(const loggen::Corpus& header,
   out.begin = header.begin;
   out.days = header.days;
   util::ThreadPool& pool = options.pool != nullptr ? *options.pool : util::default_pool();
-  const std::size_t inflight = options.max_inflight_chunks != 0
-                                   ? options.max_inflight_chunks
-                                   : 2 * pool.size();
 
   const auto begin_civil = util::civil_time(header.begin);
   ParseContext ctx;
@@ -266,14 +262,17 @@ IngestResult ingest_stream(const loggen::Corpus& header,
     util::TraceSpan span("hpcfail.ingest.source_" +
                          util::trace_name_segment(logmodel::to_string(source)));
     out.error = run_source_guarded(source, [&] {
-      ingest_source(*in, line_parser_for(source), ctx, options, pool, inflight, builder,
+      ingest_source(*in, line_parser_for(source), ctx, options, pool, builder,
                     job_updates, out.total_lines, skipped);
     });
     if (out.error) break;
   }
   // The table is built once, from the facts of every retired chunk, and
   // before the store merge so the update list is gone by then.
-  out.jobs = jobs::JobTable(std::move(job_updates));
+  {
+    util::TraceSpan span("hpcfail.ingest.job_table");
+    out.jobs = jobs::JobTable(std::move(job_updates));
+  }
 
   // Build the store even after a failure: everything retired before the
   // error is a record-accurate partial result, and the line accounting

@@ -10,11 +10,11 @@
 //                                                     \--job updates--> JobTable
 //
 // The reader hands out fixed-size chunks split on line boundaries; up to
-// `max_inflight_chunks` chunks are being parsed concurrently while the
-// next one is read (read -> parse -> shard pipelining); parsed chunks are
+// two chunks per pool thread are being parsed concurrently while the next
+// one is read (read -> parse -> shard pipelining); parsed chunks are
 // retired in submission order, so the record sequence reaching the
 // sharded builder is exactly the file's line order.  Peak text residency
-// is chunk_bytes x (inflight + 1) instead of the corpus size.
+// is chunk_bytes x (2 x threads + 1) instead of the corpus size.
 //
 // Every line parser is stateless (parsers/source_parsers.hpp).  The
 // scheduler parser appends each line's job fact to its chunk's list; a
@@ -55,9 +55,8 @@ struct IngestOptions {
   /// single line is longer.  256 KiB keeps the in-flight buffers a small
   /// fraction of peak RSS at no measurable throughput cost.
   std::size_t chunk_bytes = std::size_t{1} << 18;
-  /// Chunks parsed concurrently per source; 0 means 2 x pool size.
-  std::size_t max_inflight_chunks = 0;
-  /// Pool for chunk parsing; null = shared default pool.
+  /// Pool for chunk parsing; null = shared default pool.  Each source keeps
+  /// up to 2 x its size chunks in flight.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -244,13 +244,13 @@ std::optional<LogRecord> parse_erd_line(std::string_view line,
 
 namespace {
 
-/// Appends the line's job update and returns its JobInfo to fill.
-jobs::JobInfo& push_update(const ParseContext& ctx, jobs::JobUpdate::Kind kind,
-                           std::int64_t job_id) {
+/// Appends the line's job update and returns it to fill.
+jobs::JobUpdate& push_update(const ParseContext& ctx, jobs::JobUpdate::Kind kind,
+                             std::int64_t job_id) {
   jobs::JobUpdate& update = ctx.job_updates->emplace_back();
   update.kind = kind;
-  update.info.job_id = job_id;
-  return update.info;
+  update.row.job_id = job_id;
+  return update;
 }
 
 // The job facts both dialects share: each completes the record (time,
@@ -263,10 +263,10 @@ LogRecord job_end(LogRecord r, std::int64_t job_id, int exit_code, std::string_v
   r.value = exit_code;
   r.detail = ctx.symbols->intern(reason);
   r.severity = exit_code == 0 ? Severity::Info : Severity::Error;
-  jobs::JobInfo& info = push_update(ctx, jobs::JobUpdate::Kind::End, job_id);
-  info.end = r.time;
-  info.exit_code = exit_code;
-  info.end_reason = std::string(reason);
+  jobs::JobUpdate& update = push_update(ctx, jobs::JobUpdate::Kind::End, job_id);
+  update.row.end = r.time;
+  update.row.exit_code = exit_code;
+  update.reason = reason;
   return r;
 }
 
@@ -286,7 +286,7 @@ LogRecord job_overallocated(LogRecord r, std::int64_t job_id, std::int64_t nodes
   r.severity = Severity::Warning;
   r.detail = ctx.symbols->intern("allocated memory exceeds node capacity");
   r.value = static_cast<double>(nodes);
-  push_update(ctx, jobs::JobUpdate::Kind::Overallocate, job_id).overallocated_nodes =
+  push_update(ctx, jobs::JobUpdate::Kind::Overallocate, job_id).row.overallocated_nodes =
       static_cast<std::uint32_t>(nodes);
   return r;
 }
@@ -323,18 +323,18 @@ std::optional<LogRecord> job_started(LogRecord r, std::int64_t job_id,
     }
   }
   if (node_list.empty()) return std::nullopt;
-  jobs::JobInfo info;
-  info.job_id = job_id;
-  if (!apid.empty()) info.apid = util::parse_i64(apid).value_or(0);
-  if (!user.empty()) info.user = std::string(user);
-  if (!app.empty()) info.app_name = std::string(app);
-  info.start = r.time;
-  info.end = r.time + util::Duration::days(36500);  // open until the end record
+  jobs::JobUpdate update;
+  update.row.job_id = job_id;
+  if (!apid.empty()) update.row.apid = util::parse_i64(apid).value_or(0);
+  update.row.start = r.time;
+  update.row.end = r.time + util::Duration::days(36500);  // open until the end record
   if (!mem.empty()) {
     std::string_view m = mem;
     if (util::ends_with(m, "G")) m.remove_suffix(1);
-    info.mem_per_node_gb = util::parse_double(m).value_or(0.0);
+    update.row.mem_per_node_gb = util::parse_double(m).value_or(0.0);
   }
+  update.user = user;
+  update.app = app;
   auto nodes = loggen::expand_node_list(node_list);
   if (!nodes || ctx.topo == nullptr) return std::nullopt;
   // JobTable sizes its per-node index by the largest nid, so one corrupted
@@ -343,11 +343,11 @@ std::optional<LogRecord> job_started(LogRecord r, std::int64_t job_id,
   for (const platform::NodeId node : *nodes) {
     if (node.value >= node_count) return std::nullopt;
   }
-  info.nodes = std::move(*nodes);
+  update.nodes = std::move(*nodes);
   r.type = EventType::JobStart;
-  r.job_id = info.job_id;
-  r.detail = ctx.symbols->intern(info.app_name);
-  ctx.job_updates->push_back({jobs::JobUpdate::Kind::Start, std::move(info)});
+  r.job_id = job_id;
+  r.detail = ctx.symbols->intern(update.app);
+  ctx.job_updates->push_back(std::move(update));
   return r;
 }
 

@@ -5,10 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <deque>
-#include <future>
 #include <iostream>
 #include <string_view>
 
@@ -79,50 +76,14 @@ bool unix_address(const std::string& path, sockaddr_un& addr) {
 std::size_t run_session(Server& server, std::istream& in, std::ostream& out,
                         const SessionOptions& options) {
   std::size_t answered = 0;
-  if (options.pool == nullptr) {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (options.poll_tail_each_request) (void)server.poll_tail();
-      out << server.handle_line(line) << '\n';
-      out.flush();
-      ++answered;
-      if (server.shutdown_requested()) break;
-    }
-    return answered;
-  }
-
-  // Pipelined: submit each line to the pool, retire futures FIFO so the
-  // response order matches the request order.  A shutdown answered in
-  // flight stops the reader at the next retirement; already-read requests
-  // still get their responses.
-  std::deque<std::future<std::string>> inflight;
-  const auto retire_one = [&] {
-    out << inflight.front().get() << '\n';
-    out.flush();
-    inflight.pop_front();
-    ++answered;
-  };
-
   std::string line;
-  bool stopping = false;
-  Server* const srv = &server;  // outlives every queued task (owned by caller)
-  while (!stopping && std::getline(in, line)) {
-    // The reader thread is the single tail writer; queries pin whichever
-    // epoch is current when the pool picks them up.
+  while (std::getline(in, line)) {
     if (options.poll_tail_each_request) (void)server.poll_tail();
-    inflight.push_back(options.pool->submit(
-        [srv, request = std::string(line)] { return srv->handle_line(request); }));
-    while (inflight.size() >= options.max_inflight) retire_one();
-    // Retire everything already done so the shutdown flag is observed
-    // promptly without blocking the reader on in-flight work.
-    while (!inflight.empty() &&
-           inflight.front().wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
-      retire_one();
-    }
-    if (server.shutdown_requested()) stopping = true;
+    out << server.handle_line(line) << '\n';
+    out.flush();
+    ++answered;
+    if (server.shutdown_requested()) break;
   }
-  while (!inflight.empty()) retire_one();
   return answered;
 }
 

@@ -4,28 +4,22 @@
 // that forwards its stdin — so a scripted CI session needs no tooling
 // beyond `hpcfail serve` itself.
 //
-// The stdio session optionally fans requests out over a ThreadPool while
-// keeping responses in request order (futures retire FIFO); the socket
-// listener stays serial — it is a local debugging/scripting surface, and
-// one connection at a time keeps it honest about ordering.
+// Both transports answer serially on the reader thread, one request at a
+// time: request n is the n-th line parsed and pins the epoch every earlier
+// request's tail poll left, so a reply and a fault's n-th hit never depend
+// on thread scheduling.  The socket listener takes one connection at a
+// time.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
 #include <string>
 
-#include "util/thread_pool.hpp"
-
 namespace hpcfail::serve {
 
 class Server;
 
 struct SessionOptions {
-  /// When set, request handling is submitted to the pool; responses still
-  /// come back in request order.  Null handles requests inline.
-  util::ThreadPool* pool = nullptr;
-  /// Max requests in flight before the reader blocks on the oldest.
-  std::size_t max_inflight = 64;
   /// Poll the server's attached tails before each request is dispatched —
   /// the daemon's deterministic, timer-free way of following a live log:
   /// a query always sees every line that landed before it was asked.
@@ -42,8 +36,7 @@ std::size_t run_session(Server& server, std::istream& in, std::ostream& out,
 /// accepts one connection at a time and answers its request lines until
 /// the peer disconnects; returns once a shutdown request was answered (or
 /// on listener error, with a message on stderr).  Returns true on clean
-/// shutdown.  Only `poll_tail_each_request` is honored from the options —
-/// socket handling is serial by design.
+/// shutdown.
 bool run_socket_server(Server& server, const std::string& path,
                        const SessionOptions& options = {});
 

@@ -15,8 +15,7 @@
 // inconsistency — a missing section, a byte length that does not divide by
 // the element size, offsets that run backwards.  The hooks compose: a
 // structure serializes its members by delegating with a longer prefix
-// (LogStore -> CsrIndex, JobTable -> its string pool), so no class owns
-// another's layout.
+// (LogStore and JobTable -> CsrIndex), so no class owns another's layout.
 //
 // Sections know nothing about files.  The container format — magic,
 // format version, section table, checksums — lives in util/snapshot.hpp;

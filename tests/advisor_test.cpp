@@ -42,9 +42,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AdvisorTest, OverallocatedJobGetsMemoryCap) {
   const MitigationAdvisor advisor;
-  jobs::JobInfo job;
+  jobs::JobRow job;
   job.job_id = 5;
-  job.overallocated = true;
+  job.overallocated = 1;
   const auto rec = advisor.advise_one(failure_with(RootCause::MemoryExhaustion, 5), &job);
   EXPECT_EQ(rec.primary, Action::CapJobMemory);
   EXPECT_FALSE(rec.checkpoint_restart_useful);

@@ -222,7 +222,7 @@ TEST(FaultInjectTest, SchedulerChunkFaultsLeaveConsistentPartials) {
       if (r.type == logmodel::EventType::JobStart) started.insert(r.job_id);
     }
     EXPECT_GT(result.jobs.size(), 0u);  // the first chunk retired
-    for (const jobs::JobInfo& job : result.jobs.jobs()) {
+    for (const jobs::JobRow& job : result.jobs.rows()) {
       EXPECT_TRUE(started.contains(job.job_id)) << "job " << job.job_id;
     }
   }

@@ -6,9 +6,12 @@
 // with corpus_tool (see the scenario file header) and review the diff.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "core/analysis_context.hpp"
@@ -17,6 +20,7 @@
 #include "faultsim/scenario_io.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
+#include "parsers/snapshot.hpp"
 
 namespace hpcfail {
 namespace {
@@ -68,6 +72,23 @@ TEST_F(GoldenCorpus, DiagnosisPinned) {
   EXPECT_EQ(breakdown.count(logmodel::RootCause::KernelBug), 2u);
   EXPECT_EQ(breakdown.count(logmodel::RootCause::MemoryExhaustion), 1u);
   EXPECT_EQ(breakdown.count(logmodel::RootCause::AppAbnormalExit), 1u);
+}
+
+TEST_F(GoldenCorpus, SnapshotBytesPinned) {
+  // The saved snapshot is pinned by size and trailing file CRC-32C (sha256
+  // b2e7e10b...).  The corpus's end lines interleave later starts, so a job
+  // string pool interned in fold order instead of row order fails here.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hpcfail_golden_pinned.snap").string();
+  const auto error = parsers::save_snapshot(*parsed_, path);
+  ASSERT_FALSE(error.has_value()) << error->to_string();
+  std::ifstream file(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+  std::filesystem::remove(path);
+  ASSERT_EQ(bytes.size(), 169'020u);
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc), sizeof(crc));
+  EXPECT_EQ(crc, 0xb429a009u);
 }
 
 TEST_F(GoldenCorpus, RegenerationIsExact) {

@@ -56,25 +56,20 @@ void expect_records_equal(const logmodel::LogStore& want,
   }
 }
 
+/// Job tables match when their snapshot sections hold the same bytes:
+/// rows, string-pool ids and texts, node lists and the node index.
 void expect_jobs_equal(const jobs::JobTable& want, const jobs::JobTable& got) {
   ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.jobs().size(); ++i) {
-    const jobs::JobInfo& a = want.jobs()[i];
-    const jobs::JobInfo& b = got.jobs()[i];
-    ASSERT_EQ(a.job_id, b.job_id) << "job " << i;
-    ASSERT_EQ(a.apid, b.apid) << "job " << i;
-    ASSERT_EQ(a.user, b.user) << "job " << i;
-    ASSERT_EQ(a.app_name, b.app_name) << "job " << i;
-    ASSERT_EQ(a.start.usec, b.start.usec) << "job " << i;
-    ASSERT_EQ(a.end.usec, b.end.usec) << "job " << i;
-    ASSERT_EQ(a.mem_per_node_gb, b.mem_per_node_gb) << "job " << i;
-    ASSERT_EQ(a.nodes, b.nodes) << "job " << i;
-    ASSERT_EQ(a.exit_code, b.exit_code) << "job " << i;
-    ASSERT_EQ(a.end_reason, b.end_reason) << "job " << i;
-    ASSERT_EQ(a.ended, b.ended) << "job " << i;
-    ASSERT_EQ(a.overallocated, b.overallocated) << "job " << i;
-    ASSERT_EQ(a.overallocated_nodes, b.overallocated_nodes) << "job " << i;
-    ASSERT_EQ(a.cancelled, b.cancelled) << "job " << i;
+  util::Sections a;
+  util::Sections b;
+  want.append_sections(a, "jobs");
+  got.append_sections(b, "jobs");
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& x = a.entries()[i];
+    const auto& y = b.entries()[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_TRUE(std::ranges::equal(x.bytes, y.bytes)) << x.name << " differs";
   }
 }
 
@@ -131,12 +126,16 @@ TEST_P(FileVsMemoryStream, FilesMatchInMemoryParse) {
 
 TEST_P(FileVsMemoryStream, TinyChunksMatch) {
   // Pathological geometry: 57-byte chunks make most lines span chunks and
-  // force maximal splitting and merging.
+  // force maximal splitting and merging, with 2 and 8 chunks in flight.
   dir_ = write_to_temp(corpus_, GetParam().tag);
-  parsers::IngestOptions options;
-  options.chunk_bytes = 57;
-  options.max_inflight_chunks = 3;
-  expect_equivalent(*reference_, parsers::ingest_files(dir_, options));
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    parsers::IngestOptions options;
+    options.chunk_bytes = 57;
+    options.pool = &pool;
+    expect_equivalent(*reference_, parsers::ingest_files(dir_, options));
+  }
 }
 
 TEST_P(FileVsMemoryStream, StreamEntryMatchesWithShuffledSourceOrder) {
@@ -254,8 +253,9 @@ TEST(IngestEdgeTest, EmptySourceFileIsSkipped) {
 
 // ---------------------------------------------------- observability ----
 
-/// Seeded sweep over 32 log-uniform chunk sizes in [1, 1 MiB]: every
-/// geometry must reproduce the in-memory parse record for record, and the
+/// Seeded sweep over 32 log-uniform chunk sizes in [1, 1 MiB] and pools
+/// of 1 to 4 threads (2 to 8 chunks in flight): every geometry must
+/// reproduce the in-memory parse record for record, and the
 /// ingest counters must account for the corpus exactly — bytes_read equals
 /// the total size of the ingested .log files (ChunkedLineReader passes
 /// bytes through untouched), records_parsed/lines_skipped equal the parse
@@ -278,10 +278,9 @@ TEST(IngestObservability, RandomChunkSizeSweepPreservesRecordsAndCounters) {
     const auto lo = std::max<std::int64_t>(1, hi / 2);
     parsers::IngestOptions options;
     options.chunk_bytes = static_cast<std::size_t>(rng.uniform_int(lo, hi));
-    options.max_inflight_chunks = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto threads = static_cast<std::size_t>(rng.uniform_int(1, 4));
     SCOPED_TRACE("sweep " + std::to_string(i) + ": chunk_bytes=" +
-                 std::to_string(options.chunk_bytes) +
-                 " inflight=" + std::to_string(options.max_inflight_chunks));
+                 std::to_string(options.chunk_bytes) + " threads=" + std::to_string(threads));
 
     // A dedicated pool scoped inside the registry's lifetime: its
     // destructor joins the workers, so every instrumented task epilogue
@@ -292,7 +291,7 @@ TEST(IngestObservability, RandomChunkSizeSweepPreservesRecordsAndCounters) {
     util::install_metrics(&registry);
     parsers::ParsedCorpus streamed;
     {
-      util::ThreadPool pool(2);
+      util::ThreadPool pool(threads);
       options.pool = &pool;
       streamed = parsers::ingest_files(dir, options);
     }

@@ -273,7 +273,7 @@ TEST(JobTableTest, FromJobsAndQueries) {
   const JobTable table = JobTable::from_jobs({job});
 
   ASSERT_NE(table.find(42), nullptr);
-  EXPECT_EQ(table.find(42)->app_name, "namd");
+  EXPECT_EQ(table.text(table.find(42)->app), "namd");
   EXPECT_EQ(table.find(43), nullptr);
 
   const auto* on_node =
@@ -293,30 +293,30 @@ TEST(JobTableTest, FromJobsAndQueries) {
 TEST(JobTableTest, IncrementalConstruction) {
   std::vector<JobUpdate> updates(5);
   updates[0].kind = JobUpdate::Kind::Cancel;  // before its start: ignored
-  updates[0].info.job_id = 7;
-  JobInfo& info = updates[1].info;
+  updates[0].row.job_id = 7;
+  JobRow& row = updates[1].row;
   updates[1].kind = JobUpdate::Kind::Start;
-  info.job_id = 7;
-  info.start = util::make_time(2015, 1, 1);
-  info.end = info.start + util::Duration::days(9999);
-  info.nodes = {platform::NodeId{5}};
+  row.job_id = 7;
+  row.start = util::make_time(2015, 1, 1);
+  row.end = row.start + util::Duration::days(9999);
+  updates[1].nodes = {platform::NodeId{5}};
   updates[2].kind = JobUpdate::Kind::End;
-  updates[2].info.job_id = 7;
-  updates[2].info.end = util::make_time(2015, 1, 1, 2);
-  updates[2].info.exit_code = 137;
-  updates[2].info.end_reason = "OomKilled";
+  updates[2].row.job_id = 7;
+  updates[2].row.end = util::make_time(2015, 1, 1, 2);
+  updates[2].row.exit_code = 137;
+  updates[2].reason = "OomKilled";
   updates[3].kind = JobUpdate::Kind::Overallocate;
-  updates[3].info.job_id = 7;
-  updates[3].info.overallocated_nodes = 3;
+  updates[3].row.job_id = 7;
+  updates[3].row.overallocated_nodes = 3;
   updates[4].kind = JobUpdate::Kind::Cancel;
-  updates[4].info.job_id = 8;  // unknown id: ignored
+  updates[4].row.job_id = 8;  // unknown id: ignored
   const JobTable table(std::move(updates));
 
   const auto* job = table.find(7);
   ASSERT_NE(job, nullptr);
   EXPECT_TRUE(job->ended);
   EXPECT_EQ(job->exit_code, 137);
-  EXPECT_EQ(job->end_reason, "OomKilled");
+  EXPECT_EQ(table.text(job->reason), "OomKilled");
   EXPECT_TRUE(job->overallocated);
   EXPECT_EQ(job->overallocated_nodes, 3u);
   EXPECT_FALSE(job->cancelled);
@@ -326,13 +326,17 @@ TEST(JobTableTest, IncrementalConstruction) {
 
 TEST(JobTableTest, AddStartReplacesDuplicate) {
   std::vector<JobUpdate> updates(2);  // two starts
-  updates[0].info.job_id = 1;
-  updates[0].info.app_name = "first";
-  updates[1].info.job_id = 1;
-  updates[1].info.app_name = "second";
+  updates[0].row.job_id = 1;
+  updates[0].app = "first";
+  updates[0].nodes = {platform::NodeId{1}, platform::NodeId{2}};
+  updates[1].row.job_id = 1;
+  updates[1].app = "second";
+  updates[1].nodes = {platform::NodeId{3}};
   const JobTable table(std::move(updates));
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.find(1)->app_name, "second");
+  EXPECT_EQ(table.text(table.find(1)->app), "second");
+  ASSERT_EQ(table.nodes(*table.find(1)).size(), 1u);
+  EXPECT_EQ(table.nodes(*table.find(1))[0], platform::NodeId{3});
 }
 
 }  // namespace

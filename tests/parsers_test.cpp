@@ -266,9 +266,9 @@ TEST(SchedulerParserTest, BuildsJobTable) {
   const jobs::JobTable table(std::move(updates));
   const auto* job = table.find(100001);
   ASSERT_NE(job, nullptr);
-  EXPECT_EQ(job->user, "alice");
-  EXPECT_EQ(job->app_name, "vasp");
-  EXPECT_EQ(job->nodes.size(), 4u);
+  EXPECT_EQ(table.text(job->user), "alice");
+  EXPECT_EQ(table.text(job->app), "vasp");
+  EXPECT_EQ(table.nodes(*job).size(), 4u);
   EXPECT_EQ(job->apid, 1000017);
   EXPECT_NEAR(job->mem_per_node_gb, 28.0, 1e-9);
   EXPECT_TRUE(job->overallocated);
@@ -313,8 +313,8 @@ TEST(SchedulerParserTest, TorqueDialectFullLifecycle) {
   const jobs::JobTable table(std::move(updates));
   const auto* job = table.find(200001);
   ASSERT_NE(job, nullptr);
-  EXPECT_EQ(job->user, "bob");
-  EXPECT_EQ(job->nodes.size(), 4u);
+  EXPECT_EQ(table.text(job->user), "bob");
+  EXPECT_EQ(table.nodes(*job).size(), 4u);
   EXPECT_TRUE(job->overallocated);
   EXPECT_EQ(job->overallocated_nodes, 3u);
   EXPECT_EQ(job->exit_code, 137);

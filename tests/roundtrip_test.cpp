@@ -118,23 +118,26 @@ TEST_P(RoundTrip, RecordFieldsSurvive) {
 
 TEST_P(RoundTrip, JobTableSurvives) {
   const jobs::JobTable original = jobs::JobTable::from_jobs(sim_->jobs);
-  ASSERT_EQ(parsed_->jobs.size(), original.size());
-  for (const auto& job : original.jobs()) {
-    const auto* back = parsed_->jobs.find(job.job_id);
+  const jobs::JobTable& parsed = parsed_->jobs;
+  ASSERT_EQ(parsed.size(), original.size());
+  for (const auto& job : original.rows()) {
+    const auto* back = parsed.find(job.job_id);
     ASSERT_NE(back, nullptr) << job.job_id;
-    EXPECT_EQ(back->app_name, job.app_name);
-    EXPECT_EQ(back->user, job.user);
+    EXPECT_EQ(parsed.text(back->app), original.text(job.app));
+    EXPECT_EQ(parsed.text(back->user), original.text(job.user));
     EXPECT_EQ(back->apid, job.apid);
     EXPECT_EQ(back->exit_code, job.exit_code);
-    EXPECT_EQ(back->nodes.size(), job.nodes.size());
     EXPECT_EQ(back->overallocated, job.overallocated);
     EXPECT_EQ(back->cancelled, job.cancelled);
     EXPECT_EQ(back->start.usec, job.start.usec);
     EXPECT_EQ(back->end.usec, job.end.usec);
     EXPECT_NEAR(back->mem_per_node_gb, job.mem_per_node_gb, 0.051);  // "%.1fG"
     // The compressed NodeList is sorted, so compare as sets.
-    auto lhs = job.nodes;
-    auto rhs = back->nodes;
+    const auto want = original.nodes(job);
+    const auto got = parsed.nodes(*back);
+    std::vector<platform::NodeId> lhs(want.begin(), want.end());
+    std::vector<platform::NodeId> rhs(got.begin(), got.end());
+    ASSERT_EQ(rhs.size(), lhs.size());
     std::sort(lhs.begin(), lhs.end());
     std::sort(rhs.begin(), rhs.end());
     for (std::size_t i = 0; i < lhs.size(); ++i) {

@@ -28,9 +28,9 @@
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/tail.hpp"
+#include "util/fault.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcfail {
 namespace {
@@ -574,35 +574,17 @@ TEST(TailReaderTest, SchedulerTailsAreRejected) {
 
 TEST(ServeSessionTest, SerialSessionAnswersInOrderAndStopsOnShutdown) {
   Booted booted = boot(platform::SystemName::S2, 1, 4242);
-  std::istringstream in(
-      "{\"id\":1,\"verb\":\"ping\"}\n"
-      "{\"id\":2,\"verb\":\"shutdown\"}\n"
-      "{\"id\":3,\"verb\":\"ping\"}\n");
-  std::ostringstream out;
-  const std::size_t answered = serve::run_session(*booted.server, in, out);
-  EXPECT_EQ(answered, 2u) << "the request after shutdown must not be read";
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\"id\":1"), std::string::npos);
-  EXPECT_NE(text.find("\"stopping\":true"), std::string::npos);
-  EXPECT_EQ(text.find("\"id\":3"), std::string::npos);
-}
-
-TEST(ServeSessionTest, PooledSessionKeepsResponsesInRequestOrder) {
-  Booted booted = boot(platform::SystemName::S2, 1, 4242);
   std::ostringstream script;
   const int kRequests = 40;
   for (int i = 1; i <= kRequests; ++i) {
     script << R"({"id":)" << i << R"(,"verb":)"
            << (i % 3 == 0 ? R"("status")" : R"("ping")") << "}\n";
   }
+  script << R"({"id":41,"verb":"shutdown"})" << "\n" << R"({"id":42,"verb":"ping"})" << "\n";
   std::istringstream in(script.str());
   std::ostringstream out;
-  util::ThreadPool pool(4);
-  serve::SessionOptions options;
-  options.pool = &pool;
-  options.max_inflight = 8;
-  const std::size_t answered = serve::run_session(*booted.server, in, out, options);
-  EXPECT_EQ(answered, static_cast<std::size_t>(kRequests));
+  const std::size_t answered = serve::run_session(*booted.server, in, out);
+  EXPECT_EQ(answered, 41u) << "the request after shutdown must not be read";
 
   std::istringstream responses(out.str());
   std::string line;
@@ -613,7 +595,32 @@ TEST(ServeSessionTest, PooledSessionKeepsResponsesInRequestOrder) {
         << "out-of-order response at position " << expected << ": " << line;
     ++expected;
   }
-  EXPECT_EQ(expected, kRequests + 1);
+  EXPECT_EQ(expected, kRequests + 2);
+  EXPECT_NE(out.str().find("\"stopping\":true"), std::string::npos);
+}
+
+TEST(ServeSessionTest, ArmedParseFaultTearsTheNthRequest) {
+  // Requests are parsed in line order, so hit 2 is always request 2.
+  Booted booted = boot(platform::SystemName::S2, 1, 4242);
+  std::istringstream in(R"({"id":1,"verb":"ping"})" "\n"
+                        R"({"id":2,"verb":"ping"})" "\n"
+                        R"({"id":3,"verb":"ping"})" "\n");
+  std::ostringstream out;
+  util::FaultInjector inj;
+  inj.arm("serve.request.parse", 2);
+  util::install_fault_injector(&inj);
+  const std::size_t answered = serve::run_session(*booted.server, in, out);
+  util::install_fault_injector(nullptr);
+  EXPECT_EQ(answered, 3u);
+  EXPECT_EQ(inj.fires("serve.request.parse"), 1u);
+
+  std::istringstream responses(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(responses, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find(R"("id":1,"ok":true)"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find(R"("kind":"bad_request")"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[2].find(R"("id":3,"ok":true)"), std::string::npos) << lines[2];
 }
 
 }  // namespace

@@ -593,7 +593,6 @@ int run_serve(const Options& o) {
              std::to_string(o.window_days) + " d" + (o.tail.empty() ? "" : ", tailing") + ")");
 
   serve::SessionOptions options;
-  options.pool = pool.size() > 1 ? &pool : nullptr;
   options.poll_tail_each_request = !o.tail.empty();
   if (!o.socket.empty()) return serve::run_socket_server(server, o.socket, options) ? 0 : 1;
   (void)serve::run_session(server, std::cin, std::cout, options);
