@@ -4,12 +4,13 @@
 // classification (SignatureSet via classify_kernel_payload).
 //
 // Each primitive is measured twice — once under the runtime-dispatched
-// tier (AVX2/SSE on x86, whatever active_isa() picked) and once with
-// force_isa(Swar), the portable fallback every build ships.  A kernel
+// tier (AVX2 where the CPU has it, whatever active_isa() picked) and once
+// with force_isa(Swar), the portable fallback every build ships.  A kernel
 // regression shows up here as a tier-level rate change long before it is
-// visible through end-to-end ingest noise.  Note the digit kernels are
-// header-inline SWAR at every tier, so the timestamp row moving with the
-// tier would itself be a bug.
+// visible through end-to-end ingest noise.  Only the classifier row runs
+// a tier-specific kernel: the newline scan is memchr and the digit kernels
+// are header-inline SWAR at every tier, so either of those rows moving
+// with the tier would itself be a bug.
 //
 // `--json[=PATH]` writes BENCH_scan.json (CI uploads it next to
 // BENCH_pipeline.ci.json); with no flag a human-readable table prints.
@@ -195,8 +196,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "perf_scan: rendering S1 day (seed 42)...\n");
   const Inputs in = build_inputs();
 
-  // Dispatched tier first (whatever the CPU + HPCFAIL_NO_SIMD resolve to),
-  // then pin the portable SWAR floor and measure the same primitives.
+  // Dispatched tier first (whatever the CPU resolves to), then pin the
+  // portable SWAR floor and measure the same primitives.
   const TierResults fast = run_tier(in);
   util::scan::force_isa(util::scan::Isa::Swar);
   const TierResults swar = run_tier(in);

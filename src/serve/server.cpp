@@ -8,6 +8,7 @@
 #include "core/markdown_report.hpp"
 #include "parsers/ingest.hpp"
 #include "util/metrics.hpp"
+#include "util/scan.hpp"
 #include "util/trace.hpp"
 
 namespace hpcfail::serve {
@@ -94,9 +95,12 @@ Server::TailPoll Server::poll_tail() {
     // An errored tail's offset stopped at the error, so the next poll
     // retries it; the lines before it were consumed and parse here.
     if (!poll.ok() && !out.error.has_value()) out.error = poll.error;
-    for (const std::string& line : poll.lines) {
+    // The same walk as ingest's over a chunk: blank lines are skipped, not
+    // counted, and CRLF endings are stripped.
+    util::scan::LineCursor cursor(poll.text);
+    std::string_view line;
+    while (cursor.next(line)) {
       ++out.lines;
-      if (line.empty()) continue;
       if (const auto record = tails_[t].parse(line, ctx)) fresh.push_back(*record);
     }
   }

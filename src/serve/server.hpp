@@ -80,7 +80,7 @@ class Server {
                    std::uint64_t offset = 0);
 
   struct TailPoll {
-    std::size_t lines = 0;    ///< complete lines consumed across all tails
+    std::size_t lines = 0;    ///< non-blank lines consumed across all tails
     std::size_t records = 0;  ///< records parsed from them
     std::vector<core::Alert> alerts;
     std::optional<TailError> error;  ///< first tail error, if any

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <string_view>
 #include <utility>
 
 #include "util/fault.hpp"
@@ -108,36 +109,31 @@ TailReader::Poll TailReader::poll() {
 }
 
 bool TailReader::read_lines(std::uint64_t size, Poll& out) {
-  std::string chunk(size - offset_, '\0');
+  const std::size_t begin = out.text.size();
+  const auto want = static_cast<std::size_t>(size - offset_);
+  out.text.resize(begin + want);
   std::size_t got = 0;
-  while (got < chunk.size()) {
-    const ssize_t n = ::pread(fd_, chunk.data() + got, chunk.size() - got,
+  while (got < want) {
+    const ssize_t n = ::pread(fd_, out.text.data() + begin + got, want - got,
                               static_cast<off_t>(offset_ + got));
     if (n == 0) break;  // shrank since the stat; the next poll sees it
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 || HPCFAIL_FAULT_SITE("serve.tail.read_io")) {
+      out.text.resize(begin);
       out.error = TailError{path_, offset_ + got, "I/O error while reading the tail"};
       count("hpcfail.serve.tail_errors");
       return false;  // offset_ unchanged; the next poll retries from it
     }
     got += static_cast<std::size_t>(n);
   }
-  chunk.resize(got);
   count("hpcfail.serve.tail_bytes", got);
 
   // Consume only up to the last newline; a trailing partial line stays in
   // the file (offset does not move past it) until its newline arrives.
-  const std::size_t last_nl = chunk.rfind('\n');
-  if (last_nl == std::string::npos) return true;
-  std::size_t begin = 0;
-  while (begin <= last_nl) {
-    const std::size_t end = chunk.find('\n', begin);
-    std::size_t len = end - begin;
-    if (len > 0 && chunk[begin + len - 1] == '\r') --len;  // CRLF writers
-    out.lines.emplace_back(chunk, begin, len);
-    begin = end + 1;
-  }
-  offset_ += last_nl + 1;
+  const std::size_t last_nl = std::string_view(out.text).substr(begin, got).rfind('\n');
+  const std::size_t consumed = last_nl == std::string_view::npos ? 0 : last_nl + 1;
+  out.text.resize(begin + consumed);
+  offset_ += consumed;
   return true;
 }
 

@@ -1,9 +1,10 @@
 // Incremental reader over a growing log file — the serve-layer face of
 // "ingest a live tail".  A TailReader remembers a byte offset into one
 // source file and, on every poll, consumes the complete lines appended
-// since the last poll; a trailing partial line (a writer mid-append) is
-// left in the file and picked up once its newline lands, so records are
-// never built from torn lines.
+// since the last poll, handed back as one text that the server walks with
+// util::scan::LineCursor, as ingest walks a chunk; a trailing partial line
+// (a writer mid-append) is left in the file and picked up once its newline
+// lands, so records are never built from torn lines.
 //
 // The file is held open between polls.  A poll is one stat() of the path
 // — all an empty poll does — then, when the file grew, one pread() of the
@@ -30,7 +31,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace hpcfail::serve {
 
@@ -57,10 +57,11 @@ class TailReader {
   TailReader& operator=(const TailReader&) = delete;
 
   struct Poll {
-    /// Complete new lines, file order.  They are consumed even when
-    /// `error` is set: a rotation drains the old file before the new one
-    /// fails to open or read.
-    std::vector<std::string> lines;
+    /// The complete new lines, verbatim: the bytes from the old offset
+    /// through the last '\n', a rotation's drain of the old file first.
+    /// They are consumed even when `error` is set: a rotation drains the
+    /// old file before the new one fails to open or read.
+    std::string text;
     std::optional<TailError> error;  ///< why reading stopped short, if it did
 
     [[nodiscard]] bool ok() const noexcept { return !error.has_value(); }
@@ -70,13 +71,10 @@ class TailReader {
   /// (from byte 0 after a truncation or a rotation).
   [[nodiscard]] Poll poll();
 
-  /// Byte offset of the first unconsumed byte.
-  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
-
  private:
   /// Reads [offset_, size) of the held file and appends its complete lines
-  /// to `out`.  On a read error sets out.error, leaves offset_ where it was
-  /// and returns false.
+  /// to out.text.  On a read error sets out.error, leaves offset_ and
+  /// out.text where they were and returns false.
   bool read_lines(std::uint64_t size, Poll& out);
 
   void close() noexcept;

@@ -80,14 +80,11 @@ class ChunkedLineReader {
   /// Throws IoError when the stream reports an error that is not EOF.
   [[nodiscard]] bool next(std::string& chunk);
 
-  /// Bytes handed out so far (chunk payloads, including newlines).
-  [[nodiscard]] std::size_t bytes_read() const noexcept { return bytes_read_; }
-
  private:
   std::istream& in_;
   std::size_t chunk_bytes_;
   std::string carry_;  ///< partial trailing line from the previous read
-  std::size_t bytes_read_ = 0;
+  std::size_t bytes_read_ = 0;  ///< bytes handed out so far; IoError's offset
   bool eof_ = false;
 };
 

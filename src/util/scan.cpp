@@ -3,8 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <climits>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -21,35 +19,8 @@ using detail::load8;
 using detail::zero_bytes;
 
 // ---------------------------------------------------------------------------
-// find / rfind / count — one implementation per tier
+// count: the AVX2 kernel and its portable twin
 // ---------------------------------------------------------------------------
-
-std::size_t find_swar(const char* p, std::size_t n, char c, std::size_t i) noexcept {
-  const std::uint64_t pat = kOnes * static_cast<unsigned char>(c);
-  while (i + 8 <= n) {
-    const std::uint64_t z = zero_bytes(load8(p + i) ^ pat);
-    if (z != 0) return i + (static_cast<std::size_t>(std::countr_zero(z)) >> 3);
-    i += 8;
-  }
-  for (; i < n; ++i)
-    if (p[i] == c) return i;
-  return npos;
-}
-
-std::size_t rfind_swar(const char* p, std::size_t n, char c) noexcept {
-  const std::uint64_t pat = kOnes * static_cast<unsigned char>(c);
-  std::size_t i = n;
-  while (i >= 8) {
-    const std::uint64_t z = zero_bytes(load8(p + i - 8) ^ pat);
-    if (z != 0) return i - 8 + ((63u - static_cast<unsigned>(std::countl_zero(z))) >> 3);
-    i -= 8;
-  }
-  while (i > 0) {
-    --i;
-    if (p[i] == c) return i;
-  }
-  return npos;
-}
 
 std::size_t count_swar(const char* p, std::size_t n, char c) noexcept {
   const std::uint64_t pat = kOnes * static_cast<unsigned char>(c);
@@ -64,75 +35,6 @@ std::size_t count_swar(const char* p, std::size_t n, char c) noexcept {
 }
 
 #ifdef HPCFAIL_SCAN_X86
-
-__attribute__((target("sse2"))) std::size_t find_sse(const char* p, std::size_t n, char c,
-                                                     std::size_t i) noexcept {
-  const __m128i pat = _mm_set1_epi8(c);
-  while (i + 16 <= n) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const unsigned m =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, pat)));
-    if (m != 0) return i + static_cast<std::size_t>(std::countr_zero(m));
-    i += 16;
-  }
-  return find_swar(p, n, c, i);
-}
-
-__attribute__((target("sse2"))) std::size_t rfind_sse(const char* p, std::size_t n,
-                                                      char c) noexcept {
-  const __m128i pat = _mm_set1_epi8(c);
-  std::size_t i = n;
-  while (i >= 16) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i - 16));
-    const unsigned m =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, pat)));
-    if (m != 0) return i - 16 + (31u - static_cast<unsigned>(std::countl_zero(m)));
-    i -= 16;
-  }
-  return rfind_swar(p, i, c);
-}
-
-__attribute__((target("sse2"))) std::size_t count_sse(const char* p, std::size_t n,
-                                                      char c) noexcept {
-  const __m128i pat = _mm_set1_epi8(c);
-  std::size_t total = 0;
-  std::size_t i = 0;
-  while (i + 16 <= n) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    total += static_cast<std::size_t>(std::popcount(
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, pat)))));
-    i += 16;
-  }
-  for (; i < n; ++i) total += (p[i] == c);
-  return total;
-}
-
-__attribute__((target("avx2"))) std::size_t find_avx2(const char* p, std::size_t n, char c,
-                                                      std::size_t i) noexcept {
-  const __m256i pat = _mm256_set1_epi8(c);
-  while (i + 32 <= n) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    const unsigned m =
-        static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, pat)));
-    if (m != 0) return i + static_cast<std::size_t>(std::countr_zero(m));
-    i += 32;
-  }
-  return find_swar(p, n, c, i);
-}
-
-__attribute__((target("avx2"))) std::size_t rfind_avx2(const char* p, std::size_t n,
-                                                       char c) noexcept {
-  const __m256i pat = _mm256_set1_epi8(c);
-  std::size_t i = n;
-  while (i >= 32) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i - 32));
-    const unsigned m =
-        static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, pat)));
-    if (m != 0) return i - 32 + (31u - static_cast<unsigned>(std::countl_zero(m)));
-    i -= 32;
-  }
-  return rfind_swar(p, i, c);
-}
 
 __attribute__((target("avx2"))) std::size_t count_avx2(const char* p, std::size_t n,
                                                        char c) noexcept {
@@ -158,7 +60,6 @@ __attribute__((target("avx2"))) std::size_t count_avx2(const char* p, std::size_
 Isa detect_hw_isa() noexcept {
 #ifdef HPCFAIL_SCAN_X86
   if (__builtin_cpu_supports("avx2")) return Isa::Avx2;
-  if (__builtin_cpu_supports("sse4.2")) return Isa::Sse42;
 #endif
   return Isa::Swar;
 }
@@ -168,16 +69,8 @@ Isa hw_isa() noexcept {
   return isa;
 }
 
-Isa initial_isa() noexcept {
-  if (const char* env = std::getenv("HPCFAIL_NO_SIMD");
-      env != nullptr && !(env[0] == '0' && env[1] == '\0') && env[0] != '\0') {
-    return Isa::Swar;
-  }
-  return hw_isa();
-}
-
 std::atomic<Isa>& isa_slot() noexcept {
-  static std::atomic<Isa> slot{initial_isa()};
+  static std::atomic<Isa> slot{hw_isa()};
   return slot;
 }
 
@@ -209,17 +102,7 @@ constexpr auto kByteFreq = [] {
 
 Isa active_isa() noexcept { return isa_slot().load(std::memory_order_relaxed); }
 
-std::string_view isa_name(Isa isa) noexcept {
-  switch (isa) {
-    case Isa::Avx2:
-      return "avx2";
-    case Isa::Sse42:
-      return "sse4.2";
-    case Isa::Swar:
-      break;
-  }
-  return "swar";
-}
+std::string_view isa_name(Isa isa) noexcept { return isa == Isa::Avx2 ? "avx2" : "swar"; }
 
 Isa force_isa(Isa isa) noexcept {
   if (static_cast<int>(isa) > static_cast<int>(hw_isa())) isa = hw_isa();
@@ -233,45 +116,31 @@ Isa force_isa(Isa isa) noexcept {
 
 namespace detail {
 std::size_t find_byte_long(std::string_view hay, char needle, std::size_t from) noexcept {
-#ifdef HPCFAIL_SCAN_X86
-  switch (active_isa()) {
-    case Isa::Avx2:
-      return find_avx2(hay.data(), hay.size(), needle, from);
-    case Isa::Sse42:
-      return find_sse(hay.data(), hay.size(), needle, from);
-    case Isa::Swar:
-      break;
-  }
-#endif
-  return find_swar(hay.data(), hay.size(), needle, from);
+  const void* hit = std::memchr(hay.data() + from, needle, hay.size() - from);
+  return hit == nullptr ? npos
+                        : static_cast<std::size_t>(static_cast<const char*>(hit) - hay.data());
 }
 }  // namespace detail
 
 std::size_t rfind_byte(std::string_view hay, char needle) noexcept {
-  if (hay.empty()) return npos;
-#ifdef HPCFAIL_SCAN_X86
-  switch (active_isa()) {
-    case Isa::Avx2:
-      return rfind_avx2(hay.data(), hay.size(), needle);
-    case Isa::Sse42:
-      return rfind_sse(hay.data(), hay.size(), needle);
-    case Isa::Swar:
-      break;
+  const char* p = hay.data();
+  const std::uint64_t pat = kOnes * static_cast<unsigned char>(needle);
+  std::size_t i = hay.size();
+  while (i >= 8) {
+    const std::uint64_t z = zero_bytes(load8(p + i - 8) ^ pat);
+    if (z != 0) return i - 8 + ((63u - static_cast<unsigned>(std::countl_zero(z))) >> 3);
+    i -= 8;
   }
-#endif
-  return rfind_swar(hay.data(), hay.size(), needle);
+  while (i > 0) {
+    --i;
+    if (p[i] == needle) return i;
+  }
+  return npos;
 }
 
 std::size_t count_byte(std::string_view hay, char needle) noexcept {
 #ifdef HPCFAIL_SCAN_X86
-  switch (active_isa()) {
-    case Isa::Avx2:
-      return count_avx2(hay.data(), hay.size(), needle);
-    case Isa::Sse42:
-      return count_sse(hay.data(), hay.size(), needle);
-    case Isa::Swar:
-      break;
-  }
+  if (active_isa() == Isa::Avx2) return count_avx2(hay.data(), hay.size(), needle);
 #endif
   return count_swar(hay.data(), hay.size(), needle);
 }
@@ -369,9 +238,9 @@ std::uint32_t SignatureSet::match_candidates(const char* data, std::size_t n, st
   return found;
 }
 
-namespace detail {
-
 #ifdef HPCFAIL_SCAN_X86
+
+namespace detail {
 
 __attribute__((target("avx2"))) std::uint32_t scan_contains_avx2(
     const SignatureSet& set, const char* p, std::size_t n, std::uint32_t found) noexcept {
@@ -432,73 +301,9 @@ __attribute__((target("avx2"))) std::uint32_t scan_contains_avx2(
   return found;
 }
 
-__attribute__((target("ssse3"))) std::uint32_t scan_contains_sse(
-    const SignatureSet& set, const char* p, std::size_t n, std::uint32_t found) noexcept {
-  const __m128i lo_tab =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(set.nibble_lo_));
-  const __m128i hi_tab =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(set.nibble_hi_));
-  const __m128i low4 = _mm_set1_epi8(0x0F);
-  const std::uint32_t want = set.contains_mask_;
-  std::size_t i = 0;
-  while (i + 16 <= n && (found & want) != want) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i lo = _mm_shuffle_epi8(lo_tab, _mm_and_si128(v, low4));
-    const __m128i hi = _mm_shuffle_epi8(hi_tab, _mm_and_si128(_mm_srli_epi16(v, 4), low4));
-    const __m128i none = _mm_cmpeq_epi8(_mm_and_si128(lo, hi), _mm_setzero_si128());
-    std::uint32_t hits =
-        0xFFFFu & ~static_cast<std::uint32_t>(_mm_movemask_epi8(none));
-    while (hits != 0) {
-      const std::size_t pos = i + static_cast<std::size_t>(std::countr_zero(hits));
-      hits &= hits - 1;
-      found = set.match_candidates(p, n, pos, found);
-    }
-    i += 16;
-  }
-  // Same vector-tail trick as the AVX2 kernel, one 16-byte lane wide.
-  if (i < n && (found & want) != want) {
-    __m128i v;
-    std::uint32_t keep;
-    std::size_t base;
-    if (n >= 16) {
-      base = n - 16;
-      v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + base));
-      keep = 0xFFFFu << (i - base);
-    } else {
-      alignas(16) char buf[16] = {};
-      std::memcpy(buf, p, n);
-      base = 0;
-      v = _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
-      keep = (1u << n) - 1u;
-    }
-    const __m128i lo = _mm_shuffle_epi8(lo_tab, _mm_and_si128(v, low4));
-    const __m128i hi = _mm_shuffle_epi8(hi_tab, _mm_and_si128(_mm_srli_epi16(v, 4), low4));
-    const __m128i none = _mm_cmpeq_epi8(_mm_and_si128(lo, hi), _mm_setzero_si128());
-    std::uint32_t hits =
-        0xFFFFu & ~static_cast<std::uint32_t>(_mm_movemask_epi8(none)) & keep;
-    while (hits != 0 && (found & want) != want) {
-      const std::size_t pos = base + static_cast<std::size_t>(std::countr_zero(hits));
-      hits &= hits - 1;
-      found = set.match_candidates(p, n, pos, found);
-    }
-  }
-  return found;
-}
-
-#else  // !HPCFAIL_SCAN_X86
-
-std::uint32_t scan_contains_avx2(const SignatureSet&, const char*, std::size_t,
-                                 std::uint32_t found) noexcept {
-  return found;
-}
-std::uint32_t scan_contains_sse(const SignatureSet&, const char*, std::size_t,
-                                std::uint32_t found) noexcept {
-  return found;
-}
+}  // namespace detail
 
 #endif  // HPCFAIL_SCAN_X86
-
-}  // namespace detail
 
 std::uint32_t SignatureSet::match(std::string_view payload) const noexcept {
   const char* p = payload.data();
@@ -514,14 +319,7 @@ std::uint32_t SignatureSet::match(std::string_view payload) const noexcept {
   }
   if (contains_mask_ == 0 || n == 0) return found;
 #ifdef HPCFAIL_SCAN_X86
-  switch (active_isa()) {
-    case Isa::Avx2:
-      return detail::scan_contains_avx2(*this, p, n, found);
-    case Isa::Sse42:
-      return detail::scan_contains_sse(*this, p, n, found);
-    case Isa::Swar:
-      break;
-  }
+  if (active_isa() == Isa::Avx2) return detail::scan_contains_avx2(*this, p, n, found);
 #endif
   const std::uint32_t want = contains_mask_;
   for (std::size_t i = 0; i < n && (found & want) != want; ++i) {

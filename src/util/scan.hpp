@@ -6,24 +6,26 @@
 // nid lists) and the single-pass payload signature matcher that replaced
 // the sequential contains() cascades in line_classifier.cpp.
 //
-// Three implementation tiers share one contract:
-//   - scalar:  byte-at-a-time reference implementations (scan::ref).
-//     Never dispatched in production; retained verbatim as the oracle the
-//     differential suite (tests/scan_test.cpp) compares the fast tiers
-//     against, byte for byte, on adversarial corpora.
-//   - SWAR:    portable 8-bytes-per-step word tricks (no intrinsics).
-//     The floor every build ships: selected when the CPU lacks SSE4.2 or
-//     when HPCFAIL_NO_SIMD forces it.
-//   - SSE/AVX2: 16/32-bytes-per-step x86 paths picked by runtime CPU
-//     detection (__builtin_cpu_supports); compiled with target attributes
-//     so a generic -O2 build still carries them.
+// One implementation per primitive, and a second only where it measured
+// faster (DESIGN.md §15):
+//   - find_byte: header-inline SWAR for remainders of at most 16 bytes
+//     (token walks), std::memchr above that; glibc picks its own vector
+//     kernel at load time, and it beat a hand-written AVX2 loop.
+//   - rfind_byte: SWAR only; it runs once or twice per ingest chunk, and
+//     memrchr is a GNU extension.
+//   - count_byte and the SignatureSet scan: an AVX2 kernel (a target
+//     attribute, so a generic -O2 build carries it) beside its portable
+//     SWAR twin, which measured slower end to end.
+//   - scan::ref and SignatureSet::match_ref: byte-at-a-time references,
+//     never dispatched; the differential suite (tests/scan_test.cpp)
+//     compares every tier against them on adversarial corpora.
 //
-// Dispatch policy: active_isa() is resolved once per process from CPUID
-// plus the HPCFAIL_NO_SIMD environment variable (set and not "0" ==>
-// pure-SWAR fallback, the tier CI re-runs the ingest suites under).
-// Tests may pin a tier explicitly with force_isa(); production code never
-// does.  All tiers are exact: same results, same out-of-range behaviour,
-// no reads past the end of any buffer (the suites run under ASan).
+// active_isa() is resolved once per process from CPUID: Avx2 where the
+// CPU has it, else Swar (the only tier off x86).  Tests and
+// bench/perf_scan pin the portable tier with force_isa(); production code
+// never does.  Both tiers are exact: same results, no reads past the end
+// of any buffer (the suites run under ASan, which also range-checks
+// every memchr call).
 #pragma once
 
 #include <array>
@@ -41,10 +43,9 @@ namespace hpcfail::util::scan {
 // ---------------------------------------------------------------------------
 
 /// Implementation tier, ordered weakest to strongest.
-enum class Isa : int { Swar = 0, Sse42 = 1, Avx2 = 2 };
+enum class Isa : int { Swar = 0, Avx2 = 1 };
 
-/// The tier production calls dispatch to.  Resolved once: HPCFAIL_NO_SIMD
-/// (set, not "0") pins Swar; otherwise the strongest tier CPUID reports.
+/// The tier production calls dispatch to: the strongest one CPUID reports.
 [[nodiscard]] Isa active_isa() noexcept;
 
 [[nodiscard]] std::string_view isa_name(Isa isa) noexcept;
@@ -92,16 +93,15 @@ inline std::uint64_t nondigit_bytes(std::uint64_t v) noexcept {
   return (u | t) & kHighs;
 }
 
-/// Out-of-line ISA-dispatched scan for haystacks the inline fast path
-/// does not cover.  `from < hay.size()` is the caller's invariant.
+/// std::memchr over the remainder the inline fast path does not cover.
+/// `from < hay.size()` is the caller's invariant.
 [[nodiscard]] std::size_t find_byte_long(std::string_view hay, char needle,
                                          std::size_t from) noexcept;
 
 }  // namespace detail
 
 /// Index of the first `needle` at or after `from`, or npos.  Short
-/// remainders (<= 16 bytes) scan inline via SWAR; longer ones dispatch to
-/// the active SIMD tier.
+/// remainders (<= 16 bytes) scan inline via SWAR; longer ones call memchr.
 [[nodiscard]] inline std::size_t find_byte(std::string_view hay, char needle,
                                            std::size_t from = 0) noexcept {
   const std::size_t n = hay.size();
@@ -254,13 +254,11 @@ struct Signature {
 class SignatureSet;
 
 namespace detail {
-// ISA-specific contains-scan kernels (defined with target attributes in
-// scan.cpp); friends of SignatureSet so the nibble/key tables hoist into
-// registers once per payload instead of once per 32-byte block.
+// The AVX2 contains-scan kernel (defined with a target attribute in
+// scan.cpp, x86 only); a friend of SignatureSet so the nibble/key tables
+// hoist into registers once per payload instead of once per 32-byte block.
 std::uint32_t scan_contains_avx2(const SignatureSet& set, const char* p, std::size_t n,
                                  std::uint32_t found) noexcept;
-std::uint32_t scan_contains_sse(const SignatureSet& set, const char* p, std::size_t n,
-                                std::uint32_t found) noexcept;
 }  // namespace detail
 
 /// Matches a set of up to 32 literal signatures against a payload in ONE
@@ -287,13 +285,9 @@ class SignatureSet {
   /// Scalar oracle: one contains()/starts_with() per signature.
   [[nodiscard]] std::uint32_t match_ref(std::string_view payload) const noexcept;
 
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-
  private:
   friend std::uint32_t detail::scan_contains_avx2(const SignatureSet&, const char*,
                                                   std::size_t, std::uint32_t) noexcept;
-  friend std::uint32_t detail::scan_contains_sse(const SignatureSet&, const char*,
-                                                 std::size_t, std::uint32_t) noexcept;
 
   [[nodiscard]] std::uint32_t match_candidates(const char* data, std::size_t n,
                                                std::size_t i,

@@ -21,6 +21,7 @@
 #include "loggen/corpus.hpp"
 #include "parsers/corpus_parser.hpp"
 #include "parsers/snapshot.hpp"
+#include "util/scan.hpp"
 
 namespace hpcfail {
 namespace {
@@ -76,19 +77,29 @@ TEST_F(GoldenCorpus, DiagnosisPinned) {
 
 TEST_F(GoldenCorpus, SnapshotBytesPinned) {
   // The saved snapshot is pinned by size and trailing file CRC-32C (sha256
-  // b2e7e10b...).  The corpus's end lines interleave later starts, so a job
-  // string pool interned in fold order instead of row order fails here.
+  // b2e7e10b...) at every scan tier the host runs.  The corpus's end lines
+  // interleave later starts, so a job string pool interned in fold order
+  // instead of row order fails here.
   const std::string path =
       (std::filesystem::temp_directory_path() / "hpcfail_golden_pinned.snap").string();
-  const auto error = parsers::save_snapshot(*parsed_, path);
-  ASSERT_FALSE(error.has_value()) << error->to_string();
-  std::ifstream file(path, std::ios::binary);
-  const std::string bytes{std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
-  std::filesystem::remove(path);
-  ASSERT_EQ(bytes.size(), 169'020u);
-  std::uint32_t crc = 0;
-  std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc), sizeof(crc));
-  EXPECT_EQ(crc, 0xb429a009u);
+  const auto pinned = [&](util::scan::Isa isa) {
+    SCOPED_TRACE(util::scan::isa_name(isa));
+    const auto error = parsers::save_snapshot(parsers::parse_corpus(*corpus_), path);
+    ASSERT_FALSE(error.has_value()) << error->to_string();
+    std::ifstream file(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(file),
+                            std::istreambuf_iterator<char>()};
+    std::filesystem::remove(path);
+    ASSERT_EQ(bytes.size(), 169'020u);
+    std::uint32_t crc = 0;
+    std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc), sizeof(crc));
+    EXPECT_EQ(crc, 0xb429a009u);
+  };
+  const util::scan::Isa original = util::scan::active_isa();
+  for (const util::scan::Isa isa : {util::scan::Isa::Swar, util::scan::Isa::Avx2}) {
+    if (util::scan::force_isa(isa) == isa) pinned(isa);  // else the host lacks it
+  }
+  util::scan::force_isa(original);
 }
 
 TEST_F(GoldenCorpus, RegenerationIsExact) {

@@ -28,6 +28,7 @@
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/scan.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -161,16 +162,20 @@ TEST_P(FileVsMemoryStream, SnapshotBytesIgnoreThreadsAndChunking) {
   // as they retire, in file order, so neither the pool size nor the chunk
   // geometry may move a byte (S1 logs the Slurm dialect, S2 Torque).  The
   // third run parses the same corpus in memory, as `hpcfail store save
-  // --preset` does, and must save the same bytes as the file runs.
+  // --preset` does, and must save the same bytes as the file runs.  The
+  // fourth pins the portable scan tier, so neither may the CPU.
   dir_ = write_to_temp(corpus_, GetParam().tag);
-  std::array<std::string, 3> bytes;
+  std::array<std::string, 4> bytes;
+  const util::scan::Isa original = util::scan::active_isa();
   for (std::size_t run = 0; run < bytes.size(); ++run) {
     util::ThreadPool pool(run == 0 ? 1 : 4);
     parsers::IngestOptions options;
     options.pool = &pool;
     if (run == 1) options.chunk_bytes = 777;
+    if (run == 3) util::scan::force_isa(util::scan::Isa::Swar);
     const auto parsed = run == 2 ? parsers::ingest_corpus(corpus_, options)
                                  : parsers::ingest_files(dir_, options);
+    util::scan::force_isa(original);
     ASSERT_TRUE(parsed.ok()) << parsed.error->to_string();
     ASSERT_GT(parsed.jobs.size(), 0u);
     const std::string snap = dir_ + "/run" + std::to_string(run) + ".snap";
@@ -181,6 +186,7 @@ TEST_P(FileVsMemoryStream, SnapshotBytesIgnoreThreadsAndChunking) {
   EXPECT_FALSE(bytes[0].empty());
   EXPECT_TRUE(bytes[0] == bytes[1]) << "snapshots differ";  // no multi-MB diff dump
   EXPECT_TRUE(bytes[0] == bytes[2]) << "in-memory snapshot differs";
+  EXPECT_TRUE(bytes[0] == bytes[3]) << "forced-SWAR snapshot differs";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,10 +1,10 @@
 // Differential tests for the scan primitive layer (src/util/scan.hpp):
-// every dispatched tier (SWAR, SSE4.2, AVX2 — whatever the host supports)
-// must agree byte-for-byte with the retained scalar references on seeded
-// randomized corpora stuffed with the nasty cases: CRLF, NUL bytes, empty
-// lines, missing trailing newlines, and lines longer than a chunk.  The
-// suite runs under ASan/UBSan in CI, so any out-of-bounds vector load
-// fails loudly here.
+// every dispatched tier (SWAR, and AVX2 where the host has it) must agree
+// byte-for-byte with the retained scalar references on seeded randomized
+// corpora stuffed with the nasty cases: CRLF, NUL bytes, empty lines,
+// missing trailing newlines, and lines longer than a chunk.  The suite
+// runs under ASan/UBSan in CI, so any out-of-bounds vector load or memchr
+// range fails loudly here.
 #include <gtest/gtest.h>
 
 #include <charconv>
@@ -25,7 +25,7 @@ namespace {
 template <typename Fn>
 void for_each_isa(Fn&& body) {
   const Isa original = active_isa();
-  for (const Isa isa : {Isa::Swar, Isa::Sse42, Isa::Avx2}) {
+  for (const Isa isa : {Isa::Swar, Isa::Avx2}) {
     if (force_isa(isa) != isa) continue;  // host can't execute this tier
     body(isa);
   }
@@ -325,7 +325,6 @@ std::string random_payload(Rng& rng) {
 
 TEST(SignatureSet, MatchesReferenceOnRandomPayloads) {
   const SignatureSet set{kTestSignatures};
-  ASSERT_EQ(set.size(), std::size(kTestSignatures));
   Rng rng(17);
   for (int round = 0; round < 20000; ++round) {
     const std::string payload = random_payload(rng);
@@ -460,7 +459,6 @@ TEST(ClassifierDifferential, AllCascadesMatchScalarReferenceOnEveryIsa) {
 
 TEST(ScanDispatch, IsaNamesAndForceRoundTrip) {
   EXPECT_EQ(isa_name(Isa::Swar), "swar");
-  EXPECT_EQ(isa_name(Isa::Sse42), "sse4.2");
   EXPECT_EQ(isa_name(Isa::Avx2), "avx2");
   const Isa original = active_isa();
   EXPECT_EQ(force_isa(Isa::Swar), Isa::Swar);  // always executable

@@ -374,6 +374,25 @@ TEST(ServeEpochTest, MonitorSeesOnePollInTimeOrderAcrossTails) {
       << "a record newer than all history must reach the monitor";
 }
 
+TEST(ServeEpochTest, TailLinesAreWalkedLikeAnIngestChunk) {
+  // Blank lines are skipped uncounted and CRLF is stripped, as ingest's
+  // LineCursor walk does, so a tail's line count means what total_lines
+  // means.
+  Booted booted = boot(platform::SystemName::S2, 1, 4242);
+  serve::Server& server = *booted.server;
+  const ScratchFile tail("walk_tail.log");
+  server.attach_tail(tail.path(), logmodel::LogSource::Console);
+  ASSERT_FALSE(booted.tail_line.empty());
+
+  ScopedMetrics metrics;
+  tail.append("\n\r\n" + booted.tail_line + "\r\n\n");
+  const auto poll = server.poll_tail();
+  ASSERT_TRUE(poll.ok());
+  EXPECT_EQ(poll.lines, 1u);
+  EXPECT_EQ(poll.records, 1u) << "the CRLF-terminated line must parse";
+  EXPECT_EQ(metrics.counter("hpcfail.serve.tail_lines"), 1u);
+}
+
 /// "## " sections of a markdown report, keyed by heading text.
 std::map<std::string, std::string> report_sections(const std::string& report) {
   std::map<std::string, std::string> out;
@@ -475,25 +494,21 @@ TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
   // Absent file: empty poll, no error.
   auto poll = reader.poll();
   EXPECT_TRUE(poll.ok());
-  EXPECT_TRUE(poll.lines.empty());
+  EXPECT_EQ(poll.text, "");
 
   file.append("alpha\nbeta");  // beta is mid-append
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  ASSERT_EQ(poll.lines.size(), 1u);
-  EXPECT_EQ(poll.lines[0], "alpha");
+  EXPECT_EQ(poll.text, "alpha\n");
 
   file.append("-still-beta\ngamma\r\n");  // beta completes; gamma is CRLF
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  ASSERT_EQ(poll.lines.size(), 2u);
-  EXPECT_EQ(poll.lines[0], "beta-still-beta");
-  EXPECT_EQ(poll.lines[1], "gamma");
+  EXPECT_EQ(poll.text, "beta-still-beta\ngamma\r\n");
 
   poll = reader.poll();  // nothing new
   EXPECT_TRUE(poll.ok());
-  EXPECT_TRUE(poll.lines.empty());
-  EXPECT_EQ(reader.offset(), std::string("alpha\nbeta-still-beta\ngamma\r\n").size());
+  EXPECT_EQ(poll.text, "");
 }
 
 TEST(TailReaderTest, TruncationRestartsAtTheFirstByte) {
@@ -504,23 +519,19 @@ TEST(TailReaderTest, TruncationRestartsAtTheFirstByte) {
   file.append("line-one-aaaaaaaaaaaa\nline-two-bbbbbbbbbbbb\n");
   auto poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  ASSERT_EQ(poll.lines.size(), 2u);
-  ASSERT_EQ(reader.offset(), 44u);
+  EXPECT_EQ(poll.text, "line-one-aaaaaaaaaaaa\nline-two-bbbbbbbbbbbb\n");
 
   // copytruncate: the file shrinks below the offset, then grows past it.
   file.truncate_to("rotated-1\n");
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  ASSERT_EQ(poll.lines.size(), 1u);
-  EXPECT_EQ(poll.lines[0], "rotated-1");
+  EXPECT_EQ(poll.text, "rotated-1\n");
   EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 1u);
 
   file.append("rotated-2-cccccccccccccccccccc\nrotated-3\n");
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  ASSERT_EQ(poll.lines.size(), 2u);
-  EXPECT_EQ(poll.lines[0], "rotated-2-cccccccccccccccccccc");
-  EXPECT_EQ(poll.lines[1], "rotated-3");
+  EXPECT_EQ(poll.text, "rotated-2-cccccccccccccccccccc\nrotated-3\n");
   EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 1u);
 }
 
@@ -533,7 +544,7 @@ TEST(TailReaderTest, RenameRotationDrainsTheOldFileThenRestarts) {
   file.append("old-1\n");
   auto poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  ASSERT_EQ(poll.lines, std::vector<std::string>{"old-1"});
+  EXPECT_EQ(poll.text, "old-1\n");
 
   // `mv f f.1`: a writer that still has the old file open keeps appending
   // to it.  With nothing at the path the poll is empty.
@@ -542,15 +553,14 @@ TEST(TailReaderTest, RenameRotationDrainsTheOldFileThenRestarts) {
   writer << "old-2\nold-3-partial" << std::flush;
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  EXPECT_TRUE(poll.lines.empty());
+  EXPECT_EQ(poll.text, "");
 
   // `touch f` and new lines, past the old offset by the next poll: the old
   // file's complete lines come first, then the new file from byte 0.
   file.append("new-1-aaaaaaaaaaaaaaaa\nnew-2\n");
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  EXPECT_EQ(poll.lines, (std::vector<std::string>{"old-2", "new-1-aaaaaaaaaaaaaaaa", "new-2"}));
-  EXPECT_EQ(reader.offset(), std::string("new-1-aaaaaaaaaaaaaaaa\nnew-2\n").size());
+  EXPECT_EQ(poll.text, "old-2\nnew-1-aaaaaaaaaaaaaaaa\nnew-2\n");
   EXPECT_EQ(metrics.counter("hpcfail.serve.tail_rotations"), 1u);
   EXPECT_EQ(metrics.counter("hpcfail.serve.tail_truncations"), 0u);
 
@@ -559,7 +569,7 @@ TEST(TailReaderTest, RenameRotationDrainsTheOldFileThenRestarts) {
   file.append("new-3\n");
   poll = reader.poll();
   ASSERT_TRUE(poll.ok());
-  EXPECT_EQ(poll.lines, std::vector<std::string>{"new-3"});
+  EXPECT_EQ(poll.text, "new-3\n");
   EXPECT_EQ(metrics.counter("hpcfail.serve.tail_rotations"), 1u);
 }
 

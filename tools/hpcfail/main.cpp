@@ -45,7 +45,6 @@ using namespace hpcfail;
 
 constexpr const char* kUsage =
     "usage: hpcfail ingest      (--dir D | --preset S [--days N] [--seed N] [--keep])\n"
-    "                           [--chunk-bytes N]\n"
     "       hpcfail store save  --out F (--dir D | --preset S [--days N] [--seed N])\n"
     "       hpcfail store load|info|verify F\n"
     "       hpcfail serve       (--snapshot F | --dir D | --preset S [--days N] [--seed N])\n"
@@ -75,7 +74,6 @@ constexpr const char* kUsage =
     "  --days N        simulated days for --preset (default 7)\n"
     "  --seed N        simulation seed for --preset (default 42)\n"
     "  --keep          keep ingest's --preset temp directory\n"
-    "  --chunk-bytes N ingest chunk size in bytes (default 256 KiB)\n"
     "  --out F         snapshot file to write (store save)\n"
     "\n"
     "serve:\n"
@@ -128,7 +126,6 @@ struct Options {
   int days = 7;
   std::uint64_t seed = 42;
   bool keep = false;
-  std::size_t chunk_bytes = parsers::IngestOptions{}.chunk_bytes;
   std::string out;
   // Serve.
   std::string socket;
@@ -227,8 +224,6 @@ void parse(int argc, char** argv, Options& o) {
       o.seed = number(0, kU64Max);
     } else if (is("--keep", kIngest)) {
       o.keep = toggle();
-    } else if (is("--chunk-bytes", kIngest)) {
-      o.chunk_bytes = static_cast<std::size_t>(number(1, kU64Max));
     } else if (is("--out", kSave)) {
       o.out = value();
     } else if (is("--socket", kServe)) {
@@ -394,7 +389,6 @@ LoadedCorpus load_corpus(const Options& o, util::ThreadPool& pool) {
   };
   parsers::IngestOptions options;
   options.pool = &pool;
-  options.chunk_bytes = o.chunk_bytes;
   if (!o.snapshot.empty()) {
     take(parsers::load_snapshot(o.snapshot), "snapshot error: ");
   } else if (!o.dir.empty()) {
